@@ -190,12 +190,9 @@ struct RelayOptions {
   workload::PayloadKind payload_kind = workload::PayloadKind::kText;
   CompressionPolicy compression = {};
   size_t resources = 2;  ///< sender+receiver on res 0, relay on res 1 (paper's layout)
-  /// Cross-resource transport for the relay edges (kTcp = loopback TCP).
+  /// Cross-resource transport for the relay edges (kTcp = loopback TCP,
+  /// carried by the supervised channel).
   EdgeTransport transport = EdgeTransport::kInproc;
-  /// When the transport is TCP: carry edges over the supervised channel
-  /// (heartbeats/acks/retransmit) as the runtime does by default, or the
-  /// raw epoll transport when false.
-  bool supervise_tcp = true;
 };
 
 /// Run the Figure-1 relay (source -> relay -> sink) on the real runtime and
@@ -212,7 +209,6 @@ inline RelayResult run_relay(const RelayOptions& opt) {
 
   RuntimeOptions ro;
   ro.cross_resource_transport = opt.transport;
-  ro.supervise_tcp = opt.supervise_tcp;
   Runtime rt(opt.resources, {.worker_threads = 1, .io_threads = 1}, ro);
   StreamGraph g("relay-bench", cfg);
   uint64_t total = opt.packets;

@@ -1,9 +1,9 @@
-// Microbenchmark: frame encode (with CRC) and incremental decode — the
-// fixed per-flush costs that application-level buffering amortizes over a
-// whole batch (paper §III-B1). The *Pooled variants measure the zero-copy
-// hot path: encode into recycled FrameBufs and whole-frame decode straight
-// out of them, with heap traffic reported via the bench_util.hpp counting
-// allocator.
+// Microbenchmark: frame encode (with CRC), whole-frame decode and stream
+// carving — the fixed per-flush costs that application-level buffering
+// amortizes over a whole batch (paper §III-B1). The *Pooled variants
+// measure the zero-copy hot path: encode into recycled FrameBufs and
+// whole-frame decode straight out of them, with heap traffic reported via
+// the bench_util.hpp counting allocator.
 #define NEPTUNE_BENCH_COUNT_ALLOCS
 #include <benchmark/benchmark.h>
 
@@ -17,7 +17,6 @@ namespace {
 using neptune::ByteBuffer;
 using neptune::FrameBufPool;
 using neptune::FrameBufRef;
-using neptune::FrameDecoder;
 using neptune::FrameHeader;
 
 void report_allocs(benchmark::State& state, neptune::bench::AllocCounts a) {
@@ -48,21 +47,6 @@ void BM_FrameEncode(benchmark::State& state) {
                           static_cast<int64_t>(payload.size()));
 }
 BENCHMARK(BM_FrameEncode)->Arg(128)->Arg(4096)->Arg(1 << 20);
-
-void BM_FrameDecodeWhole(benchmark::State& state) {
-  auto payload = payload_of(static_cast<size_t>(state.range(0)));
-  ByteBuffer wire;
-  FrameHeader h;
-  h.raw_size = static_cast<uint32_t>(payload.size());
-  encode_frame(h, payload, wire);
-  for (auto _ : state) {
-    auto decoded = neptune::decode_frame(wire.contents());
-    benchmark::DoNotOptimize(decoded.has_value());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(payload.size()));
-}
-BENCHMARK(BM_FrameDecodeWhole)->Arg(128)->Arg(4096)->Arg(1 << 20);
 
 void BM_FrameEncodePooled(benchmark::State& state) {
   // Encode into a pooled FrameBuf acquired per flush and recycled on
@@ -108,29 +92,29 @@ void BM_FrameDecodeWholePooled(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameDecodeWholePooled)->Arg(128)->Arg(4096)->Arg(1 << 20);
 
-void BM_FrameDecoderChunked(benchmark::State& state) {
-  // Reassembly path: frames arriving in 1460-byte TCP-segment-sized chunks.
-  auto payload = payload_of(65536);
+void BM_FrameCarveStream(benchmark::State& state) {
+  // The TCP receive path: carve a recv chunk holding many small frames
+  // (peek_frame_extent) and validate each (decode_whole_frame).
+  auto payload = payload_of(static_cast<size_t>(state.range(0)));
   ByteBuffer wire;
   FrameHeader h;
   h.raw_size = static_cast<uint32_t>(payload.size());
-  encode_frame(h, payload, wire);
+  for (int i = 0; i < 64; ++i) encode_frame(h, payload, wire);
   for (auto _ : state) {
-    FrameDecoder dec;
     int frames = 0;
-    size_t pos = 0;
-    while (pos < wire.size()) {
-      size_t n = std::min<size_t>(1460, wire.size() - pos);
-      dec.feed({wire.data() + pos, n},
-               [&](const FrameHeader&, std::span<const uint8_t>) { ++frames; });
-      pos += n;
+    size_t off = 0;
+    size_t extent = 0;
+    while (neptune::peek_frame_extent({wire.data() + off, wire.size() - off}, &extent) ==
+           neptune::FrameDecodeStatus::kFrame) {
+      frames += neptune::decode_whole_frame({wire.data() + off, extent}).has_value();
+      off += extent;
     }
     benchmark::DoNotOptimize(frames);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(wire.size()));
 }
-BENCHMARK(BM_FrameDecoderChunked);
+BENCHMARK(BM_FrameCarveStream)->Arg(128)->Arg(4096);
 
 void BM_Crc32(benchmark::State& state) {
   auto payload = payload_of(static_cast<size_t>(state.range(0)));

@@ -1,12 +1,11 @@
 // CI gate for the zero-copy TCP transport (docs/INTERNALS.md §14).
 //
-// Runs the headline 3-stage relay over loopback TCP — supervised (the
-// runtime default) and raw — under the counting global allocator, and
-// exits non-zero when the zero-copy claim regresses:
+// Runs the headline 3-stage relay over loopback (supervised) TCP under the
+// counting global allocator, and exits non-zero when the zero-copy claim
+// regresses:
 //
-//   * frame_copies != 0            (a received frame was reassembled by copy)
-//   * tcp tx_copies grew           (a send went through the span staging path)
-//   * rx frames were not carved    (framed_rx carving stopped working)
+//   * frame_copies != 0            (a received frame was copied)
+//   * rx frames were not carved    (socket-side frame carving stopped working)
 //   * heap traffic per packet rose (the send/receive path started allocating)
 //
 // The allocation gate is differential: the workload itself allocates per
@@ -86,53 +85,44 @@ int main(int argc, char** argv) {
   }
 
   auto& ts = TcpTransportStats::global();
-  for (bool supervised : {true, false}) {
-    const char* mode = supervised ? "supervised" : "raw";
-    print_header(std::string("TCP relay, 100 B packets, ") + mode + " transport");
+  {
+    print_header("TCP relay, 100 B packets, supervised transport");
 
     RelayOptions opt;
     opt.payload_bytes = 100;
     opt.buffer_bytes = 1 << 20;
     opt.packets = packets;
     opt.transport = EdgeTransport::kTcp;
-    opt.supervise_tcp = supervised;
 
-    uint64_t tx_copies0 = ts.tx_copies.load();
     uint64_t rx_frames0 = ts.rx_frames.load();
     reset_alloc_counts();
     RelayResult r = run_relay(opt);
     AllocCounts ac = alloc_counts();
-    uint64_t tx_copies_delta = ts.tx_copies.load() - tx_copies0;
     uint64_t rx_frames_delta = ts.rx_frames.load() - rx_frames0;
     double allocs_per_packet =
         static_cast<double>(ac.calls) / static_cast<double>(packets);
     double extra = allocs_per_packet - baseline_allocs_per_packet;
 
-    print_row({"kpkt/s", "frame-copies", "tx-copies", "allocs/pkt", "vs-inproc"});
+    print_row({"kpkt/s", "frame-copies", "allocs/pkt", "vs-inproc"});
     print_row({fmt("%.0f", r.throughput_pps / 1e3),
                fmt("%.0f", static_cast<double>(r.frame_copies)),
-               fmt("%.0f", static_cast<double>(tx_copies_delta)),
                fmt("%.4f", allocs_per_packet),
                fmt("%+.4f", extra)});
 
-    expect(r.packets == packets, std::string(mode) + ": all packets delivered");
-    expect(r.seq_violations == 0, std::string(mode) + ": in order");
-    expect(r.frame_copies == 0, std::string(mode) + ": frame_copies == 0");
-    expect(tx_copies_delta == 0,
-           std::string(mode) + ": no span-path (copied) TCP sends");
-    expect(rx_frames_delta > 0,
-           std::string(mode) + ": frames carved from pooled rx chunks");
+    expect(r.packets == packets, "supervised: all packets delivered");
+    expect(r.seq_violations == 0, "supervised: in order");
+    expect(r.frame_copies == 0, "supervised: frame_copies == 0");
+    expect(rx_frames_delta > 0, "supervised: frames carved from pooled rx chunks");
     expect(extra < kMaxExtraAllocsPerPacket,
-           std::string(mode) + ": TCP adds no per-packet heap traffic (" +
-               fmt("%+.4f", extra) + " allocs/pkt vs inproc, fixed setup amortized)");
+           "supervised: TCP adds no per-packet heap traffic (" + fmt("%+.4f", extra) +
+               " allocs/pkt vs inproc, fixed setup amortized)");
 
     JsonObject row = relay_row(r);
-    row["config"] = JsonValue("tcp_gate_100B_" + std::string(mode));
+    row["config"] = JsonValue(std::string("tcp_gate_100B_supervised"));
     row["alloc_calls"] = JsonValue(static_cast<int64_t>(ac.calls));
     row["alloc_bytes"] = JsonValue(static_cast<int64_t>(ac.bytes));
     row["allocs_per_packet"] = JsonValue(allocs_per_packet);
     row["extra_allocs_per_packet_vs_inproc"] = JsonValue(extra);
-    row["tcp_tx_copies_delta"] = JsonValue(static_cast<int64_t>(tx_copies_delta));
     row["tcp_rx_frames_delta"] = JsonValue(static_cast<int64_t>(rx_frames_delta));
     report.add_row(std::move(row));
   }

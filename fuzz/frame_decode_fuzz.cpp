@@ -1,13 +1,14 @@
-// Fuzz target: the wire-frame decoder. Arbitrary bytes are fed to
-// FrameDecoder both as one chunk and re-split into small chunks derived
-// from the input itself — the decoder must never crash, never hand a frame
-// whose payload size disagrees with its header, and chunking must not
-// change the outcome. Also exercises the one-shot decode_frame path.
+// Fuzz target: the code that reads untrusted socket bytes. Arbitrary input
+// is carved into frame extents with peek_frame_extent, the way
+// TcpConnection carves a receive chunk, and each extent is decoded with
+// decode_whole_frame, the way every channel consumer validates a frame.
+// Nothing may crash, no decoded payload size may disagree with its header,
+// and an extent must decode the same whether carved from the whole input
+// or handed over alone.
 //
 // Built with libFuzzer when the toolchain has one (clang, -fsanitize=fuzzer)
 // or with the standalone corpus-replay/mutation driver (fuzz/driver_main.cpp)
 // otherwise; the entry point is the same.
-#include <cassert>
 #include <cstdint>
 #include <cstdlib>
 #include <span>
@@ -19,52 +20,39 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using namespace neptune;
   std::span<const uint8_t> input(data, size);
 
-  // Pass 1: whole input at once.
-  size_t frames_once = 0;
-  {
-    FrameDecoder dec;
-    dec.feed(input, [&](const FrameHeader& h, std::span<const uint8_t> payload) {
-      if (payload.size() != h.payload_size) abort();  // header/payload mismatch
-      if (h.payload_size > FrameHeader::kMaxPayload) abort();
-      ++frames_once;
-    });
-    if (dec.pending_bytes() > size) abort();  // decoder invented bytes
-  }
-
-  // Pass 2: same input in chunks whose sizes are derived from the data, so
-  // the fuzzer controls the split points. Chunking must be transparent:
-  // a byte-stream decoder yields the same frames for any split.
-  size_t frames_chunked = 0;
-  {
-    FrameDecoder dec;
-    size_t off = 0;
-    size_t salt = size;
-    bool errored = false;
-    while (off < size && !errored) {
-      size_t chunk = 1 + (data[off % size] + salt++) % 61;
-      if (chunk > size - off) chunk = size - off;
-      auto st = dec.feed(input.subspan(off, chunk),
-                         [&](const FrameHeader&, std::span<const uint8_t>) { ++frames_chunked; });
-      // After a hard error the stream is poisoned; stop like a transport would.
-      errored = st == FrameDecodeStatus::kBadMagic || st == FrameDecodeStatus::kBadLength ||
-                st == FrameDecodeStatus::kBadChecksum;
-      off += chunk;
+  size_t off = 0;
+  for (;;) {
+    std::span<const uint8_t> rest = input.subspan(off);
+    size_t extent = 0;
+    FrameDecodeStatus st = peek_frame_extent(rest, &extent);
+    if (st != FrameDecodeStatus::kFrame) break;  // corrupt header or partial header: stop
+    if (extent < FrameHeader::kSize || extent > FrameHeader::kSize + FrameHeader::kMaxPayload)
+      abort();  // extent outside what any header can name
+    if (rest.size() < extent) {
+      // A partial frame is never a frame.
+      if (decode_whole_frame(rest)) abort();
+      break;
     }
-    if (!errored && frames_chunked != frames_once) abort();
+    std::span<const uint8_t> bytes = rest.first(extent);
+    auto frame = decode_whole_frame(bytes);
+    if (frame) {
+      if (frame->payload.size() != frame->header.payload_size) abort();
+      if (FrameHeader::kSize + frame->payload.size() != extent) abort();
+      if (frame->payload.data() != bytes.data() + FrameHeader::kSize) abort();
+    }
+    // The same extent copied out on its own (a pooled buffer, as a channel
+    // hands it over) must decode identically.
+    std::vector<uint8_t> alone(bytes.begin(), bytes.end());
+    if (decode_whole_frame(alone).has_value() != frame.has_value()) abort();
+    // Trailing bytes past one frame are never a frame.
+    if (extent < rest.size() && decode_whole_frame(rest.first(extent + 1))) abort();
+    off += extent;
   }
 
-  // Pass 3: one-shot datagram decode must agree with itself.
-  FrameDecodeStatus status;
-  auto one = decode_frame(input, &status);
-  if (one && one->payload.size() != one->header.payload_size) abort();
-
-  // Pass 4: reset() mid-stream must leave the decoder reusable.
-  {
-    FrameDecoder dec;
-    dec.feed(input.subspan(0, size / 2), [](const FrameHeader&, std::span<const uint8_t>) {});
-    dec.reset();
-    if (dec.pending_bytes() != 0) abort();
-    dec.feed(input, [](const FrameHeader&, std::span<const uint8_t>) {});
+  // The whole input is one frame only if carving found exactly one extent
+  // covering all of it.
+  if (auto whole = decode_whole_frame(input)) {
+    if (FrameHeader::kSize + whole->header.payload_size != size) abort();
   }
   return 0;
 }

@@ -52,12 +52,6 @@ class ByteBuffer {
     data_.clear();
     read_pos_ = 0;
   }
-  /// Take ownership of an existing vector without copying (zero-copy
-  /// hand-off from legacy receive paths into pooled frame buffers).
-  void adopt(std::vector<uint8_t>&& v) noexcept {
-    data_ = std::move(v);
-    read_pos_ = 0;
-  }
   /// Surrender the backing vector (leaves this buffer empty).
   std::vector<uint8_t> take() noexcept {
     std::vector<uint8_t> v = std::move(data_);

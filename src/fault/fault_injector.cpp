@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <thread>
 
 #include "common/clock.hpp"
 #include "common/log.hpp"
@@ -143,7 +142,7 @@ FaultAction FaultInjector::next_send_action(const EdgeId& edge) {
 
 FaultAction FaultInjector::next_receive_action(const EdgeId& edge) {
   std::lock_guard lk(mu_);
-  uint64_t index = receive_chunk_index_[edge]++;
+  uint64_t index = receive_frame_index_[edge]++;
   return match_locked(edge, index, /*receive_side=*/true);
 }
 
@@ -158,7 +157,7 @@ class FaultingSender final : public ChannelSender {
                  EventLoop* loop)
       : injector_(injector), edge_(edge), inner_(std::move(inner)), loop_(loop) {}
 
-  SendStatus try_send(std::span<const uint8_t> frame) override {
+  SendStatus try_send(const FrameBufRef& frame) override {
     {
       std::lock_guard lk(mu_);
       if (stall_until_ns_ != 0) {
@@ -177,11 +176,14 @@ class FaultingSender final : public ChannelSender {
         inner_->close();
         return SendStatus::kClosed;
       case FaultKind::kCorrupt: {
+        // Copy this one frame so the flip never touches a buffer the sender
+        // still retains for retransmission.
         injector_->count(a.kind);
-        std::vector<uint8_t> bad(frame.begin(), frame.end());
-        if (!bad.empty()) bad[std::min(a.byte_offset, bad.size() - 1)] ^= 0x5A;
-        NEPTUNE_LOG_INFO("fault: corrupt on %s (byte %zu)", edge_.to_string().c_str(),
-                         std::min(a.byte_offset, bad.empty() ? 0 : bad.size() - 1));
+        FrameBufRef bad = FrameBufPool::global().acquire();
+        bad->buffer().write_bytes(frame.contents());
+        size_t at = bad->size() == 0 ? 0 : std::min(a.byte_offset, bad->size() - 1);
+        if (bad->size() > 0) bad->buffer().data()[at] ^= 0x5A;
+        NEPTUNE_LOG_INFO("fault: corrupt on %s (byte %zu)", edge_.to_string().c_str(), at);
         return inner_->try_send(bad);
       }
       case FaultKind::kPartialWrite: {
@@ -189,7 +191,7 @@ class FaultingSender final : public ChannelSender {
         size_t cut = frame.size() < 2 ? 0 : std::clamp<size_t>(a.byte_offset, 1, frame.size() - 1);
         NEPTUNE_LOG_INFO("fault: partial write on %s (%zu of %zu bytes)",
                          edge_.to_string().c_str(), cut, frame.size());
-        if (cut > 0) inner_->try_send(frame.subspan(0, cut));
+        if (cut > 0) inner_->try_send(frame.slice(0, cut));
         inner_->close();
         return SendStatus::kClosed;
       }
@@ -237,9 +239,9 @@ class FaultingSender final : public ChannelSender {
   std::function<void()> writable_cb_;
 };
 
-/// Decorating receiver: applies delayed-delivery (and, for completeness,
-/// corrupt/reset) faults to chunks surfaced from the wrapped channel. Order
-/// is preserved: a delayed chunk delays everything behind it.
+/// Decorating receiver: applies delayed-delivery faults to frames surfaced
+/// from the wrapped channel. Order is preserved: a delayed frame delays
+/// everything behind it.
 class FaultingReceiver final : public ChannelReceiver,
                                public std::enable_shared_from_this<FaultingReceiver> {
  public:
@@ -247,31 +249,18 @@ class FaultingReceiver final : public ChannelReceiver,
                    EventLoop* loop)
       : injector_(injector), edge_(edge), inner_(std::move(inner)), loop_(loop) {}
 
-  std::optional<std::vector<uint8_t>> try_receive() override {
+  std::optional<FrameBufRef> try_receive_buf() override {
     pump();
     std::unique_lock lk(mu_);
     if (held_.empty()) return std::nullopt;
-    auto& [release_ns, chunk] = held_.front();
+    auto& [release_ns, frame] = held_.front();
     if (release_ns > now_ns()) {
       arm_release_timer_locked(release_ns);
       return std::nullopt;
     }
-    std::vector<uint8_t> out = std::move(chunk);
+    FrameBufRef out = std::move(frame);
     held_.pop_front();
     return out;
-  }
-
-  std::optional<std::vector<uint8_t>> receive(std::chrono::nanoseconds timeout) override {
-    int64_t deadline = now_ns() + timeout.count();
-    for (;;) {
-      if (auto c = try_receive()) return c;
-      if (inner_->closed()) {
-        std::lock_guard lk(mu_);
-        if (held_.empty()) return std::nullopt;
-      }
-      if (now_ns() >= deadline) return std::nullopt;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
   }
 
   void set_data_callback(std::function<void()> cb) override {
@@ -293,7 +282,7 @@ class FaultingReceiver final : public ChannelReceiver,
  private:
   /// Drain the wrapped channel into the held queue, applying faults.
   void pump() {
-    while (auto chunk = inner_->try_receive()) {
+    while (auto frame = inner_->try_receive_buf()) {
       FaultAction a = injector_->next_receive_action(edge_);
       int64_t release = 0;
       if (a.kind == FaultKind::kDelay) {
@@ -303,9 +292,9 @@ class FaultingReceiver final : public ChannelReceiver,
                          static_cast<long long>(a.delay_ns / 1000), edge_.to_string().c_str());
       }
       std::lock_guard lk(mu_);
-      // Order preservation: never release before the chunk ahead.
+      // Order preservation: never release before the frame ahead.
       if (!held_.empty()) release = std::max(release, held_.back().first);
-      held_.emplace_back(release, std::move(*chunk));
+      held_.emplace_back(release, std::move(*frame));
     }
   }
 
@@ -330,22 +319,25 @@ class FaultingReceiver final : public ChannelReceiver,
   std::shared_ptr<ChannelReceiver> inner_;
   EventLoop* loop_;
   mutable std::mutex mu_;
-  std::deque<std::pair<int64_t, std::vector<uint8_t>>> held_;  // (release ns, chunk)
+  std::deque<std::pair<int64_t, FrameBufRef>> held_;  // (release ns, frame)
   bool timer_armed_ = false;
   std::function<void()> data_cb_;
 };
 
 }  // namespace
 
-std::shared_ptr<ChannelSender> FaultInjector::wrap_sender(const EdgeId& edge,
-                                                          std::shared_ptr<ChannelSender> inner,
-                                                          EventLoop* loop) {
-  return std::make_shared<FaultingSender>(this, edge, std::move(inner), loop);
+std::shared_ptr<ChannelSender> wrap_sender(FaultInjector* injector, const EdgeId& edge,
+                                           std::shared_ptr<ChannelSender> inner,
+                                           EventLoop* loop) {
+  if (injector == nullptr) return inner;
+  return std::make_shared<FaultingSender>(injector, edge, std::move(inner), loop);
 }
 
-std::shared_ptr<ChannelReceiver> FaultInjector::wrap_receiver(
-    const EdgeId& edge, std::shared_ptr<ChannelReceiver> inner, EventLoop* loop) {
-  return std::make_shared<FaultingReceiver>(this, edge, std::move(inner), loop);
+std::shared_ptr<ChannelReceiver> wrap_receiver(FaultInjector* injector, const EdgeId& edge,
+                                               std::shared_ptr<ChannelReceiver> inner,
+                                               EventLoop* loop) {
+  if (injector == nullptr) return inner;
+  return std::make_shared<FaultingReceiver>(injector, edge, std::move(inner), loop);
 }
 
 }  // namespace neptune::fault

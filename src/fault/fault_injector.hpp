@@ -8,13 +8,13 @@
 //   * partial writes          — only a prefix of a frame is delivered, then
 //                               the channel is closed (crash mid-write)
 //   * write stalls / delays   — the channel reports kBlocked for a duration
-//   * delayed delivery        — inbound chunks are held back for a duration
+//   * delayed delivery        — inbound frames are held back for a duration
 //
-// Faults are applied through decorating ChannelSender/ChannelReceiver
-// wrappers (wrap_sender/wrap_receiver), so they plug in identically under
-// the in-process pipe and under TcpConnection — including the supervised
-// TCP channel, which re-wraps every freshly reconnected connection so the
-// schedule survives link re-establishment.
+// Faults are applied through frame-level ChannelSender/ChannelReceiver
+// decorators (wrap_sender/wrap_receiver), so they plug in identically over
+// the in-process SPSC pipe and over TcpConnection — including the
+// supervised TCP channel, which re-wraps every freshly reconnected
+// connection so the schedule survives link re-establishment.
 //
 // Two scheduling modes:
 //   * deterministic — add_rule({edge, at_frame, action}): "fail edge E at
@@ -163,24 +163,10 @@ class FaultInjector {
   std::vector<ResourceKill> resource_kills() const;
   void mark_kill_executed(size_t resource_index);
 
-  // --- decorator factories ---------------------------------------------------
-  /// Wrap `inner` so scheduled sender-side faults (reset, corrupt, partial
-  /// write, stall) apply to frames passed through try_send. `loop` (may be
-  /// null) is used to re-fire the writable callback after a stall expires;
-  /// without a loop, stalls expire lazily on the next try_send.
-  std::shared_ptr<ChannelSender> wrap_sender(const EdgeId& edge,
-                                             std::shared_ptr<ChannelSender> inner,
-                                             EventLoop* loop = nullptr);
-  /// Wrap `inner` so receive-side faults (delayed delivery, corrupt, reset)
-  /// apply to chunks surfaced through receive/try_receive.
-  std::shared_ptr<ChannelReceiver> wrap_receiver(const EdgeId& edge,
-                                                 std::shared_ptr<ChannelReceiver> inner,
-                                                 EventLoop* loop = nullptr);
-
-  // --- decorator backend (called per frame/chunk) ----------------------------
+  // --- decorator backend (called per frame) ---------------------------------
   /// Consume the action scheduled for the next sender-side frame on `edge`.
   FaultAction next_send_action(const EdgeId& edge);
-  /// Consume the action scheduled for the next receive-side chunk on `edge`.
+  /// Consume the action scheduled for the next receive-side frame on `edge`.
   FaultAction next_receive_action(const EdgeId& edge);
 
   void count(FaultKind kind);
@@ -200,9 +186,24 @@ class FaultInjector {
   RandomFaultConfig random_;
   Xoshiro256 rng_{1};
   std::map<EdgeId, uint64_t> send_frame_index_;
-  std::map<EdgeId, uint64_t> receive_chunk_index_;
+  std::map<EdgeId, uint64_t> receive_frame_index_;
   std::vector<ResourceKill> kills_;
   FaultInjectorStats stats_;
 };
+
+/// Wrap `inner` so `injector`'s scheduled sender-side faults (reset,
+/// corrupt, partial write, stall) apply to frames passed through try_send;
+/// returns `inner` itself when `injector` is null. `loop` (may be null) is
+/// used to re-fire the writable callback after a stall expires; without a
+/// loop, stalls expire lazily on the next try_send.
+std::shared_ptr<ChannelSender> wrap_sender(FaultInjector* injector, const EdgeId& edge,
+                                           std::shared_ptr<ChannelSender> inner,
+                                           EventLoop* loop = nullptr);
+/// Wrap `inner` so `injector`'s receive-side faults (delayed delivery)
+/// apply to frames surfaced through try_receive_buf; returns `inner` itself
+/// when `injector` is null.
+std::shared_ptr<ChannelReceiver> wrap_receiver(FaultInjector* injector, const EdgeId& edge,
+                                               std::shared_ptr<ChannelReceiver> inner,
+                                               EventLoop* loop = nullptr);
 
 }  // namespace neptune::fault

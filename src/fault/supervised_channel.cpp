@@ -41,14 +41,6 @@ FrameBufRef encode_control(uint8_t flags, uint32_t link_id, uint64_t ack_value,
   return buf;
 }
 
-/// The transport config for a supervised link's connections: the stream is
-/// all wire frames, so the connection carves them at the socket and both
-/// directions ride pooled views end to end.
-ChannelConfig framed(ChannelConfig c) {
-  c.framed_rx = true;
-  return c;
-}
-
 void detach_connection(const std::shared_ptr<TcpConnection>& conn) {
   if (!conn) return;
   conn->set_data_callback({});
@@ -107,14 +99,6 @@ SupervisedTcpSender::~SupervisedTcpSender() {
   }
   detach_connection(conn);
   loop_barrier(loop_);
-}
-
-SendStatus SupervisedTcpSender::try_send(std::span<const uint8_t> frame) {
-  // Legacy copying entry: stage into a pooled buffer, then share the
-  // zero-copy retention path.
-  FrameBufRef staged = FrameBufPool::global().acquire();
-  staged->buffer().write_bytes(frame);
-  return try_send(staged);
 }
 
 SendStatus SupervisedTcpSender::try_send(const FrameBufRef& frame) {
@@ -232,7 +216,7 @@ void SupervisedTcpSender::supervise() {
 bool SupervisedTcpSender::attempt_connect() {
   int fd = tcp_connect_blocking(port_, config_.connect_timeout_ms);
   if (fd < 0) return false;
-  auto conn = TcpConnection::create(loop_, fd, framed(channel_config_));
+  auto conn = TcpConnection::create(loop_, fd, channel_config_);
   conn->start();
   uint64_t inc;
   bool was_reconnect;
@@ -245,9 +229,7 @@ bool SupervisedTcpSender::attempt_connect() {
     ++incarnation_;
     inc = incarnation_;
     conn_ = conn;
-    data_path_ = injector_ ? injector_->wrap_sender(edge_, conn, loop_)
-                           : std::static_pointer_cast<ChannelSender>(conn);
-    ack_decoder_.reset();
+    data_path_ = wrap_sender(injector_, edge_, conn, loop_);
     link_state_ = LinkState::kAwaitHello;
     last_inbound_ns_ = now_ns();
     was_reconnect = had_connection_;
@@ -309,10 +291,9 @@ void SupervisedTcpSender::pump() {
       if (pumping_.exchange(true, std::memory_order_acquire)) return;
       continue;
     }
-    // The ref overload pins the same buffer in the connection's out queue —
-    // a retransmission after reconnect sends these exact bytes again, no
-    // copy at any hop. (A fault-decorated path falls back to the span
-    // adapter; that copy only exists under injection.)
+    // The connection pins the same buffer in its out queue — a
+    // retransmission after reconnect sends these exact bytes again, no copy
+    // at any hop.
     SendStatus st = path->try_send(frame);
     if (st == SendStatus::kOk) {
       std::lock_guard lk(mu_);
@@ -340,34 +321,25 @@ void SupervisedTcpSender::drain_acks(uint64_t incarnation) {
     if (incarnation != incarnation_ || !conn_) return;
     conn = conn_;
   }
-  while (auto chunk = conn->try_receive_buf()) {
-    uint64_t acked = 0;
-    bool got_ack = false;
+  while (auto frame = conn->try_receive_buf()) {
+    std::optional<DecodedFrame> f = decode_whole_frame(frame->contents());
     {
       std::lock_guard lk(mu_);
       if (incarnation != incarnation_) return;
       last_inbound_ns_ = now_ns();
-      auto on_frame = [&](const FrameHeader& h, std::span<const uint8_t> payload) {
-        if ((h.flags & FrameHeader::kFlagAck) != 0 && payload.size() >= 8) {
-          uint64_t c = ByteReader(payload).read_u64();
-          acked = std::max(acked, c);
-          got_ack = true;
-        }
-      };
-      std::span<const uint8_t> bytes = chunk->contents();
-      // framed_rx delivers exactly one frame per view — decode in place.
-      // Anything else (raw fallback, injector decorators) reassembles.
-      if (ack_decoder_.pending_bytes() == 0) {
-        if (auto f = decode_whole_frame(bytes)) {
-          on_frame(f->header, f->payload);
-        } else {
-          ack_decoder_.feed(bytes, on_frame);
-        }
-      } else {
-        ack_decoder_.feed(bytes, on_frame);
-      }
     }
-    if (got_ack) handle_ack(acked, incarnation);
+    if (!f) {
+      // The ack stream is corrupt: drop the link and start over.
+      std::shared_ptr<TcpConnection> old;
+      {
+        std::lock_guard lk(mu_);
+        if (incarnation == incarnation_) old = link_dead_locked("corrupt ack frame");
+      }
+      detach_connection(old);
+      return;
+    }
+    if ((f->header.flags & FrameHeader::kFlagAck) != 0 && f->payload.size() >= 8)
+      handle_ack(ByteReader(f->payload).read_u64(), incarnation);
   }
 }
 
@@ -468,7 +440,7 @@ SupervisedTcpReceiver::~SupervisedTcpReceiver() {
 }
 
 void SupervisedTcpReceiver::on_accept(int fd) {
-  auto conn = TcpConnection::create(loop_, fd, framed(channel_config_));
+  auto conn = TcpConnection::create(loop_, fd, channel_config_);
   conn->start();
   std::shared_ptr<TcpConnection> old;
   uint64_t inc;
@@ -480,9 +452,7 @@ void SupervisedTcpReceiver::on_accept(int fd) {
     }
     old = std::move(conn_);
     conn_ = conn;
-    rx_path_ = injector_ ? injector_->wrap_receiver(edge_, conn, loop_)
-                         : std::static_pointer_cast<ChannelReceiver>(conn);
-    decoder_.reset();
+    rx_path_ = wrap_receiver(injector_, edge_, conn, loop_);
     // Discard everything not yet consumed: the hello ack below reports the
     // consumed count, and the sender retransmits from exactly that point.
     queue_.clear();
@@ -509,65 +479,35 @@ void SupervisedTcpReceiver::drain(uint64_t incarnation) {
   bool notify = false;
   std::function<void()> data_cb;
   while (!corrupt) {
-    auto chunk = rx->try_receive_buf();
-    if (!chunk) break;
+    auto frame = rx->try_receive_buf();
+    if (!frame) break;
+    // Every view is exactly one wire frame, CRC-checked here; a data frame
+    // is queued as the same view (still pinning the transport's recv
+    // chunk) — no copy, no re-encode.
+    FrameDecodeStatus s = FrameDecodeStatus::kFrame;
+    std::optional<DecodedFrame> f = decode_whole_frame(frame->contents(), &s);
     std::lock_guard lk(mu_);
     if (incarnation != incarnation_ || shutdown_) return;
     last_inbound_ns_ = now_ns();
-    bytes_received_.fetch_add(chunk->size(), std::memory_order_relaxed);
+    bytes_received_.fetch_add(frame->size(), std::memory_order_relaxed);
     bool was_empty = queue_.empty();
-    auto classify = [&](const FrameHeader& h) -> int {
-      if ((h.flags & FrameHeader::kFlagHeartbeat) != 0) return 1;
-      if ((h.flags & FrameHeader::kFlagAck) != 0) return 2;  // not expected here; ignore
-      if ((h.flags & FrameHeader::kFlagEof) != 0) return 3;
-      return 0;  // data
-    };
-    FrameDecodeStatus s = FrameDecodeStatus::kNeedMore;
-    std::optional<DecodedFrame> whole;
-    // Fast path: framed_rx connections deliver exactly one CRC-checkable
-    // wire frame per view, so the view itself (still pinning the transport's
-    // recv chunk) is queued for the runtime — no reassembly, no re-encode.
-    // The FrameDecoder fallback covers raw-fallback streams and
-    // fault-decorated paths, re-encoding into a pooled buffer.
-    if (decoder_.pending_bytes() == 0 &&
-        (whole = decode_whole_frame(chunk->contents(), &s)).has_value()) {
-      switch (classify(whole->header)) {
-        case 1: need_ack = true; break;
-        case 2: break;
-        case 3: queue_.push_back({FrameBufRef{}, /*eof=*/true}); break;
-        default: queue_.push_back({std::move(*chunk), /*eof=*/false}); break;
-      }
-      s = FrameDecodeStatus::kFrame;
-    } else if (decoder_.pending_bytes() == 0 && s != FrameDecodeStatus::kNeedMore) {
-      // A whole-looking view with a corrupt header/CRC: fail without
-      // polluting the reassembler.
-    } else {
-      s = decoder_.feed(chunk->contents(),
-                        [&](const FrameHeader& h, std::span<const uint8_t> payload) {
-                          switch (classify(h)) {
-                            case 1: need_ack = true; break;
-                            case 2: break;
-                            case 3: queue_.push_back({FrameBufRef{}, /*eof=*/true}); break;
-                            default: {
-                              FrameBufRef reframed = FrameBufPool::global().acquire();
-                              encode_frame(h, payload, reframed->buffer());
-                              queue_.push_back({std::move(reframed), /*eof=*/false});
-                              break;
-                            }
-                          }
-                        });
-    }
-    if (s == FrameDecodeStatus::kBadMagic || s == FrameDecodeStatus::kBadChecksum ||
-        s == FrameDecodeStatus::kBadLength) {
+    if (!f) {
       NEPTUNE_LOG_INFO("supervised edge %s: corrupt frame (status %d), dropping connection",
                        edge_.to_string().c_str(), static_cast<int>(s));
       if (corrupt_counter_) corrupt_counter_->fetch_add(1, std::memory_order_relaxed);
       corrupt = true;
+    } else if ((f->header.flags & FrameHeader::kFlagHeartbeat) != 0) {
+      need_ack = true;
+    } else if ((f->header.flags & FrameHeader::kFlagAck) != 0) {
+      // Not expected on this side; ignore.
+    } else if ((f->header.flags & FrameHeader::kFlagEof) != 0) {
+      queue_.push_back({FrameBufRef{}, /*eof=*/true});
+    } else {
+      queue_.push_back({std::move(*frame), /*eof=*/false});
     }
     if (was_empty && !queue_.empty()) {
       notify = true;
       data_cb = data_cb_;
-      cv_.notify_all();
     }
   }
   if (corrupt) {
@@ -596,7 +536,6 @@ std::optional<FrameBufRef> SupervisedTcpReceiver::try_receive_buf() {
         eof_consumed_ = true;
         queue_.pop_front();
         ack = true;
-        cv_.notify_all();
         continue;
       }
       out = std::move(f.frame);
@@ -608,29 +547,6 @@ std::optional<FrameBufRef> SupervisedTcpReceiver::try_receive_buf() {
   }
   if (ack) send_ack();
   return out;
-}
-
-std::optional<FrameBufRef> SupervisedTcpReceiver::receive_buf(std::chrono::nanoseconds timeout) {
-  {
-    std::unique_lock lk(mu_);
-    cv_.wait_for(lk, timeout, [&] { return !queue_.empty() || shutdown_ || eof_consumed_; });
-  }
-  return try_receive_buf();
-}
-
-std::optional<std::vector<uint8_t>> SupervisedTcpReceiver::try_receive() {
-  auto buf = try_receive_buf();
-  if (!buf) return std::nullopt;
-  std::span<const uint8_t> bytes = buf->contents();
-  return std::vector<uint8_t>(bytes.begin(), bytes.end());
-}
-
-std::optional<std::vector<uint8_t>> SupervisedTcpReceiver::receive(
-    std::chrono::nanoseconds timeout) {
-  auto buf = receive_buf(timeout);
-  if (!buf) return std::nullopt;
-  std::span<const uint8_t> bytes = buf->contents();
-  return std::vector<uint8_t>(bytes.begin(), bytes.end());
 }
 
 void SupervisedTcpReceiver::set_data_callback(std::function<void()> cb) {

@@ -92,9 +92,8 @@ class SupervisedTcpSender final : public ChannelSender {
   // ChannelSender. close() is the *graceful* path: it enqueues the EOF
   // frame and keeps the machinery alive until the receiver acks it (or the
   // sender is destroyed).
-  SendStatus try_send(std::span<const uint8_t> frame) override;
-  /// Zero-copy path: the pooled frame is pinned in the retention window and
-  /// retransmitted from the same ref after a reconnect — never copied.
+  /// The pooled frame is pinned in the retention window and retransmitted
+  /// from the same ref after a reconnect — never copied.
   SendStatus try_send(const FrameBufRef& frame) override;
   void set_writable_callback(std::function<void()> cb) override;
   bool writable(size_t bytes) const override;
@@ -143,7 +142,6 @@ class SupervisedTcpSender final : public ChannelSender {
   LinkState link_state_ = LinkState::kDisconnected;
   std::shared_ptr<TcpConnection> conn_;
   std::shared_ptr<ChannelSender> data_path_;      // conn_ or fault-wrapped conn_
-  FrameDecoder ack_decoder_;
   uint64_t incarnation_ = 0;                      // bumped per connection
   bool had_connection_ = false;
   uint32_t attempts_ = 0;                         // consecutive failed connects
@@ -163,8 +161,8 @@ class SupervisedTcpSender final : public ChannelSender {
 
 /// Receiving endpoint of a supervised TCP edge. Owns a persistent listener
 /// (one ephemeral port per edge) so the sender can reconnect at any time;
-/// CRC-validates and de-frames inbound data itself, consumes control
-/// frames, and acks consumption.
+/// CRC-validates every inbound frame, consumes control frames, and acks
+/// consumption.
 class SupervisedTcpReceiver final : public ChannelReceiver {
  public:
   /// `listen_port` 0 picks an ephemeral port (in-process deployments read it
@@ -180,11 +178,8 @@ class SupervisedTcpReceiver final : public ChannelReceiver {
   uint16_t port() const { return listener_->port(); }
 
   // ChannelReceiver
-  std::optional<std::vector<uint8_t>> receive(std::chrono::nanoseconds timeout) override;
-  std::optional<std::vector<uint8_t>> try_receive() override;
-  /// Zero-copy path: yields the validated frame as the same pooled view the
-  /// transport carved from its recv chunk (the legacy vector methods copy).
-  std::optional<FrameBufRef> receive_buf(std::chrono::nanoseconds timeout) override;
+  /// Yields the validated frame as the same pooled view the transport
+  /// carved from its recv chunk.
   std::optional<FrameBufRef> try_receive_buf() override;
   void set_data_callback(std::function<void()> cb) override;
   bool closed() const override;
@@ -203,7 +198,6 @@ class SupervisedTcpReceiver final : public ChannelReceiver {
 
   void on_accept(int fd);                         // loop thread
   void drain(uint64_t incarnation);               // loop thread
-  void handle_frame(const FrameHeader& h, std::span<const uint8_t> payload);
   void send_ack();                                // any thread
   void supervise();                               // supervisor thread body
 
@@ -219,7 +213,6 @@ class SupervisedTcpReceiver final : public ChannelReceiver {
   std::unique_ptr<TcpListener> listener_;
   std::shared_ptr<TcpConnection> conn_;
   std::shared_ptr<ChannelReceiver> rx_path_;      // conn_ or fault-wrapped conn_
-  FrameDecoder decoder_;
   uint64_t incarnation_ = 0;
   std::deque<QueuedFrame> queue_;                 // validated, unconsumed frames
   uint64_t consumed_ = 0;                         // frames handed upstream (incl. EOF)

@@ -30,7 +30,7 @@ struct OperatorMetrics {
 
   // --- zero-copy path counters (paper §III-B3 taken to its limit) ------------
   std::atomic<uint64_t> serde_alloc_bytes{0};  ///< heap bytes copied deserializing string/bytes fields
-  std::atomic<uint64_t> frame_copies{0};       ///< inbound frames that had to be copied (partial/chunked)
+  std::atomic<uint64_t> frame_copies{0};       ///< inbound frames copied on receive (0: channels hand over whole pooled frames)
   std::atomic<uint64_t> batch_dispatches{0};   ///< batches handed to on_batch() as views
 
   // --- gauges (instantaneous, refreshed by the owner; read by telemetry) -----

@@ -1,7 +1,6 @@
 #include "neptune/runtime.hpp"
 
 #include <deque>
-#include <future>
 
 #include <cstdlib>
 
@@ -61,7 +60,6 @@ struct Batch {
 /// instance.
 struct InEdge {
   std::shared_ptr<ChannelReceiver> rx;
-  FrameDecoder decoder;
   uint64_t expected_seq = 0;
   uint32_t link_id = 0;
   uint32_t src_instance = 0;
@@ -291,14 +289,13 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
     if (rounds == cfg_.max_batches_per_execution) ctx.request_reschedule();
   }
 
-  /// Pull one chunk from the next input edge that has data; decode frames
-  /// into ready batches. Returns false when no edge had data.
+  /// Pull one frame from the next input edge that has data and decode it
+  /// into a ready batch. Returns false when no edge had data.
   ///
-  /// Fast path: in-process edges (and any transport that delivers whole
-  /// frames) hand over a pooled frame buffer; the batch keeps a ref and
-  /// packets are parsed straight out of it — zero payload copies. Only
-  /// byte-stream transports that chunk frames (TCP) fall back to the
-  /// reassembling decoder, which copies (counted in frame_copies).
+  /// Every channel hands over exactly one wire frame per pooled buffer; the
+  /// batch keeps a ref and packets are parsed straight out of it — zero
+  /// payload copies. A buffer that is not exactly one valid frame is a
+  /// corrupt frame.
   bool fetch_some_frames() {
     size_t n = inputs.size();
     for (size_t step = 0; step < n; ++step) {
@@ -306,31 +303,15 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
       if (e.drained) continue;
       auto frame = e.rx->try_receive_buf();
       if (!frame) {
-        if (e.rx->closed() && e.decoder.pending_bytes() == 0) e.drained = true;
+        if (e.rx->closed()) e.drained = true;
         continue;
       }
       next_edge_ = (next_edge_ + step + 1) % n;
       metrics_.bytes_in.fetch_add(frame->size(), std::memory_order_relaxed);
       FrameDecodeStatus s = FrameDecodeStatus::kFrame;
-      if (e.decoder.pending_bytes() == 0) {
-        if (auto f = decode_whole_frame(frame->contents(), &s)) {
-          ingest_frame(e, f->header, f->payload, &*frame);
-          return true;
-        }
-        // kNeedMore: a partial or multi-frame chunk — reassemble below.
-        if (s != FrameDecodeStatus::kNeedMore) {
-          report_corrupt_frame(e, s);
-          return true;
-        }
-      }
-      metrics_.frame_copies.fetch_add(1, std::memory_order_relaxed);
-      s = e.decoder.feed(frame->contents(),
-                         [&](const FrameHeader& h, std::span<const uint8_t> payload) {
-                           ingest_frame(e, h, payload, nullptr);
-                         });
-      if (s == FrameDecodeStatus::kBadMagic || s == FrameDecodeStatus::kBadChecksum ||
-          s == FrameDecodeStatus::kBadLength) {
-        e.decoder.reset();
+      if (auto f = decode_whole_frame(frame->contents(), &s)) {
+        ingest_frame(e, f->header, f->payload, *frame);
+      } else {
         report_corrupt_frame(e, s);
       }
       return true;
@@ -350,13 +331,10 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
     job_->report_failure(task_name_ + ": corrupt frame on link " + std::to_string(e.link_id));
   }
 
-  /// `frame` is the pooled buffer the payload points into, when the caller
-  /// has one (whole-frame fast path) — the batch retains it so the packet
-  /// bytes stay alive, unparsed, until drained. Null on the reassembling
-  /// decoder path, whose payload is only valid for this call: the bytes are
-  /// then stashed in a pooled buffer (one copy, counted).
+  /// `frame` is the pooled buffer the payload points into — the batch
+  /// retains it so the packet bytes stay alive, unparsed, until drained.
   void ingest_frame(InEdge& e, const FrameHeader& h, std::span<const uint8_t> payload,
-                    const FrameBufRef* frame) {
+                    const FrameBufRef& frame) {
     if (h.control()) return;  // control frames never carry packets
     FrameBufRef keep;  // pins `raw` for the life of the batch
     std::span<const uint8_t> raw = payload;
@@ -373,13 +351,8 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
         return;
       }
       raw = keep.contents();
-    } else if (frame != nullptr) {
-      keep = *frame;  // zero-copy: share the inbound frame buffer
     } else {
-      keep = FrameBufPool::global().acquire();
-      keep->buffer().write_bytes(payload);
-      metrics_.frame_copies.fetch_add(1, std::memory_order_relaxed);
-      raw = keep.contents();
+      keep = frame;  // zero-copy: share the inbound frame buffer
     }
     ByteReader r(raw);
     uint32_t src_inst = r.read_u32();
@@ -660,7 +633,7 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
   bool all_inputs_drained() {
     for (auto& e : inputs) {
       if (!e.drained) {
-        if (e.rx->closed() && e.decoder.pending_bytes() == 0) {
+        if (e.rx->closed()) {
           e.drained = true;
         } else {
           return false;
@@ -995,9 +968,6 @@ void register_tcp_transport_telemetry() {
     };
     static std::vector<obs::TelemetryRegistry::Handle>* handles =
         new std::vector<obs::TelemetryRegistry::Handle>();
-    handles->push_back(counter("neptune_tcp_tx_copies_total",
-                               "Outbound TCP frames staged via the copying span path",
-                               s.tx_copies));
     handles->push_back(counter("neptune_tcp_rx_copies_total",
                                "Partial-frame tails spliced across pooled recv chunks",
                                s.rx_copies));
@@ -1036,68 +1006,28 @@ Runtime::EdgeChannel Runtime::make_edge_channel(granules::Resource* src, granule
                                                 const std::shared_ptr<Job>& job) {
   fault::FaultInjector* injector = options_.fault_injector.get();
   if (src == dst || options_.cross_resource_transport == EdgeTransport::kInproc) {
-    // SPSC fast lane: each edge has exactly one producing StreamBuffer
+    // SPSC ring: each edge has exactly one producing StreamBuffer
     // (serialized by its mutex, including timer-thread flushes) and one
-    // consuming task. Fault-injector wrappers may replay frames from IO
-    // threads, so keep the mutex lane under injection (test-only path).
-    ChannelConfig inproc_cfg = config;
-    inproc_cfg.spsc = (injector == nullptr);
-    InprocPipe pipe = make_inproc_pipe(inproc_cfg);
-    std::shared_ptr<ChannelSender> sender = pipe.sender;
-    std::shared_ptr<ChannelReceiver> receiver = pipe.receiver;
-    if (injector) {
-      sender = injector->wrap_sender(edge, std::move(sender), src->io_loop(0));
-      receiver = injector->wrap_receiver(edge, std::move(receiver), dst->io_loop(0));
-    }
-    return {sender, receiver};
+    // consuming task — with or without fault decorators on top.
+    InprocPipe pipe = make_inproc_pipe(config);
+    return {fault::wrap_sender(injector, edge, pipe.sender, src->io_loop(0)),
+            fault::wrap_receiver(injector, edge, pipe.receiver, dst->io_loop(0))};
   }
+  // Self-healing TCP edge: the receiver keeps a persistent listener so the
+  // sender can reconnect after any failure; the injector (if any) is
+  // applied *inside* the supervision, per connection incarnation.
   register_tcp_transport_telemetry();
-  if (options_.supervise_tcp) {
-    // Self-healing TCP edge: the receiver keeps a persistent listener so
-    // the sender can reconnect after any failure; the injector (if any) is
-    // applied *inside* the supervision, per connection incarnation.
-    auto receiver = std::make_shared<fault::SupervisedTcpReceiver>(
-        dst->io_loop(0), config, options_.supervisor, edge, injector,
-        dst_metrics ? &dst_metrics->corrupt_frames_dropped : nullptr);
-    auto sender = std::make_shared<fault::SupervisedTcpSender>(
-        src->io_loop(0), receiver->port(), config, options_.supervisor, edge, injector,
-        src_metrics ? &src_metrics->reconnects : nullptr,
-        // Weak: channels can outlive the Job (resources hold task refs), and
-        // a late budget-exhaustion report must not touch a freed Job.
-        [weak_job = std::weak_ptr<Job>(job)](const std::string& what) {
-          if (auto j = weak_job.lock()) j->report_failure(what);
-        });
-    return {sender, receiver};
-  }
-  // Raw loopback TCP (supervision disabled): one ephemeral-port listener
-  // per edge on the destination resource's IO loop; the source resource
-  // connects. The listener is discarded once the edge's connection is
-  // accepted, so a dropped connection is unrecoverable.
-  // Runtime edges carry only wire frames, so the connection carves them at
-  // the socket (framed_rx) and the decode fast path stays zero-copy.
-  ChannelConfig tcp_cfg = config;
-  tcp_cfg.framed_rx = true;
-  auto accepted = std::make_shared<std::promise<std::shared_ptr<TcpConnection>>>();
-  auto accepted_future = accepted->get_future();
-  EventLoop* dst_loop = dst->io_loop(0);
-  TcpListener listener(dst_loop, /*port=*/0, [accepted, dst_loop, tcp_cfg](int fd) {
-    auto conn = TcpConnection::create(dst_loop, fd, tcp_cfg);
-    conn->start();
-    accepted->set_value(std::move(conn));
-  });
-
-  int fd = tcp_connect_blocking(listener.port());
-  if (fd < 0) throw GraphError("TCP edge setup failed: connect()");
-  auto client = TcpConnection::create(src->io_loop(0), fd, tcp_cfg);
-  client->start();
-  if (accepted_future.wait_for(std::chrono::seconds(5)) != std::future_status::ready)
-    throw GraphError("TCP edge setup failed: accept timeout");
-  std::shared_ptr<ChannelSender> sender = client;
-  std::shared_ptr<ChannelReceiver> receiver = accepted_future.get();
-  if (injector) {
-    sender = injector->wrap_sender(edge, std::move(sender), src->io_loop(0));
-    receiver = injector->wrap_receiver(edge, std::move(receiver), dst_loop);
-  }
+  auto receiver = std::make_shared<fault::SupervisedTcpReceiver>(
+      dst->io_loop(0), config, options_.supervisor, edge, injector,
+      dst_metrics ? &dst_metrics->corrupt_frames_dropped : nullptr);
+  auto sender = std::make_shared<fault::SupervisedTcpSender>(
+      src->io_loop(0), receiver->port(), config, options_.supervisor, edge, injector,
+      src_metrics ? &src_metrics->reconnects : nullptr,
+      // Weak: channels can outlive the Job (resources hold task refs), and
+      // a late budget-exhaustion report must not touch a freed Job.
+      [weak_job = std::weak_ptr<Job>(job)](const std::string& what) {
+        if (auto j = weak_job.lock()) j->report_failure(what);
+      });
   return {sender, receiver};
 }
 
@@ -1215,24 +1145,6 @@ std::shared_ptr<Job> Runtime::submit(const StreamGraph& graph) {
               uint64_t recv = rx->bytes_received();
               return sent > recv ? static_cast<double>(sent - recv) : 0.0;
             }));
-        // Fast-lane ratio for in-process edges: fraction of sends that went
-        // through the lock-free SPSC ring with a pooled (zero-copy) frame.
-        if (auto inproc = std::dynamic_pointer_cast<InprocChannel>(pipe.sender)) {
-          job->telemetry_.push_back(obs::TelemetryRegistry::global().register_series(
-              {"neptune_inproc_fastlane_ratio",
-               {{"job", job->name_},
-                {"link", std::to_string(link.link_id)},
-                {"src", std::to_string(src->instance_index())},
-                {"dst", std::to_string(dst->instance_index())}},
-               obs::SeriesKind::kGauge,
-               "Fraction of inproc sends taking the zero-copy SPSC fast lane"},
-              [inproc] {
-                uint64_t total = inproc->total_sends();
-                if (total == 0) return 1.0;
-                return static_cast<double>(inproc->fastlane_sends()) /
-                       static_cast<double>(total);
-              }));
-        }
         detail::InEdge edge;
         edge.rx = pipe.receiver;
         edge.link_id = link.link_id;
@@ -1298,7 +1210,7 @@ void Runtime::register_job_telemetry(const std::shared_ptr<Job>& job) {
            "Heap bytes allocated deserializing inbound packets (string/bytes fields)",
            &OperatorMetrics::serde_alloc_bytes},
           {"neptune_frame_copies_total",
-           "Inbound frames that had to be copied (chunked/partial delivery)",
+           "Inbound frames copied on receive (0: channels hand over whole pooled frames)",
            &OperatorMetrics::frame_copies},
           {"neptune_batch_dispatches_total", "Batches dispatched to on_batch() as views",
            &OperatorMetrics::batch_dispatches},

@@ -179,12 +179,10 @@ struct RuntimeOptions {
   ObsOptions obs;
 
   // --- fault tolerance ------------------------------------------------------
-  /// When true (default), TCP edges are carried by the supervised channel:
-  /// per-edge heartbeats, dead-peer detection, reconnect with exponential
-  /// backoff, and exactly-once retransmission of unacked frames. When
-  /// false, TCP edges use the raw transport (a reset kills the edge).
-  bool supervise_tcp = true;
-  /// Heartbeat / timeout / backoff knobs for supervised edges.
+  /// TCP edges are always carried by the supervised channel: per-edge
+  /// heartbeats, dead-peer detection, reconnect with exponential backoff,
+  /// and exactly-once retransmission of unacked frames. These are its
+  /// heartbeat / timeout / backoff knobs.
   fault::SupervisorConfig supervisor;
   /// Optional fault-injection schedule applied to every edge (inproc and
   /// TCP). Shared so tests/benches can inspect injector stats afterwards.

@@ -1,25 +1,26 @@
 // Transport abstraction between two Granules resources. A Channel is a
-// lossless FIFO byte-batch pipe with bounded buffering on both ends:
+// lossless FIFO pipe of whole wire frames with bounded buffering on both
+// ends (paper §III-B1: flushed buffers, not bytes, traverse the network):
 //
-//   sender --try_send--> [outbound budget] ~~~> [inbound queue] --receive--> receiver
+//   sender --try_send(frame)--> [in-flight budget] ~~~> --try_receive_buf--> receiver
+//
+// The unit is one pooled FrameBufRef holding exactly one wire frame
+// (net/frame.hpp). Every transport hands frames over by reference; a buffer
+// that is not exactly one frame is a corrupt frame.
 //
 // Backpressure contract (paper §III-B4):
 //   * try_send returns kBlocked once the in-flight byte budget is exhausted
 //     (the analogue of a full TCP send buffer / closed sliding window).
-//   * The receiver drains via receive(); when it stops draining (its
-//     application buffer hit the high watermark) the in-flight budget stays
-//     consumed and senders stay blocked.
+//   * The receiver drains via try_receive_buf(); when it stops draining
+//     (its application buffer hit the high watermark) the in-flight budget
+//     stays consumed and senders stay blocked.
 //   * When occupancy falls to the low watermark the channel invokes the
 //     sender's writable callback, resuming upstream scheduling.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "net/frame_buf.hpp"
 
@@ -36,15 +37,10 @@ class ChannelSender {
  public:
   virtual ~ChannelSender() = default;
 
-  /// Enqueue one framed batch. Never partially accepts: either the whole
-  /// span is queued (kOk) or nothing is (kBlocked/kClosed).
-  virtual SendStatus try_send(std::span<const uint8_t> frame) = 0;
-
-  /// Zero-copy variant: hand over a pooled frame buffer. On kOk the channel
-  /// holds its own ref; the caller may drop theirs. Default adapter falls
-  /// back to the byte-span path (transports that serialize to a socket copy
-  /// there anyway; in-process channels override this to move the ref).
-  virtual SendStatus try_send(const FrameBufRef& frame) { return try_send(frame.contents()); }
+  /// Hand over one pooled wire frame. Never partially accepts: on kOk the
+  /// channel holds its own ref (the caller may drop theirs); on
+  /// kBlocked/kClosed nothing was queued.
+  virtual SendStatus try_send(const FrameBufRef& frame) = 0;
 
   /// Invoked (possibly from another thread) when a previously blocked
   /// sender may retry.
@@ -63,32 +59,15 @@ class ChannelReceiver {
  public:
   virtual ~ChannelReceiver() = default;
 
-  /// Blocking pop with timeout; nullopt on timeout or closed-and-drained.
-  virtual std::optional<std::vector<uint8_t>> receive(std::chrono::nanoseconds timeout) = 0;
-
-  /// Non-blocking pop.
-  virtual std::optional<std::vector<uint8_t>> try_receive() = 0;
-
-  /// Zero-copy variants: pop a pooled frame buffer. The default adapters
-  /// wrap the legacy vector result via FrameBufPool::adopt (moves the
-  /// allocation, no byte copy), so every transport supports them; the
-  /// in-process channel overrides them to hand back the sender's own buf.
-  virtual std::optional<FrameBufRef> receive_buf(std::chrono::nanoseconds timeout) {
-    auto v = receive(timeout);
-    if (!v) return std::nullopt;
-    return FrameBufPool::global().adopt(std::move(*v));
-  }
-  virtual std::optional<FrameBufRef> try_receive_buf() {
-    auto v = try_receive();
-    if (!v) return std::nullopt;
-    return FrameBufPool::global().adopt(std::move(*v));
-  }
+  /// Non-blocking pop of the next frame; nullopt when none is queued.
+  virtual std::optional<FrameBufRef> try_receive_buf() = 0;
 
   /// Invoked (possibly from the sender's or an IO thread) whenever the
   /// channel transitions empty -> non-empty, and once on close. Drives the
   /// receiving task's data-driven scheduling.
   virtual void set_data_callback(std::function<void()> cb) = 0;
 
+  /// True once the channel is closed and every queued frame was received.
   virtual bool closed() const = 0;
   virtual uint64_t bytes_received() const = 0;
 };
@@ -99,21 +78,6 @@ struct ChannelConfig {
   size_t capacity_bytes = 4 << 20;
   /// Writable callback fires when occupancy falls back to this level.
   size_t low_watermark_bytes = 1 << 20;
-  /// In-process fast lane: route frames through a lock-free SPSC ring with
-  /// coalesced wakeups instead of the mutex+deque path. Valid only when the
-  /// edge has exactly one producing and one consuming task at a time (the
-  /// runtime guarantees this for operator edges: one StreamBuffer feeds the
-  /// sender, one scheduled task drains the receiver).
-  bool spsc = false;
-  /// Frame-slot capacity of the SPSC ring (rounded up to a power of two).
-  size_t spsc_frames = 1024;
-  /// TCP receive path: when true the connection carves the byte stream into
-  /// whole wire frames at the socket (windowed views over pooled recv
-  /// chunks), so try_receive_buf() yields exactly-one-frame buffers and the
-  /// consumer's decode_whole_frame fast path never copies. When false
-  /// (default) the connection delivers raw per-recv chunks and consumers
-  /// reassemble with a FrameDecoder — required for non-frame byte streams.
-  bool framed_rx = false;
 };
 
 }  // namespace neptune

@@ -35,47 +35,6 @@ FrameDecodeStatus parse_header(const uint8_t* p, FrameHeader& h) {
 
 }  // namespace
 
-FrameDecodeStatus FrameDecoder::feed(std::span<const uint8_t> chunk, const FrameHandler& handler) {
-  buf_.insert(buf_.end(), chunk.begin(), chunk.end());
-  FrameDecodeStatus last = FrameDecodeStatus::kNeedMore;
-  for (;;) {
-    bool produced = false;
-    FrameDecodeStatus s = try_decode(handler, produced);
-    if (s != FrameDecodeStatus::kFrame && s != FrameDecodeStatus::kNeedMore) return s;
-    if (!produced) {
-      // Compact: drop consumed prefix once it dominates the buffer.
-      if (consumed_ > 0 && (consumed_ >= buf_.size() || consumed_ > 1 << 20)) {
-        buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(consumed_));
-        consumed_ = 0;
-      }
-      return last;
-    }
-    last = FrameDecodeStatus::kFrame;
-  }
-}
-
-FrameDecodeStatus FrameDecoder::try_decode(const FrameHandler& handler, bool& produced) {
-  produced = false;
-  size_t avail = buf_.size() - consumed_;
-  if (avail < FrameHeader::kSize) return FrameDecodeStatus::kNeedMore;
-  const uint8_t* p = buf_.data() + consumed_;
-  FrameHeader h;
-  FrameDecodeStatus s = parse_header(p, h);
-  if (s != FrameDecodeStatus::kFrame) return s;
-  if (avail < FrameHeader::kSize + h.payload_size) return FrameDecodeStatus::kNeedMore;
-  std::span<const uint8_t> payload{p + FrameHeader::kSize, h.payload_size};
-  if (crc32(payload) != h.payload_crc) return FrameDecodeStatus::kBadChecksum;
-  consumed_ += FrameHeader::kSize + h.payload_size;
-  produced = true;
-  if (handler) handler(h, payload);
-  return FrameDecodeStatus::kFrame;
-}
-
-void FrameDecoder::reset() {
-  buf_.clear();
-  consumed_ = 0;
-}
-
 FrameBufPool& FrameBufPool::global() {
   // Leaky singleton reachable from a static pointer: frames may still be in
   // flight on IO threads at exit, and LSan treats reachable memory as live.
@@ -94,38 +53,20 @@ FrameDecodeStatus peek_frame_extent(std::span<const uint8_t> bytes, size_t* exte
 
 std::optional<DecodedFrame> decode_whole_frame(std::span<const uint8_t> bytes,
                                                FrameDecodeStatus* status) {
-  auto f = decode_frame(bytes, status);
-  if (f && FrameHeader::kSize + f->header.payload_size != bytes.size()) {
-    if (status) *status = FrameDecodeStatus::kNeedMore;
-    return std::nullopt;
-  }
-  return f;
-}
-
-std::optional<DecodedFrame> decode_frame(std::span<const uint8_t> bytes, FrameDecodeStatus* status) {
-  auto set = [&](FrameDecodeStatus s) {
+  auto fail = [&](FrameDecodeStatus s) -> std::optional<DecodedFrame> {
     if (status) *status = s;
-  };
-  if (bytes.size() < FrameHeader::kSize) {
-    set(FrameDecodeStatus::kNeedMore);
     return std::nullopt;
-  }
+  };
+  if (bytes.size() < FrameHeader::kSize) return fail(FrameDecodeStatus::kNeedMore);
   DecodedFrame f;
   FrameDecodeStatus s = parse_header(bytes.data(), f.header);
-  if (s != FrameDecodeStatus::kFrame) {
-    set(s);
-    return std::nullopt;
-  }
-  if (bytes.size() < FrameHeader::kSize + f.header.payload_size) {
-    set(FrameDecodeStatus::kNeedMore);
-    return std::nullopt;
-  }
+  if (s != FrameDecodeStatus::kFrame) return fail(s);
+  const size_t extent = FrameHeader::kSize + f.header.payload_size;
+  if (bytes.size() < extent) return fail(FrameDecodeStatus::kNeedMore);
+  if (bytes.size() > extent) return fail(FrameDecodeStatus::kBadLength);
   f.payload = bytes.subspan(FrameHeader::kSize, f.header.payload_size);
-  if (crc32(f.payload) != f.header.payload_crc) {
-    set(FrameDecodeStatus::kBadChecksum);
-    return std::nullopt;
-  }
-  set(FrameDecodeStatus::kFrame);
+  if (crc32(f.payload) != f.header.payload_crc) return fail(FrameDecodeStatus::kBadChecksum);
+  if (status) *status = FrameDecodeStatus::kFrame;
   return f;
 }
 

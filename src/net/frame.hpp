@@ -13,10 +13,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "net/frame_buf.hpp"
@@ -29,7 +27,7 @@ struct FrameHeader {
   static constexpr uint8_t kFlagCompressed = 0x01;
   /// Control-plane flags used by the supervised-channel protocol
   /// (fault/supervised_channel.hpp). Control frames never reach operators:
-  /// the supervised receiver consumes them before handing chunks upstream.
+  /// the supervised receiver consumes them before handing frames upstream.
   static constexpr uint8_t kFlagEof = 0x02;        ///< graceful end-of-stream marker
   static constexpr uint8_t kFlagHeartbeat = 0x04;  ///< edge liveness probe
   static constexpr uint8_t kFlagAck = 0x08;        ///< cumulative consumption ack (u64 payload)
@@ -52,53 +50,25 @@ struct FrameHeader {
 void encode_frame(const FrameHeader& h, std::span<const uint8_t> payload, ByteBuffer& out);
 
 enum class FrameDecodeStatus {
-  kNeedMore,    ///< not enough bytes buffered yet
-  kFrame,       ///< a complete frame was produced
+  kNeedMore,    ///< the bytes end before the frame (or its header) does
+  kFrame,       ///< a complete frame was found
   kBadMagic,    ///< stream corruption: wrong magic
-  kBadLength,   ///< declared payload exceeds the sanity cap
+  kBadLength,   ///< declared payload exceeds the sanity cap, or bytes trail the frame
   kBadChecksum  ///< payload CRC mismatch
 };
 
-/// Incremental frame reassembler for a byte-stream transport. Feed arbitrary
-/// chunks; it emits complete frames. The payload span passed to the handler
-/// is valid only for the duration of the callback (zero-copy into the
-/// internal buffer, which is recycled — object-reuse scheme §III-B3).
-class FrameDecoder {
- public:
-  using FrameHandler = std::function<void(const FrameHeader&, std::span<const uint8_t> payload)>;
-
-  /// Consume a chunk, invoking `handler` for every complete frame. Returns
-  /// the first error status encountered (decoding stops there) or
-  /// kNeedMore/kFrame on success.
-  FrameDecodeStatus feed(std::span<const uint8_t> chunk, const FrameHandler& handler);
-
-  /// Bytes currently buffered awaiting a complete frame.
-  size_t pending_bytes() const { return buf_.size() - consumed_; }
-
-  void reset();
-
- private:
-  FrameDecodeStatus try_decode(const FrameHandler& handler, bool& produced);
-
-  std::vector<uint8_t> buf_;
-  size_t consumed_ = 0;
-};
-
-/// One-shot decode of a complete, contiguous frame (datagram-style
-/// transports). Returns nullopt + status on malformed input.
 struct DecodedFrame {
   FrameHeader header;
-  std::span<const uint8_t> payload;
+  std::span<const uint8_t> payload;  ///< points into the decoded bytes
 };
-std::optional<DecodedFrame> decode_frame(std::span<const uint8_t> bytes,
-                                         FrameDecodeStatus* status = nullptr);
 
-/// Decode `bytes` only if it is *exactly* one complete frame — the
-/// in-process fast path: pooled frame bufs carry whole frames, so the
-/// receiver can keep the FrameBuf alive and parse packet views straight out
-/// of it with zero payload copies. Returns nullopt (kNeedMore in `status`)
-/// when trailing bytes exist; callers then fall back to the reassembling
-/// FrameDecoder.
+/// Decode `bytes` only if it is *exactly* one complete, CRC-valid frame —
+/// the one receive-side parse every channel consumer uses, since channels
+/// carry whole frames as pooled buffers: the receiver keeps the FrameBuf
+/// alive and parses packet views straight out of it with zero payload
+/// copies. Anything else is a corrupt frame: nullopt, with the reason in
+/// `status` (kNeedMore for a truncated frame, kBadLength for trailing
+/// bytes).
 std::optional<DecodedFrame> decode_whole_frame(std::span<const uint8_t> bytes,
                                                FrameDecodeStatus* status = nullptr);
 

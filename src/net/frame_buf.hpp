@@ -29,7 +29,6 @@ struct FrameBufPoolStats {
   uint64_t acquires = 0;
   uint64_t recycled = 0;  ///< acquires served from the free list
   uint64_t created = 0;   ///< acquires that heap-allocated a FrameBuf
-  uint64_t adopted = 0;   ///< buffers that wrapped an existing vector
 };
 
 class FrameBuf {
@@ -200,16 +199,6 @@ class FrameBufPool {
     return FrameBufRef(b);
   }
 
-  /// Wrap an existing byte vector without copying it (legacy receive paths
-  /// hand their vectors over; the allocation is then recycled like any
-  /// pooled buffer).
-  FrameBufRef adopt(std::vector<uint8_t>&& bytes) {
-    FrameBufRef r = acquire();
-    stats_adopted_.fetch_add(1, std::memory_order_relaxed);
-    r->buffer().adopt(std::move(bytes));
-    return r;
-  }
-
   size_t idle_count() const {
     std::lock_guard lk(mu_);
     return idle_.size();
@@ -220,7 +209,6 @@ class FrameBufPool {
     s.acquires = stats_acquires_.load(std::memory_order_relaxed);
     s.recycled = stats_recycled_.load(std::memory_order_relaxed);
     s.created = stats_created_.load(std::memory_order_relaxed);
-    s.adopted = stats_adopted_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -244,7 +232,6 @@ class FrameBufPool {
   std::atomic<uint64_t> stats_acquires_{0};
   std::atomic<uint64_t> stats_recycled_{0};
   std::atomic<uint64_t> stats_created_{0};
-  std::atomic<uint64_t> stats_adopted_{0};
 };
 
 inline void FrameBufRef::release() noexcept {

@@ -2,17 +2,9 @@
 
 namespace neptune {
 
-InprocChannel::InprocChannel(const ChannelConfig& config) : config_(config) {
-  if (config_.spsc) ring_ = std::make_unique<SpscRing<FrameBufRef>>(config_.spsc_frames);
-}
+InprocChannel::InprocChannel(const ChannelConfig& config) : config_(config) {}
 
-bool InprocChannel::queue_empty() const {
-  if (ring_) return ring_->size_approx() == 0;
-  std::lock_guard lk(mu_);
-  return q_.empty();
-}
-
-SendStatus InprocChannel::push_frame(FrameBufRef&& frame, bool zero_copy) {
+SendStatus InprocChannel::try_send(const FrameBufRef& frame) {
   const size_t sz = frame.size();
   if (closed_.load(std::memory_order_acquire)) return SendStatus::kClosed;
   // A frame larger than the whole budget is still accepted when the pipe
@@ -24,31 +16,18 @@ SendStatus InprocChannel::push_frame(FrameBufRef&& frame, bool zero_copy) {
     was_blocked_.store(true, std::memory_order_release);
     return SendStatus::kBlocked;
   }
-  if (ring_) {
-    in_flight_.fetch_add(sz, std::memory_order_acq_rel);
-    if (!ring_->try_push(std::move(frame))) {
-      // Ring slots exhausted before the byte budget: treat as backpressure.
-      in_flight_.fetch_sub(sz, std::memory_order_acq_rel);
-      was_blocked_.store(true, std::memory_order_release);
-      return SendStatus::kBlocked;
-    }
-  } else {
-    std::lock_guard lk(mu_);
-    if (closed_.load(std::memory_order_relaxed)) return SendStatus::kClosed;
-    q_.push_back(std::move(frame));
-    in_flight_.fetch_add(sz, std::memory_order_acq_rel);
+  in_flight_.fetch_add(sz, std::memory_order_acq_rel);
+  if (!ring_.try_push(frame)) {
+    // Ring slots exhausted before the byte budget: treat as backpressure.
+    in_flight_.fetch_sub(sz, std::memory_order_acq_rel);
+    was_blocked_.store(true, std::memory_order_release);
+    return SendStatus::kBlocked;
   }
   bytes_sent_.fetch_add(sz, std::memory_order_relaxed);
-  total_sends_.fetch_add(1, std::memory_order_relaxed);
-  if (zero_copy) fastlane_sends_.fetch_add(1, std::memory_order_relaxed);
 
-  // Dekker handshake with the consumer's arm-then-recheck in pop paths:
-  // publish the push before inspecting the flags.
+  // Dekker handshake with the consumer's arm-then-recheck in
+  // try_receive_buf: publish the push before inspecting the flag.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (consumer_waiting_.load(std::memory_order_relaxed)) {
-    std::lock_guard lk(mu_);  // pairs with the receiver's predicate check
-    not_empty_.notify_all();
-  }
   if (wakeup_armed_.exchange(false, std::memory_order_acq_rel)) {
     std::function<void()> cb;
     {
@@ -58,18 +37,6 @@ SendStatus InprocChannel::push_frame(FrameBufRef&& frame, bool zero_copy) {
     if (cb) cb();
   }
   return SendStatus::kOk;
-}
-
-SendStatus InprocChannel::try_send(std::span<const uint8_t> frame) {
-  // Legacy byte-span entry: stage into a pooled buffer so both lanes queue
-  // the same element type and FIFO order is preserved across entry points.
-  FrameBufRef buf = FrameBufPool::global().acquire();
-  buf->buffer().write_bytes(frame);
-  return push_frame(std::move(buf), /*zero_copy=*/false);
-}
-
-SendStatus InprocChannel::try_send(const FrameBufRef& frame) {
-  return push_frame(FrameBufRef(frame), /*zero_copy=*/true);
 }
 
 void InprocChannel::set_data_callback(std::function<void()> cb) {
@@ -84,7 +51,7 @@ void InprocChannel::set_writable_callback(std::function<void()> cb) {
 
 bool InprocChannel::writable(size_t bytes) const {
   if (closed_.load(std::memory_order_acquire)) return false;
-  if (ring_ && ring_->size_approx() >= ring_->capacity()) return false;
+  if (ring_.size_approx() >= ring_.capacity()) return false;
   const size_t in_flight = in_flight_.load(std::memory_order_acquire);
   return in_flight == 0 || in_flight + bytes <= config_.capacity_bytes;
 }
@@ -97,27 +64,26 @@ void InprocChannel::close() {
     closed_.store(true, std::memory_order_release);
     cb = writable_cb_;   // wake blocked senders so they observe kClosed
     data_cb = data_cb_;  // wake the receiver so it observes end-of-stream
-    not_empty_.notify_all();
   }
   if (cb) cb();
   if (data_cb) data_cb();
 }
 
-void InprocChannel::note_popped(size_t bytes, bool now_empty) {
+void InprocChannel::note_popped(size_t bytes) {
   in_flight_.fetch_sub(bytes, std::memory_order_acq_rel);
   bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
-  if (now_empty) {
+  if (ring_.size_approx() == 0) {
     // Re-arm the coalesced data wakeup *before* the producer-side recheck
-    // window closes (fence pairs with push_frame's).
+    // window closes (fence pairs with try_send's).
     wakeup_armed_.store(true, std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!queue_empty() && wakeup_armed_.exchange(false, std::memory_order_acq_rel)) {
+    if (ring_.size_approx() != 0 && wakeup_armed_.exchange(false, std::memory_order_acq_rel)) {
       // A push raced in between pop and arm; we own the wakeup now, and we
       // are the consumer — no callback needed, the caller keeps draining.
     }
   }
   const size_t in_flight = in_flight_.load(std::memory_order_acquire);
-  const bool ring_relieved = ring_ == nullptr || ring_->size_approx() <= ring_->capacity() / 2;
+  const bool ring_relieved = ring_.size_approx() <= ring_.capacity() / 2;
   if (was_blocked_.load(std::memory_order_acquire) &&
       (in_flight <= config_.low_watermark_bytes && ring_relieved)) {
     if (was_blocked_.exchange(false, std::memory_order_acq_rel)) {
@@ -131,72 +97,20 @@ void InprocChannel::note_popped(size_t bytes, bool now_empty) {
   }
 }
 
-std::optional<FrameBufRef> InprocChannel::pop_any() {
-  if (ring_) {
-    auto v = ring_->try_pop();
-    if (!v) {
-      wakeup_armed_.store(true, std::memory_order_release);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      v = ring_->try_pop();  // re-check: a push may have raced with arming
-      if (!v) return std::nullopt;
-    }
-    note_popped(v->size(), ring_->size_approx() == 0);
-    return v;
+std::optional<FrameBufRef> InprocChannel::try_receive_buf() {
+  auto v = ring_.try_pop();
+  if (!v) {
+    wakeup_armed_.store(true, std::memory_order_release);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    v = ring_.try_pop();  // re-check: a push may have raced with arming
+    if (!v) return std::nullopt;
   }
-  FrameBufRef f;
-  bool now_empty;
-  {
-    std::lock_guard lk(mu_);
-    if (q_.empty()) {
-      wakeup_armed_.store(true, std::memory_order_release);
-      return std::nullopt;
-    }
-    f = std::move(q_.front());
-    q_.pop_front();
-    now_empty = q_.empty();
-  }
-  note_popped(f.size(), now_empty);
-  return f;
-}
-
-std::optional<FrameBufRef> InprocChannel::try_receive_buf() { return pop_any(); }
-
-std::optional<FrameBufRef> InprocChannel::receive_buf(std::chrono::nanoseconds timeout) {
-  if (auto v = pop_any()) return v;
-  {
-    std::unique_lock lk(mu_);
-    consumer_waiting_.store(true, std::memory_order_seq_cst);
-    bool ready = not_empty_.wait_for(lk, timeout, [&] {
-      return !queue_empty_locked() || closed_.load(std::memory_order_relaxed);
-    });
-    consumer_waiting_.store(false, std::memory_order_release);
-    if (!ready) return std::nullopt;
-  }
-  return pop_any();  // nullopt here means closed-and-drained
-}
-
-std::optional<std::vector<uint8_t>> InprocChannel::receive(std::chrono::nanoseconds timeout) {
-  auto v = receive_buf(timeout);
-  if (!v) return std::nullopt;
-  auto s = v->contents();
-  return std::vector<uint8_t>(s.begin(), s.end());
-}
-
-std::optional<std::vector<uint8_t>> InprocChannel::try_receive() {
-  auto v = try_receive_buf();
-  if (!v) return std::nullopt;
-  auto s = v->contents();
-  return std::vector<uint8_t>(s.begin(), s.end());
+  note_popped(v->size());
+  return v;
 }
 
 bool InprocChannel::closed() const {
-  return closed_.load(std::memory_order_acquire) && queue_empty();
-}
-
-size_t InprocChannel::queued_frames() const {
-  if (ring_) return ring_->size_approx();
-  std::lock_guard lk(mu_);
-  return q_.size();
+  return closed_.load(std::memory_order_acquire) && ring_.size_approx() == 0;
 }
 
 InprocPipe make_inproc_pipe(const ChannelConfig& config) {

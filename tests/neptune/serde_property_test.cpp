@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/carve.hpp"
 #include "../support/proptest.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -228,8 +229,8 @@ TEST_P(SerdeProperty, ConcatenatedPacketsDeserializeInOrder) {
 
 TEST_P(SerdeProperty, FrameRoundTripsThroughArbitraryChunking) {
   Xoshiro256 rng(GetParam() ^ 0xF7A3E);
-  // Random payload wrapped in a frame, then fed to the decoder in random
-  // chunk sizes — reassembly must reproduce header and payload exactly.
+  // Random payload wrapped in a frame, then fed to the stream carver in
+  // random chunk sizes — carving must reproduce header and payload exactly.
   std::vector<uint8_t> payload(rng.next_below(2000), 0);
   for (auto& b : payload) b = static_cast<uint8_t>(rng.next_u64());
   FrameHeader h;
@@ -239,7 +240,7 @@ TEST_P(SerdeProperty, FrameRoundTripsThroughArbitraryChunking) {
   ByteBuffer wire;
   encode_frame(h, payload, wire);
 
-  FrameDecoder dec;
+  std::vector<uint8_t> pending;
   std::vector<uint8_t> got;
   FrameHeader got_h;
   int frames = 0;
@@ -248,13 +249,13 @@ TEST_P(SerdeProperty, FrameRoundTripsThroughArbitraryChunking) {
   while (off < span.size()) {
     size_t chunk = 1 + rng.next_below(97);
     chunk = std::min(chunk, span.size() - off);
-    auto st = dec.feed(span.subspan(off, chunk),
-                       [&](const FrameHeader& fh, std::span<const uint8_t> p) {
-                         got_h = fh;
-                         got.assign(p.begin(), p.end());
-                         ++frames;
-                       });
-    ASSERT_TRUE(st == FrameDecodeStatus::kNeedMore || st == FrameDecodeStatus::kFrame)
+    auto st = test_util::carve_frames(pending, span.subspan(off, chunk),
+                                      [&](const DecodedFrame& f) {
+                                        got_h = f.header;
+                                        got.assign(f.payload.begin(), f.payload.end());
+                                        ++frames;
+                                      });
+    ASSERT_EQ(st, FrameDecodeStatus::kNeedMore)
         << "seed=" << GetParam() << " status=" << static_cast<int>(st);
     off += chunk;
   }
@@ -262,7 +263,7 @@ TEST_P(SerdeProperty, FrameRoundTripsThroughArbitraryChunking) {
   EXPECT_EQ(got_h.link_id, h.link_id);
   EXPECT_EQ(got_h.batch_count, h.batch_count);
   EXPECT_EQ(got, payload) << "seed=" << GetParam();
-  EXPECT_EQ(dec.pending_bytes(), 0u);
+  EXPECT_TRUE(pending.empty());
 }
 
 TEST_P(SerdeProperty, TruncatedAndCorruptedFramesAreRejected) {
@@ -277,21 +278,23 @@ TEST_P(SerdeProperty, TruncatedAndCorruptedFramesAreRejected) {
   encode_frame(h, payload, wire);
   auto span = wire.contents();
 
-  // Any strict prefix is incomplete: no frame, decoder keeps waiting.
+  // Any strict prefix is incomplete: not a frame, and a carver keeps
+  // waiting for the rest.
   int frames = 0;
-  FrameDecoder dec;
-  auto st = dec.feed(span.subspan(0, rng.next_below(span.size())),
-                     [&](const FrameHeader&, std::span<const uint8_t>) { ++frames; });
+  auto prefix = span.subspan(0, rng.next_below(span.size()));
+  FrameDecodeStatus st;
+  EXPECT_FALSE(decode_whole_frame(prefix, &st).has_value()) << "seed=" << GetParam();
+  EXPECT_EQ(st, FrameDecodeStatus::kNeedMore);
+  std::vector<uint8_t> pending;
+  st = test_util::carve_frames(pending, prefix, [&](const DecodedFrame&) { ++frames; });
   EXPECT_EQ(frames, 0) << "seed=" << GetParam();
   EXPECT_EQ(st, FrameDecodeStatus::kNeedMore);
 
   // Flipping any payload byte must trip the CRC, never deliver the frame.
   std::vector<uint8_t> bad(span.begin(), span.end());
   bad[FrameHeader::kSize + rng.next_below(payload.size())] ^= 0x01;
-  FrameDecoder dec2;
-  auto st2 = dec2.feed(bad, [&](const FrameHeader&, std::span<const uint8_t>) { ++frames; });
-  EXPECT_EQ(frames, 0) << "seed=" << GetParam();
-  EXPECT_EQ(st2, FrameDecodeStatus::kBadChecksum) << "seed=" << GetParam();
+  EXPECT_FALSE(decode_whole_frame(bad, &st).has_value()) << "seed=" << GetParam();
+  EXPECT_EQ(st, FrameDecodeStatus::kBadChecksum) << "seed=" << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerdeProperty,

@@ -40,32 +40,34 @@ struct BufferFixture : ::testing::Test {
   };
   std::vector<Got> drain_frames() {
     std::vector<Got> all;
-    while (auto raw = pipe.receiver->try_receive()) {
-      FrameDecoder dec;
-      dec.feed(*raw, [&](const FrameHeader& h, std::span<const uint8_t> payload) {
-        Got g;
-        g.header = h;
-        std::vector<uint8_t> plain;
-        if (h.compressed()) {
-          SelectiveCodec c;
-          EXPECT_TRUE(c.decode(payload, true, h.raw_size, plain));
-        } else {
-          plain.assign(payload.begin(), payload.end());
-        }
-        ByteReader r(plain);
-        g.src_instance = r.read_u32();
-        g.base_seq = r.read_u64();
-        g.trace_id = r.read_u64();
-        g.trace_origin_ns = r.read_i64();
-        g.batch_start_ns = r.read_i64();
-        g.flush_ns = r.read_i64();
-        for (uint32_t i = 0; i < h.batch_count; ++i) {
-          StreamPacket p;
-          p.deserialize(r);
-          g.packets.push_back(std::move(p));
-        }
-        all.push_back(std::move(g));
-      });
+    while (auto raw = pipe.receiver->try_receive_buf()) {
+      auto frame = decode_whole_frame(raw->contents());
+      EXPECT_TRUE(frame.has_value()) << "a flush must be exactly one valid frame";
+      if (!frame) break;
+      const FrameHeader& h = frame->header;
+      std::span<const uint8_t> payload = frame->payload;
+      Got g;
+      g.header = h;
+      std::vector<uint8_t> plain;
+      if (h.compressed()) {
+        SelectiveCodec c;
+        EXPECT_TRUE(c.decode(payload, true, h.raw_size, plain));
+      } else {
+        plain.assign(payload.begin(), payload.end());
+      }
+      ByteReader r(plain);
+      g.src_instance = r.read_u32();
+      g.base_seq = r.read_u64();
+      g.trace_id = r.read_u64();
+      g.trace_origin_ns = r.read_i64();
+      g.batch_start_ns = r.read_i64();
+      g.flush_ns = r.read_i64();
+      for (uint32_t i = 0; i < h.batch_count; ++i) {
+        StreamPacket p;
+        p.deserialize(r);
+        g.packets.push_back(std::move(p));
+      }
+      all.push_back(std::move(g));
     }
     return all;
   }
@@ -84,8 +86,8 @@ TEST_F(BufferFixture, BuffersUntilCapacityThenFlushes) {
   size_t needed = 1000 / per_packet + 1;
   for (size_t i = 0; i + 1 < needed; ++i) {
     EXPECT_TRUE(buf->add(packet_of(100, static_cast<int64_t>(i))));
-    EXPECT_FALSE(pipe.receiver->try_receive().has_value()) << "flushed early at " << i;
-    // try_receive consumed nothing (empty), buffer still accumulating
+    EXPECT_FALSE(pipe.receiver->try_receive_buf().has_value()) << "flushed early at " << i;
+    // try_receive_buf consumed nothing (empty), buffer still accumulating
   }
   EXPECT_TRUE(buf->add(packet_of(100, 99)));  // crosses the threshold
   auto frames = drain_frames();

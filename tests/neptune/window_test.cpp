@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+
 #include "common/rng.hpp"
 #include "neptune/runtime.hpp"
-#include "neptune/workload.hpp"
 
 namespace neptune::window {
 namespace {
@@ -281,8 +283,13 @@ TEST(SlidingChangeDetector, WindowSlidesOldSamplesOut) {
 TEST(SlidingChangeDetector, InsideRuntimeProducesLowRateStream) {
   // The §III-B1 scenario end-to-end: a fast source, a change detector
   // producing a low-rate stream, and flush timers keeping latency bounded.
+  // The source stays open (emitting nothing) until the sink has seen the
+  // detections, so the detector cannot finish and force-drain its buffer:
+  // only the flush timer can have delivered them.
+  auto detections = std::make_shared<std::atomic<uint64_t>>(0);
   class StepSource : public StreamSource {
    public:
+    explicit StepSource(std::shared_ptr<std::atomic<uint64_t>> seen) : seen_(std::move(seen)) {}
     bool next(Emitter& out, size_t budget) override {
       for (size_t i = 0; i < budget && t_ < 20000; ++i) {
         StreamPacket p;
@@ -291,11 +298,20 @@ TEST(SlidingChangeDetector, InsideRuntimeProducesLowRateStream) {
         ++t_;
         if (out.emit(std::move(p)) == EmitStatus::kBackpressured) break;
       }
-      return t_ < 20000;
+      return t_ < 20000 || seen_->load() < 2;
     }
 
    private:
+    std::shared_ptr<std::atomic<uint64_t>> seen_;
     int64_t t_ = 0;
+  };
+  class DetectionSink : public StreamProcessor {
+   public:
+    explicit DetectionSink(std::shared_ptr<std::atomic<uint64_t>> seen) : seen_(std::move(seen)) {}
+    void process(StreamPacket&, Emitter&) override { seen_->fetch_add(1); }
+
+   private:
+    std::shared_ptr<std::atomic<uint64_t>> seen_;
   };
 
   Runtime rt(1, {.worker_threads = 1, .io_threads = 1});
@@ -303,21 +319,22 @@ TEST(SlidingChangeDetector, InsideRuntimeProducesLowRateStream) {
   cfg.buffer.capacity_bytes = 1 << 20;  // huge buffer: only timer flushes fire
   cfg.buffer.flush_interval_ns = 1'000'000;
   StreamGraph g("sliding", cfg);
-  g.add_source("src", [] { return std::make_unique<StepSource>(); });
+  g.add_source("src", [detections] { return std::make_unique<StepSource>(detections); });
   g.add_processor("detect", [] {
     return std::make_unique<SlidingChangeDetector>(
         WindowConfig{.window_ms = 100, .time_field = 0, .value_field = 1}, 0.5);
   });
-  g.add_processor("sink", [] { return std::make_unique<neptune::workload::CountingSink>(); });
+  g.add_processor("sink", [detections] { return std::make_unique<DetectionSink>(detections); });
   g.connect("src", "detect");
   g.connect("detect", "sink");
   auto job = rt.submit(g);
   job->start();
   ASSERT_TRUE(job->wait(60s));
   auto m = job->metrics();
-  uint64_t detections = m.total("sink", &OperatorMetricsSnapshot::packets_in);
-  EXPECT_GE(detections, 2u);    // initial level + the shift
-  EXPECT_LT(detections, 100u);  // low-rate output stream
+  uint64_t received = m.total("sink", &OperatorMetricsSnapshot::packets_in);
+  EXPECT_EQ(received, detections->load());
+  EXPECT_GE(received, 2u);    // initial level + the shift
+  EXPECT_LT(received, 100u);  // low-rate output stream
   // Low-rate stream + big buffer => the latency-bound timer did the flushing.
   EXPECT_GT(m.total("detect", &OperatorMetricsSnapshot::timer_flushes), 0u);
 }

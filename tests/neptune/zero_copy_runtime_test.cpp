@@ -1,6 +1,6 @@
 // End-to-end zero-copy assertions: an all-inproc relay job must move every
 // inbound frame by reference (frame_copies == 0), dispatch batches as
-// views, and route every send through the SPSC fast lane. This is the
+// views, and hand every frame over the SPSC ring by reference. This is the
 // acceptance gate for the pooled-frame hot path — if any layer silently
 // reintroduces a copy, these counters move and the test fails.
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include "net/tcp_transport.hpp"
 #include "neptune/runtime.hpp"
 #include "neptune/workload.hpp"
-#include "obs/telemetry.hpp"
 
 namespace neptune {
 namespace {
@@ -65,19 +64,17 @@ TEST(ZeroCopyRuntime, InprocRelayNeverCopiesAFrame) {
   EXPECT_EQ(m.total("sink", &OperatorMetricsSnapshot::packets_in), 20000u);
 }
 
-/// Same relay shape as the inproc test but carried over real loopback TCP:
-/// the zero-copy contract must hold end to end through the socket. Outbound
-/// frames ride the pinned-ref scatter-gather path (no staging copies) and
-/// inbound frames are carved as views over pooled recv chunks, so the
-/// runtime still never copies a frame on receive.
-void run_tcp_relay_zero_copy(bool supervised) {
+TEST(ZeroCopyRuntime, TcpRelayNeverCopiesAFrame) {
+  // Same relay shape as the inproc test but carried over real loopback
+  // (supervised) TCP: the zero-copy contract must hold end to end through
+  // the socket. Outbound frames ride the pinned-ref scatter-gather path and
+  // inbound frames are carved as views over pooled recv chunks, so the
+  // runtime still never copies a frame on receive.
   TcpTransportStats& ts = TcpTransportStats::global();
-  const uint64_t tx_copies0 = ts.tx_copies.load(std::memory_order_relaxed);
   const uint64_t rx_frames0 = ts.rx_frames.load(std::memory_order_relaxed);
 
   RuntimeOptions opt;
   opt.cross_resource_transport = EdgeTransport::kTcp;
-  opt.supervise_tcp = supervised;
   Runtime rt(/*resources=*/2, {.worker_threads = 1, .io_threads = 1}, opt);
   auto sink = std::make_shared<CountingSink>();
   StreamGraph g("tcp_zero_copy_relay", small_buffers());
@@ -108,52 +105,8 @@ void run_tcp_relay_zero_copy(bool supervised) {
   EXPECT_EQ(m.total(&OperatorMetricsSnapshot::frame_copies), 0u);
   EXPECT_EQ(m.total("relay", &OperatorMetricsSnapshot::serde_alloc_bytes), 0u);
   EXPECT_EQ(m.total("sink", &OperatorMetricsSnapshot::serde_alloc_bytes), 0u);
-  // Every outbound frame (data, heartbeats, acks) entered as a pinned ref:
-  // the copying span path was never taken.
-  EXPECT_EQ(ts.tx_copies.load(std::memory_order_relaxed), tx_copies0);
   // And the receive side actually carved frames from pooled chunks.
   EXPECT_GT(ts.rx_frames.load(std::memory_order_relaxed), rx_frames0);
-}
-
-TEST(ZeroCopyRuntime, TcpRelayNeverCopiesAFrame) {
-  run_tcp_relay_zero_copy(/*supervised=*/true);
-}
-
-TEST(ZeroCopyRuntime, RawTcpRelayNeverCopiesAFrame) {
-  run_tcp_relay_zero_copy(/*supervised=*/false);
-}
-
-TEST(ZeroCopyRuntime, FastlaneRatioGaugeReportsOne) {
-  Runtime rt(/*resources=*/1, {.worker_threads = 1, .io_threads = 1});
-  auto sink = std::make_shared<CountingSink>();
-  StreamGraph g("fastlane_gauge", small_buffers());
-  g.add_source("src", [] { return std::make_unique<BytesSource>(5000, 64); }, 1, 0);
-  g.add_processor("sink", [sink]() -> std::unique_ptr<StreamProcessor> {
-    struct Fwd : StreamProcessor {
-      std::shared_ptr<CountingSink> inner;
-      explicit Fwd(std::shared_ptr<CountingSink> s) : inner(std::move(s)) {}
-      void process(StreamPacket& p, Emitter& out) override { inner->process(p, out); }
-    };
-    return std::make_unique<Fwd>(sink);
-  }, 1, 0);
-  g.connect("src", "sink");
-
-  auto job = rt.submit(g);
-  job->start();
-  ASSERT_TRUE(job->wait(60s));
-  EXPECT_EQ(sink->count(), 5000u);
-
-  // Every inproc send took the SPSC fast lane with a pooled frame.
-  obs::TelemetryRegistry& reg = obs::TelemetryRegistry::global();
-  bool found = false;
-  for (const auto& sample : reg.sample().values) {
-    auto desc = reg.descriptor(sample.series);
-    if (desc && desc->name == "neptune_inproc_fastlane_ratio") {
-      found = true;
-      EXPECT_DOUBLE_EQ(sample.value, 1.0);
-    }
-  }
-  EXPECT_TRUE(found) << "fastlane gauge not registered";
 }
 
 TEST(ZeroCopyRuntime, LegacyPerPacketOperatorsStillWork) {
@@ -258,14 +211,6 @@ TEST(FrameBufRef, SliceKeepsChunkPinnedUntilLastViewDrops) {
   EXPECT_EQ(v2.contents().size(), 4u);  // survivor still reads valid bytes
   v2.reset();
   EXPECT_EQ(pool.idle_count(), 1u);  // recycled exactly once, after the last view
-}
-
-TEST(FrameBufPool, AdoptWrapsVectorWithoutCopying) {
-  std::vector<uint8_t> payload(128, 0xCD);
-  const uint8_t* data = payload.data();
-  FrameBufRef f = FrameBufPool::global().adopt(std::move(payload));
-  EXPECT_EQ(f->contents().data(), data);  // zero-copy adoption
-  EXPECT_EQ(f->size(), 128u);
 }
 
 }  // namespace

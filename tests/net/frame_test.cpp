@@ -4,10 +4,13 @@
 
 #include <vector>
 
+#include "../support/carve.hpp"
 #include "common/rng.hpp"
 
 namespace neptune {
 namespace {
+
+using test_util::carve_frames;
 
 std::vector<uint8_t> make_payload(size_t n, uint8_t seed = 1) {
   std::vector<uint8_t> p(n);
@@ -30,7 +33,7 @@ ByteBuffer encode_one(uint32_t link, uint32_t count, const std::vector<uint8_t>&
 TEST(Frame, EncodeDecodeRoundTrip) {
   auto payload = make_payload(500);
   ByteBuffer wire = encode_one(7, 42, payload, FrameHeader::kFlagCompressed);
-  auto decoded = decode_frame(wire.contents());
+  auto decoded = decode_whole_frame(wire.contents());
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->header.link_id, 7u);
   EXPECT_EQ(decoded->header.batch_count, 42u);
@@ -41,7 +44,7 @@ TEST(Frame, EncodeDecodeRoundTrip) {
 TEST(Frame, EmptyPayload) {
   std::vector<uint8_t> empty;
   ByteBuffer wire = encode_one(1, 0, empty);
-  auto decoded = decode_frame(wire.contents());
+  auto decoded = decode_whole_frame(wire.contents());
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->payload.size(), 0u);
 }
@@ -51,7 +54,7 @@ TEST(Frame, DetectsBadMagic) {
   ByteBuffer wire = encode_one(1, 1, payload);
   wire.data()[0] ^= 0xFF;
   FrameDecodeStatus status;
-  EXPECT_FALSE(decode_frame(wire.contents(), &status).has_value());
+  EXPECT_FALSE(decode_whole_frame(wire.contents(), &status).has_value());
   EXPECT_EQ(status, FrameDecodeStatus::kBadMagic);
 }
 
@@ -60,7 +63,7 @@ TEST(Frame, DetectsCorruptPayload) {
   ByteBuffer wire = encode_one(1, 1, payload);
   wire.data()[FrameHeader::kSize + 10] ^= 0x01;
   FrameDecodeStatus status;
-  EXPECT_FALSE(decode_frame(wire.contents(), &status).has_value());
+  EXPECT_FALSE(decode_whole_frame(wire.contents(), &status).has_value());
   EXPECT_EQ(status, FrameDecodeStatus::kBadChecksum);
 }
 
@@ -69,7 +72,7 @@ TEST(Frame, DetectsTruncation) {
   ByteBuffer wire = encode_one(1, 1, payload);
   FrameDecodeStatus status;
   EXPECT_FALSE(
-      decode_frame(std::span(wire.data(), wire.size() - 5), &status).has_value());
+      decode_whole_frame(std::span(wire.data(), wire.size() - 5), &status).has_value());
   EXPECT_EQ(status, FrameDecodeStatus::kNeedMore);
 }
 
@@ -78,7 +81,7 @@ TEST(Frame, RejectsOversizedDeclaredPayload) {
   ByteBuffer wire = encode_one(1, 1, payload);
   wire.patch_u32(15, FrameHeader::kMaxPayload + 1);  // payload_size field
   FrameDecodeStatus status;
-  EXPECT_FALSE(decode_frame(wire.contents(), &status).has_value());
+  EXPECT_FALSE(decode_whole_frame(wire.contents(), &status).has_value());
   EXPECT_EQ(status, FrameDecodeStatus::kBadLength);
 }
 
@@ -88,13 +91,13 @@ TEST(Frame, ControlFlagsRoundTrip) {
   for (uint8_t flag : {FrameHeader::kFlagEof, FrameHeader::kFlagHeartbeat, FrameHeader::kFlagAck}) {
     auto payload = make_payload(8);
     ByteBuffer wire = encode_one(3, 0, payload, flag);
-    auto decoded = decode_frame(wire.contents());
+    auto decoded = decode_whole_frame(wire.contents());
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->header.flags, flag);
     EXPECT_TRUE(decoded->header.control());
   }
   ByteBuffer data = encode_one(3, 1, make_payload(8));
-  EXPECT_FALSE(decode_frame(data.contents())->header.control());
+  EXPECT_FALSE(decode_whole_frame(data.contents())->header.control());
 }
 
 TEST(Frame, TruncatedHeaderNeedsMore) {
@@ -102,7 +105,7 @@ TEST(Frame, TruncatedHeaderNeedsMore) {
   ByteBuffer wire = encode_one(1, 1, payload);
   for (size_t n = 0; n < FrameHeader::kSize; ++n) {
     FrameDecodeStatus status;
-    EXPECT_FALSE(decode_frame(std::span(wire.data(), n), &status).has_value());
+    EXPECT_FALSE(decode_whole_frame(std::span(wire.data(), n), &status).has_value());
     EXPECT_EQ(status, FrameDecodeStatus::kNeedMore) << "prefix " << n;
   }
 }
@@ -117,7 +120,7 @@ TEST(Frame, SingleByteFlipNeverYieldsCorruptPayload) {
   for (size_t i = 0; i < wire.size(); ++i) {
     std::vector<uint8_t> bent(wire.data(), wire.data() + wire.size());
     bent[i] ^= 0xA5;
-    auto decoded = decode_frame(bent);
+    auto decoded = decode_whole_frame(bent);
     if (decoded.has_value()) {
       EXPECT_EQ(std::vector<uint8_t>(decoded->payload.begin(), decoded->payload.end()), payload)
           << "flip at byte " << i << " decoded with altered payload";
@@ -125,7 +128,28 @@ TEST(Frame, SingleByteFlipNeverYieldsCorruptPayload) {
   }
 }
 
-TEST(FrameDecoder, ReassemblesAcrossArbitraryChunking) {
+TEST(Frame, TrailingBytesAreNotAFrame) {
+  // A buffer carries exactly one frame: anything past it is corruption.
+  ByteBuffer wire = encode_one(1, 1, make_payload(16));
+  wire.write_u8(0);
+  FrameDecodeStatus status;
+  EXPECT_FALSE(decode_whole_frame(wire.contents(), &status).has_value());
+  EXPECT_EQ(status, FrameDecodeStatus::kBadLength);
+}
+
+TEST(Frame, PeekExtentNamesTheWholeFrame) {
+  ByteBuffer wire = encode_one(2, 3, make_payload(40));
+  size_t extent = 0;
+  EXPECT_EQ(peek_frame_extent(wire.contents(), &extent), FrameDecodeStatus::kFrame);
+  EXPECT_EQ(extent, wire.size());
+  // The header alone suffices; no payload bytes (or CRC) are needed.
+  EXPECT_EQ(peek_frame_extent(std::span(wire.data(), FrameHeader::kSize), &extent),
+            FrameDecodeStatus::kFrame);
+  EXPECT_EQ(peek_frame_extent(std::span(wire.data(), FrameHeader::kSize - 1), &extent),
+            FrameDecodeStatus::kNeedMore);
+}
+
+TEST(FrameCarving, ReassemblesAcrossArbitraryChunking) {
   // Several frames, fed one byte at a time.
   ByteBuffer stream;
   std::vector<std::vector<uint8_t>> payloads;
@@ -138,25 +162,24 @@ TEST(FrameDecoder, ReassemblesAcrossArbitraryChunking) {
     encode_frame(h, payloads.back(), stream);
   }
 
-  FrameDecoder dec;
+  std::vector<uint8_t> pending;
   std::vector<std::pair<uint32_t, std::vector<uint8_t>>> got;
   for (size_t i = 0; i < stream.size(); ++i) {
-    uint8_t byte = stream.data()[i];
-    auto s = dec.feed(std::span(&byte, 1), [&](const FrameHeader& h,
-                                               std::span<const uint8_t> p) {
-      got.emplace_back(h.link_id, std::vector<uint8_t>(p.begin(), p.end()));
+    auto s = carve_frames(pending, std::span(stream.data() + i, 1), [&](const DecodedFrame& f) {
+      got.emplace_back(f.header.link_id,
+                       std::vector<uint8_t>(f.payload.begin(), f.payload.end()));
     });
-    ASSERT_TRUE(s == FrameDecodeStatus::kNeedMore || s == FrameDecodeStatus::kFrame);
+    ASSERT_EQ(s, FrameDecodeStatus::kNeedMore) << "byte " << i;
   }
   ASSERT_EQ(got.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(got[static_cast<size_t>(i)].first, static_cast<uint32_t>(i));
     EXPECT_EQ(got[static_cast<size_t>(i)].second, payloads[static_cast<size_t>(i)]);
   }
-  EXPECT_EQ(dec.pending_bytes(), 0u);
+  EXPECT_TRUE(pending.empty());
 }
 
-TEST(FrameDecoder, HandlesMultipleFramesInOneChunk) {
+TEST(FrameCarving, HandlesMultipleFramesInOneChunk) {
   ByteBuffer stream;
   for (int i = 0; i < 3; ++i) {
     auto payload = make_payload(100);
@@ -165,16 +188,15 @@ TEST(FrameDecoder, HandlesMultipleFramesInOneChunk) {
     h.batch_count = 1;
     encode_frame(h, payload, stream);
   }
-  FrameDecoder dec;
+  std::vector<uint8_t> pending;
   int frames = 0;
-  auto s = dec.feed(stream.contents(), [&](const FrameHeader&, std::span<const uint8_t>) {
-    ++frames;
-  });
-  EXPECT_EQ(s, FrameDecodeStatus::kFrame);
+  auto s = carve_frames(pending, stream.contents(), [&](const DecodedFrame&) { ++frames; });
+  EXPECT_EQ(s, FrameDecodeStatus::kNeedMore);
   EXPECT_EQ(frames, 3);
+  EXPECT_TRUE(pending.empty());
 }
 
-TEST(FrameDecoder, SurfacesCorruptionMidStream) {
+TEST(FrameCarving, SurfacesCorruptionMidStream) {
   ByteBuffer stream;
   auto p1 = make_payload(40);
   FrameHeader h;
@@ -184,32 +206,14 @@ TEST(FrameDecoder, SurfacesCorruptionMidStream) {
   encode_frame(h, p1, stream);
   stream.data()[second_start] ^= 0xFF;  // corrupt second frame's magic
 
-  FrameDecoder dec;
+  std::vector<uint8_t> pending;
   int frames = 0;
-  auto s = dec.feed(stream.contents(),
-                    [&](const FrameHeader&, std::span<const uint8_t>) { ++frames; });
+  auto s = carve_frames(pending, stream.contents(), [&](const DecodedFrame&) { ++frames; });
   EXPECT_EQ(frames, 1);
   EXPECT_EQ(s, FrameDecodeStatus::kBadMagic);
 }
 
-TEST(FrameDecoder, ResetDropsPartialState) {
-  ByteBuffer stream;
-  auto p = make_payload(100);
-  FrameHeader h;
-  h.raw_size = 100;
-  encode_frame(h, p, stream);
-  FrameDecoder dec;
-  dec.feed(std::span(stream.data(), 10), nullptr);
-  EXPECT_GT(dec.pending_bytes(), 0u);
-  dec.reset();
-  EXPECT_EQ(dec.pending_bytes(), 0u);
-  // A full frame after reset decodes cleanly.
-  int frames = 0;
-  dec.feed(stream.contents(), [&](const FrameHeader&, std::span<const uint8_t>) { ++frames; });
-  EXPECT_EQ(frames, 1);
-}
-
-TEST(FrameDecoder, RandomizedChunkingSweep) {
+TEST(FrameCarving, RandomizedChunkingSweep) {
   Xoshiro256 rng(9);
   for (int trial = 0; trial < 30; ++trial) {
     ByteBuffer stream;
@@ -221,17 +225,18 @@ TEST(FrameDecoder, RandomizedChunkingSweep) {
       h.batch_count = static_cast<uint32_t>(i);
       encode_frame(h, payload, stream);
     }
-    FrameDecoder dec;
+    std::vector<uint8_t> pending;
     int got = 0;
     size_t pos = 0;
     while (pos < stream.size()) {
       size_t chunk = std::min<size_t>(stream.size() - pos, 1 + rng.next_below(700));
-      auto s = dec.feed(std::span(stream.data() + pos, chunk),
-                        [&](const FrameHeader&, std::span<const uint8_t>) { ++got; });
-      ASSERT_TRUE(s == FrameDecodeStatus::kNeedMore || s == FrameDecodeStatus::kFrame);
+      auto s = carve_frames(pending, std::span(stream.data() + pos, chunk),
+                            [&](const DecodedFrame&) { ++got; });
+      ASSERT_EQ(s, FrameDecodeStatus::kNeedMore);
       pos += chunk;
     }
     EXPECT_EQ(got, n_frames) << "trial " << trial;
+    EXPECT_TRUE(pending.empty()) << "trial " << trial;
   }
 }
 

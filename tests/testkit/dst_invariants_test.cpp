@@ -57,7 +57,7 @@ TEST(DstInvariants, StolenFrameTripsSequenceChecker) {
   for (int64_t t = 100'000; t <= 3'000'000; t += 100'000) {
     job.schedule_fault(t, [&job, stolen] {
       if (*stolen > 0) return;
-      if (job.edge_channel(0)->try_receive()) ++*stolen;
+      if (job.edge_channel(0)->try_receive_buf()) ++*stolen;
     });
   }
   DstReport r = job.run();
@@ -79,10 +79,12 @@ TEST(DstInvariants, CorruptedFrameIsDetectedAndReported) {
     job.schedule_fault(t, [&job, corrupted] {
       if (*corrupted > 0) return;
       auto ch = job.edge_channel(0);
-      auto frame = ch->try_receive();
+      auto frame = ch->try_receive_buf();
       if (!frame || frame->size() < 30) return;
-      (*frame)[25] ^= 0xFF;  // payload byte: CRC mismatch, framing intact
-      ch->try_send(*frame);
+      FrameBufRef bad = FrameBufPool::global().acquire();
+      bad->buffer().write_bytes(frame->contents());
+      bad->buffer().data()[25] ^= 0xFF;  // payload byte: CRC mismatch, framing intact
+      ch->try_send(bad);
       ++*corrupted;
     });
   }
@@ -117,7 +119,7 @@ TEST(DstInvariants, ExactlyOnceCheckerFlagsStateDrift) {
     for (int64_t t = 100'000; t <= 3'000'000; t += 100'000) {
       job.schedule_fault(t, [&job, stolen] {
         if (*stolen > 0) return;
-        if (job.edge_channel(0)->try_receive()) ++*stolen;
+        if (job.edge_channel(0)->try_receive_buf()) ++*stolen;
       });
     }
     DstReport r = job.run();
