@@ -124,7 +124,9 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(payload.size()));
 }
-BENCHMARK(BM_Crc32)->Arg(128)->Arg(65536)->Arg(1 << 20);
+// 64 B: control/ack frames; 1 KB: small relay frames; 32 KB: iot timer
+// flushes; 1 MB: a full relay buffer.
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(128)->Arg(1024)->Arg(32768)->Arg(65536)->Arg(1 << 20);
 
 }  // namespace
 

@@ -141,20 +141,27 @@ void Resource::notify_data(uint64_t task_id) {
 }
 
 void Resource::enqueue(TaskEntry* entry) {
-  RunState expected = RunState::kIdle;
-  if (entry->state.compare_exchange_strong(expected, RunState::kQueued,
-                                           std::memory_order_acq_rel)) {
-    if (run_queue_.push(entry) != QueueResult::kOk) {
-      // Shutting down; leave the task in Queued — workers are gone anyway.
+  // Loop on the observed state: a failed CAS reloads `cur`, so a worker
+  // moving Running -> Idle between our two attempts is retried as Idle
+  // instead of dropping the notify.
+  RunState cur = entry->state.load(std::memory_order_acquire);
+  for (;;) {
+    if (cur == RunState::kIdle) {
+      if (entry->state.compare_exchange_weak(cur, RunState::kQueued, std::memory_order_acq_rel)) {
+        if (run_queue_.push(entry) != QueueResult::kOk) {
+          // Shutting down; leave the task in Queued — workers are gone anyway.
+        }
+        return;
+      }
+    } else if (cur == RunState::kRunning) {
+      // Mark dirty so the worker re-enqueues after the current execution.
+      if (entry->state.compare_exchange_weak(cur, RunState::kRunningDirty,
+                                             std::memory_order_acq_rel))
+        return;
+    } else {
+      return;  // Queued / RunningDirty / Terminated: nothing to do.
     }
-    return;
   }
-  if (expected == RunState::kRunning) {
-    // Mark dirty so the worker re-enqueues after the current execution.
-    entry->state.compare_exchange_strong(expected, RunState::kRunningDirty,
-                                         std::memory_order_acq_rel);
-  }
-  // Queued / RunningDirty / Terminated: nothing to do.
 }
 
 void Resource::worker_main(size_t) {

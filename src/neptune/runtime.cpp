@@ -730,7 +730,7 @@ Job::~Job() {
 }
 
 void Job::start() {
-  start_ns_ = now_ns();
+  start_ns_.store(now_ns());
   // Kick every source instance once; they self-reschedule from then on.
   for (auto& inst : instances_) {
     inst->resource->notify_data(inst->task_id);
@@ -876,7 +876,7 @@ JobMetricsSnapshot Job::metrics() const {
     snap.operators.push_back(std::move(m));
   }
   int64_t end = end_ns_.load(std::memory_order_acquire);
-  snap.wall_time_ns = (end != 0 ? end : now_ns()) - start_ns_;
+  snap.wall_time_ns = (end != 0 ? end : now_ns()) - start_ns_.load();
   return snap;
 }
 

@@ -127,7 +127,8 @@ class Job {
   mutable std::mutex done_mu_;
   std::condition_variable done_cv_;
   size_t done_count_ = 0;
-  int64_t start_ns_ = 0;
+  // Atomic: start() writes it while watchdog/telemetry threads read metrics().
+  std::atomic<int64_t> start_ns_{0};
   mutable std::atomic<int64_t> end_ns_{0};
 };
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstring>
 #include <set>
+#include <vector>
 
 #include "common/clock.hpp"
 #include "common/crc32.hpp"
@@ -46,6 +48,59 @@ TEST(Crc32, DetectsSingleBitFlip) {
     buf[byte] ^= 0x10;
     EXPECT_NE(crc32(buf.data(), buf.size()), orig);
     buf[byte] ^= 0x10;
+  }
+}
+
+// Shift-register CRC-32, one bit at a time: the definition the fast paths
+// must reproduce.
+uint32_t crc32_bitwise(const uint8_t* p, size_t n, uint32_t seed) {
+  uint32_t c = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthOffsetAndSplit) {
+  constexpr size_t kMaxLen = 70 * 1024;
+  Xoshiro256 rng(0xC4C32);
+  std::vector<uint8_t> src(kMaxLen);
+  for (auto& b : src) b = static_cast<uint8_t>(rng.next_u64());
+  // The same bytes are copied to each offset 0-15 from a 64-byte boundary,
+  // so one reference value covers every alignment of a case.
+  std::vector<uint8_t> storage(kMaxLen + 128);
+  uint8_t* base = storage.data() + (-reinterpret_cast<uintptr_t>(storage.data()) & 63);
+
+  auto check = [&](size_t len, uint32_t seed) {
+    const uint32_t want = crc32_bitwise(src.data(), len, seed);
+    for (size_t off = 0; off < 16; ++off) {
+      std::memcpy(base + off, src.data(), len);
+      ASSERT_EQ(crc32(base + off, len, seed), want)
+          << "len=" << len << " offset=" << off << " seed=" << seed;
+    }
+  };
+  for (size_t len = 0; len <= 1100; ++len) {
+    ASSERT_NO_FATAL_FAILURE(check(len, 0));
+    ASSERT_NO_FATAL_FAILURE(check(len, rng.next_u32()));
+  }
+  for (int i = 0; i < 24; ++i) {
+    const size_t len = 1101 + rng.next_below(kMaxLen - 1100);
+    ASSERT_NO_FATAL_FAILURE(check(len, 0));
+    ASSERT_NO_FATAL_FAILURE(check(len, rng.next_u32()));
+  }
+
+  // Incremental: crc32(b, crc32(a)) == crc32(ab) with a split on each side
+  // of the 64 B kernel threshold and the 16 B fold step.
+  for (size_t n : {size_t{200}, size_t{4099}}) {
+    const uint32_t want = crc32_bitwise(src.data(), n, 0);
+    for (size_t split : {63, 64, 65, 79, 80, 81, 127, 128}) {
+      for (size_t first : {split, n - split}) {
+        const uint32_t head = crc32(src.data(), first);
+        EXPECT_EQ(crc32(src.data() + first, n - first, head), want)
+            << "n=" << n << " first=" << first;
+      }
+    }
   }
 }
 
@@ -115,8 +170,8 @@ TEST(Clock, StopwatchMeasuresElapsed) {
   Stopwatch sw;
   int64_t t0 = sw.elapsed_ns();
   // A little busy loop; elapsed must be non-decreasing and positive.
-  volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  volatile uint64_t sink = 0;
+  for (uint64_t i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(sw.elapsed_ns(), t0);
   EXPECT_GT(sw.elapsed_s(), 0.0);
 }

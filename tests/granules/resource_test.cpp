@@ -192,6 +192,54 @@ TEST(Resource, NotifyDuringRunIsNotLost) {
   res.stop();
 }
 
+// Reads what the producer published, runs a short tail, then records what
+// it read. Like a channel consumer, it re-arms the producer's wakeup before
+// it looks, so a producer that finds `armed` taken skips the notify and a
+// lost notify is never repaired by a later one.
+class PublishedCounterTask : public ComputationalTask {
+ public:
+  const std::string& name() const override { return name_; }
+  void execute(TaskContext&) override {
+    armed.store(true);
+    const uint64_t seen = published.load();
+    for (uint64_t i = 0, n = seen % 32; i < n; ++i) tail.fetch_add(1, std::memory_order_relaxed);
+    consumed.store(seen);
+  }
+  std::atomic<bool> armed{true};
+  std::atomic<uint64_t> published{0};
+  std::atomic<uint64_t> consumed{0};
+  std::atomic<uint64_t> tail{0};
+
+ private:
+  std::string name_ = "published-counter";
+};
+
+TEST(Resource, NotifyRacingTheEndOfAnExecutionIsNotLost) {
+  // A notify that sees Running and then finds the worker already back at
+  // Idle must still queue the task, or the published value is stranded.
+  Resource res({.name = "t", .worker_threads = 1, .io_threads = 1});
+  auto task = std::make_shared<PublishedCounterTask>();
+  uint64_t id = res.deploy(task, ScheduleSpec::on_data());
+  res.start();
+  constexpr uint64_t kRounds = 1'000'000;
+  std::atomic<uint64_t> phase_sink{0};
+  for (uint64_t round = 1; round <= kRounds; ++round) {
+    task->published.store(round);
+    if (task->armed.exchange(false)) res.notify_data(id);
+    // Vary where the next publish lands relative to the execution's tail.
+    for (uint64_t i = 0, n = (round * 7) % 41; i < n; ++i)
+      phase_sink.fetch_add(1, std::memory_order_relaxed);
+    if (round % 64 == 0) {
+      // Usually caught up within microseconds; `eventually` bounds the wait.
+      auto caught_up = [&] { return task->consumed.load() == round; };
+      for (int i = 0; i < 10000 && !caught_up(); ++i) std::this_thread::yield();
+      ASSERT_TRUE(eventually(caught_up)) << "round " << round << ": consumed "
+                                         << task->consumed.load();
+    }
+  }
+  res.stop();
+}
+
 TEST(Resource, MultipleTasksShareWorkers) {
   Resource res({.name = "t", .worker_threads = 2, .io_threads = 1});
   std::vector<std::shared_ptr<CountingTask>> tasks;
