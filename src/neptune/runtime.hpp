@@ -1,9 +1,9 @@
 // NEPTUNE runtime: deploys a StreamGraph onto Granules resources, wires the
 // edges with channels, and drives operators through Granules' data-driven
 // scheduling. Each parallel operator instance becomes one computational
-// task; each (link, src-instance, dst-instance) edge gets an
-// application-level StreamBuffer on the sending side and a flow-controlled
-// channel between the resources.
+// task (detail::InstanceRuntime, neptune/instance.hpp); each (link,
+// src-instance, dst-instance) edge gets an application-level StreamBuffer
+// on the sending side and a flow-controlled channel between the resources.
 //
 // The runtime upholds NEPTUNE's correctness contract (paper §I-B): packets
 // are processed in order, exactly once, and are never dropped — enforced
@@ -20,6 +20,7 @@
 #include "fault/supervised_channel.hpp"
 #include "granules/resource.hpp"
 #include "neptune/graph.hpp"
+#include "neptune/instance.hpp"
 #include "neptune/metrics.hpp"
 #include "neptune/state.hpp"
 #include "obs/telemetry.hpp"
@@ -30,14 +31,10 @@ namespace obs {
 class MetricsHttpServer;
 }
 
-namespace detail {
-class InstanceRuntime;
-}
-
 /// A running (or finished) stream processing job.
-class Job {
+class Job : private detail::InstanceHost {
  public:
-  ~Job();
+  ~Job() override;
   Job(const Job&) = delete;
   Job& operator=(const Job&) = delete;
 
@@ -85,7 +82,7 @@ class Job {
   /// Description of the first reported failure (empty if none).
   std::string failure_reason() const;
   /// Record a permanent failure and fire the handler (first call only).
-  void report_failure(const std::string& what);
+  void report_failure(const std::string& what) override;
 
   // --- overload resilience -----------------------------------------------
 
@@ -102,10 +99,9 @@ class Job {
 
  private:
   friend class Runtime;
-  friend class detail::InstanceRuntime;
   Job() = default;
 
-  void on_instance_done();
+  void on_instance_done() override;
 
   std::string name_;
   // Failure state is declared before instances_ so it outlives the edge
@@ -122,7 +118,6 @@ class Job {
   std::vector<obs::TelemetryRegistry::Handle> telemetry_;
   std::vector<EventLoop::TimerId> timers_;  // (loop, id) pairs below
   std::vector<EventLoop*> timer_loops_;
-  std::vector<granules::Resource*> resources_;
 
   mutable std::mutex done_mu_;
   std::condition_variable done_cv_;
@@ -260,11 +255,18 @@ class Runtime {
                                 OperatorMetrics* src_metrics, OperatorMetrics* dst_metrics,
                                 const std::shared_ptr<Job>& job);
 
-  // Shared tail of submit()/submit_slice(): per-instance telemetry series
-  // and periodic flush timers (statics — they only touch the Job).
+  // Steps shared by submit() and submit_slice().
+  struct Placed;  // one instance, its resource and its task id (runtime.cpp)
+  using OpInstances = std::vector<std::vector<Placed>>;  // [op index][instance]
+  Placed make_instance(const OperatorDecl& op, uint32_t inst, const GraphConfig& cfg,
+                       granules::Resource* resource, const std::shared_ptr<Job>& job);
+  /// Wire one edge whose two endpoints live in this process.
+  void wire_local_edge(const LinkDecl& link, const GraphConfig& cfg, Placed& src, Placed& dst,
+                       const std::shared_ptr<Job>& job);
+  /// Deploy every instance as a data-driven task with its flush timer.
+  static void deploy_instances(const std::shared_ptr<Job>& job, OpInstances& op_instances);
   static void note_topology_for_incidents(const StreamGraph& graph);
   static void register_job_telemetry(const std::shared_ptr<Job>& job);
-  static void install_flush_timers(const std::shared_ptr<Job>& job, const GraphConfig& cfg);
 
   RuntimeOptions options_;
   std::vector<std::unique_ptr<granules::Resource>> resources_;

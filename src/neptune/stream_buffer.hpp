@@ -147,6 +147,7 @@ class StreamBuffer {
 
   uint32_t link_id() const { return link_id_; }
   uint32_t src_instance() const { return src_instance_; }
+  int64_t flush_interval_ns() const { return config_.flush_interval_ns; }
   uint64_t next_seq() const;
 
   // --- shedding ----------------------------------------------------------------

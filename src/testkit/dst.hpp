@@ -1,15 +1,22 @@
 // Deterministic simulation testing (DST) for the NEPTUNE dataflow layer.
 //
-// DstJob runs a *real* topology — real StreamBuffer batching/flow control,
-// real InprocChannel SPSC transport, real frame decode/SelectiveCodec, real
-// partitioning, window and checkpoint code — single-threaded on the
-// sim::EventQueue virtual clock. The only substitutions are the scheduler
-// (granules worker/IO threads become virtual-time events) and the clock
-// (StreamBuffer timers read the EventQueue). Execution mirrors
-// detail::InstanceRuntime step for step: source budgets, per-execution
-// batch limits, blocked-output descheduling, writable/data wakeups, flush
-// timers, finalize/close ordering, and the checkpoint pause → quiesce →
-// snapshot protocol.
+// DstJob runs the shipping operator instance, detail::InstanceRuntime, over
+// a real topology — real StreamBuffer batching/flow control, real
+// InprocChannel SPSC transport, real frame decode/SelectiveCodec, real
+// partitioning, batch views, quarantine, window and checkpoint code —
+// single-threaded on the sim::EventQueue virtual clock. Only two things are
+// substituted:
+//   * the scheduler: each instance is driven through DstJob's own
+//     granules::TaskContext, with granules worker/IO threads replaced by
+//     virtual-time events (request_reschedule queues the next execution,
+//     request_termination retires the task, the wake hook queues an
+//     execution after a seeded jitter);
+//   * the clock: instances and their StreamBuffers read the EventQueue.
+// Everything an execution does — fetch, ingest, drain, retry, finalize — is
+// the production code path, so every runtime change is checked here
+// without being copied here. The harness adds the checkpoint pause →
+// quiesce → snapshot protocol in bounded virtual time, crash/recovery, and
+// per-step invariant checking.
 //
 // Why: schedule-sensitive defects (lost wakeups, backpressure leaks,
 // replay off-by-ones) hide behind races on the threaded runtime. Here the
@@ -36,6 +43,7 @@
 #include "common/rng.hpp"
 #include "net/inproc_transport.hpp"
 #include "neptune/graph.hpp"
+#include "neptune/instance.hpp"
 #include "neptune/metrics.hpp"
 #include "neptune/state.hpp"
 #include "neptune/stream_buffer.hpp"
@@ -154,16 +162,12 @@ struct DstReport {
   std::string summary() const;
 };
 
-namespace detail {
-class DstInstance;
-}
-
 /// One deterministic run of a real StreamGraph. Construct, optionally add
 /// checkers / schedule crashes, then run() once.
-class DstJob {
+class DstJob : private neptune::detail::InstanceHost {
  public:
   explicit DstJob(const StreamGraph& graph, DstOptions opts = {});
-  ~DstJob();
+  ~DstJob() override;
   DstJob(const DstJob&) = delete;
   DstJob& operator=(const DstJob&) = delete;
 
@@ -193,7 +197,12 @@ class DstJob {
   std::shared_ptr<InprocChannel> edge_channel(size_t edge_index);
 
  private:
-  friend class detail::DstInstance;
+  struct Task;  ///< one instance + the TaskContext that drives it
+
+  // InstanceHost: a permanent failure is a "runtime" violation; completion
+  // is read from the TaskContext (request_termination), as granules does.
+  void report_failure(const std::string& what) override { violation("runtime", what); }
+  void on_instance_done() override {}
 
   void deploy();  ///< (re)build instances + wiring under the current epoch
   void start_epoch();
@@ -218,7 +227,7 @@ class DstJob {
   Xoshiro256 rng_;
 
   uint64_t epoch_ = 0;
-  std::vector<std::unique_ptr<detail::DstInstance>> instances_;
+  std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<std::unique_ptr<InvariantChecker>> checkers_;
   DstView view_;
   DstReport report_;
@@ -228,19 +237,15 @@ class DstJob {
   uint64_t recoveries_ = 0;
   bool checkpoint_pending_ = false;
   bool crash_pending_ = false;
-  bool in_checkpoint_ = false;
   bool ran_ = false;
 
   uint64_t last_progress_sig_ = ~0ULL;
   uint64_t last_progress_step_ = 0;
 
-  /// Where view_.edges[i] lives inside instances_ (rebuilt on redeploy).
+  /// What view_.edges[i] needs beyond its probe (rebuilt on redeploy).
   struct EdgeLoc {
-    size_t src = 0;     ///< sender global index
-    size_t link = 0;    ///< output link index on the sender
-    size_t pos = 0;     ///< buffer position within that link
-    size_t dst = 0;     ///< receiver global index
     size_t in_pos = 0;  ///< input-edge position on the receiver
+    std::shared_ptr<InprocChannel> channel;
   };
   std::vector<EdgeLoc> edge_locs_;
   std::vector<std::string> scratch_violations_;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <set>
@@ -377,6 +378,71 @@ TEST(RuntimeIntegration, TwoConcurrentJobsShareResources) {
   ASSERT_TRUE(j2->wait(60s));
   EXPECT_EQ(j1->metrics().total("sink", &OperatorMetricsSnapshot::packets_in), 1500u);
   EXPECT_EQ(j2->metrics().total("sink", &OperatorMetricsSnapshot::packets_in), 1500u);
+}
+
+TEST(RuntimeIntegration, PerLinkFlushIntervalBoundsLatencyWithoutAGraphDefault) {
+  // The graph default disables timer flushing; only the link declares a
+  // 1 ms bound. The source emits ten packets — far below the 1 MB flush
+  // threshold — and then idles, so only the link's flush timer can deliver
+  // them before end-of-stream.
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    uint64_t delivered = 0;
+    bool released = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  struct IdlingSource : StreamSource {
+    std::shared_ptr<Gate> gate;
+    bool emitted = false;
+    explicit IdlingSource(std::shared_ptr<Gate> g) : gate(std::move(g)) {}
+    bool next(Emitter& out, size_t) override {
+      if (!emitted) {
+        for (int64_t i = 0; i < 10; ++i) {
+          StreamPacket p;
+          p.add_i64(i);
+          out.emit(std::move(p));
+        }
+        emitted = true;
+        return true;
+      }
+      std::unique_lock lk(gate->mu);
+      gate->cv.wait_for(lk, 1ms, [&] { return gate->released; });
+      return !gate->released;
+    }
+  };
+  struct GateSink : StreamProcessor {
+    std::shared_ptr<Gate> gate;
+    explicit GateSink(std::shared_ptr<Gate> g) : gate(std::move(g)) {}
+    void process(StreamPacket&, Emitter&) override {
+      std::lock_guard lk(gate->mu);
+      ++gate->delivered;
+      gate->cv.notify_all();
+    }
+  };
+
+  GraphConfig cfg;
+  cfg.buffer.flush_interval_ns = 0;
+  StreamGraph g("per-link-flush", cfg);
+  g.add_source("src", [gate] { return std::make_unique<IdlingSource>(gate); });
+  g.add_processor("sink", [gate] { return std::make_unique<GateSink>(gate); });
+  StreamBufferConfig link_buffer;
+  link_buffer.flush_interval_ns = 1'000'000;
+  g.connect("src", "sink", nullptr, {}, link_buffer);
+
+  Runtime rt(1, {.worker_threads = 2, .io_threads = 1});
+  auto job = rt.submit(g);
+  job->start();
+  bool delivered;
+  {
+    std::unique_lock lk(gate->mu);
+    delivered = gate->cv.wait_for(lk, 30s, [&] { return gate->delivered == 10; });
+    gate->released = true;
+    gate->cv.notify_all();
+  }
+  EXPECT_TRUE(delivered) << "the link's 1 ms flush interval never fired";
+  ASSERT_TRUE(job->wait(60s));
+  EXPECT_EQ(job->metrics().total("sink", &OperatorMetricsSnapshot::packets_in), 10u);
 }
 
 }  // namespace
