@@ -1,10 +1,11 @@
 // Checkpoint & restart (the paper's §VI future work, prototyped): stream a
-// finite CSV-like workload partway, pause + quiesce + snapshot the job,
-// tear the whole runtime down (the "crash"), then bring up a fresh runtime,
-// restore the snapshot and run to completion — demonstrating exactly-once
-// delivery ACROSS the restart.
+// finite CSV-like workload partway, take a barrier checkpoint while the
+// source keeps streaming, tear the whole runtime down (the "crash"), then
+// bring up a fresh runtime, restore the snapshot and run to completion —
+// demonstrating exactly-once delivery ACROSS the restart.
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "neptune/runtime.hpp"
@@ -58,17 +59,18 @@ int main() {
     job->start();
     while (sink->count() < kTotal * 2 / 5) std::this_thread::sleep_for(std::chrono::milliseconds(2));
 
-    job->pause();
-    if (!job->quiesce(std::chrono::seconds(30))) {
-      std::fprintf(stderr, "pipeline failed to quiesce\n");
+    // Epoch 1: the source snapshots its position and sends a barrier
+    // behind the data; each operator snapshots when the barrier reaches it.
+    std::optional<JobSnapshot> snap = job->checkpoint(1, std::chrono::seconds(30));
+    if (!snap) {
+      std::fprintf(stderr, "checkpoint did not complete\n");
       return 1;
     }
-    JobSnapshot snap = job->checkpoint_state();
-    snap.serialize(snapshot_bytes);  // would go to durable storage
-    processed_before_crash = sink->count();
+    snap->serialize(snapshot_bytes);  // would go to durable storage
+    processed_before_crash = ByteReader(*snap->find("sink", 0)).read_varint();
     std::printf("  checkpointed at %llu/%llu packets (%zu state blocks, %zu bytes)\n",
                 static_cast<unsigned long long>(processed_before_crash),
-                static_cast<unsigned long long>(kTotal), snap.size(), snapshot_bytes.size());
+                static_cast<unsigned long long>(kTotal), snap->size(), snapshot_bytes.size());
     job->stop();
     job->wait(std::chrono::seconds(30));
   }  // runtime destroyed — everything in memory is gone

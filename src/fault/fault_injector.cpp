@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <thread>
 
 #include "common/clock.hpp"
 #include "common/log.hpp"
@@ -192,6 +193,7 @@ class FaultingSender final : public ChannelSender {
         NEPTUNE_LOG_INFO("fault: partial write on %s (%zu of %zu bytes)",
                          edge_.to_string().c_str(), cut, frame.size());
         if (cut > 0) inner_->try_send(frame.slice(0, cut));
+        if (a.delay_ns > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(a.delay_ns));
         inner_->close();
         return SendStatus::kClosed;
       }

@@ -54,7 +54,8 @@ const char* to_string(FaultKind kind);
 
 struct FaultAction {
   FaultKind kind = FaultKind::kNone;
-  int64_t delay_ns = 0;   ///< kStall/kDelay duration
+  int64_t delay_ns = 0;   ///< kStall/kDelay duration; kPartialWrite: how long
+                          ///< the torn connection lingers before it closes
   size_t byte_offset = 0; ///< kCorrupt: offset of the flipped byte (clamped);
                           ///< kPartialWrite: bytes delivered before the cut
 };

@@ -12,38 +12,28 @@ RecoveryCoordinator::RecoveryCoordinator(Runtime& runtime, StreamGraph graph,
     : runtime_(runtime), graph_(std::move(graph)), options_(std::move(options)) {
   if (!options_.snapshot_dir.empty()) store_ = std::make_unique<SnapshotStore>(options_.snapshot_dir);
   obs::TelemetryRegistry& reg = obs::TelemetryRegistry::global();
-  std::vector<std::pair<std::string, std::string>> labels{{"job", graph_.name()}};
-  telemetry_.push_back(reg.register_series(
-      {"neptune_checkpoints_total", labels, obs::SeriesKind::kCounter,
-       "Automatic checkpoints captured by the recovery coordinator"},
-      [this] { return static_cast<double>(checkpoints_.load(std::memory_order_relaxed)); }));
-  telemetry_.push_back(reg.register_series(
-      {"neptune_recoveries_total", labels, obs::SeriesKind::kCounter,
-       "Checkpoint restores after detected failures"},
-      [this] { return static_cast<double>(recoveries_.load(std::memory_order_relaxed)); }));
-  telemetry_.push_back(reg.register_series(
-      {"neptune_recovery_seconds_total", labels, obs::SeriesKind::kCounter,
-       "Cumulative failure-to-restored wall time"},
-      [this] {
-        return static_cast<double>(recovery_ns_.load(std::memory_order_relaxed)) * 1e-9;
-      }));
-  telemetry_.push_back(reg.register_series(
-      {"neptune_watchdog_stalls_total", labels, obs::SeriesKind::kCounter,
-       "Stuck-operator detections escalated by the watchdog"},
-      [this] { return static_cast<double>(watchdog_stalls_.load(std::memory_order_relaxed)); }));
-  telemetry_.push_back(reg.register_series(
-      {"neptune_snapshots_persisted_total", labels, obs::SeriesKind::kCounter,
-       "Checkpoints durably written to the snapshot store"},
-      [this] {
-        return static_cast<double>(snapshots_persisted_.load(std::memory_order_relaxed));
-      }));
-  telemetry_.push_back(reg.register_series(
-      {"neptune_checkpoint_quiesce_timeouts", labels, obs::SeriesKind::kCounter,
-       "Checkpoint attempts abandoned because the pipeline failed to drain "
-       "within the quiesce timeout"},
-      [this] {
-        return static_cast<double>(quiesce_timeouts_.load(std::memory_order_relaxed));
-      }));
+  auto counter = [&](const char* name, const char* help, auto read) {
+    telemetry_.push_back(reg.register_series(
+        {name, {{"job", graph_.name()}}, obs::SeriesKind::kCounter, help}, read));
+  };
+  auto count = [](const std::atomic<uint64_t>& c) {
+    return [&c] { return static_cast<double>(c.load(std::memory_order_relaxed)); };
+  };
+  counter("neptune_checkpoints_total",
+          "Automatic checkpoints captured by the recovery coordinator", count(checkpoints_));
+  counter("neptune_recoveries_total", "Checkpoint restores after detected failures",
+          count(recoveries_));
+  counter("neptune_recovery_seconds_total", "Cumulative failure-to-restored wall time", [this] {
+    return static_cast<double>(recovery_ns_.load(std::memory_order_relaxed)) * 1e-9;
+  });
+  counter("neptune_watchdog_stalls_total",
+          "Stuck-operator detections escalated by the watchdog", count(watchdog_stalls_));
+  counter("neptune_snapshots_persisted_total",
+          "Checkpoints durably written to the snapshot store", count(snapshots_persisted_));
+  counter("neptune_checkpoint_quiesce_timeouts",
+          "Checkpoint epochs abandoned because their barriers did not complete within the "
+          "checkpoint timeout",
+          count(quiesce_timeouts_));
 }
 
 RecoveryCoordinator::~RecoveryCoordinator() { stop(); }
@@ -144,47 +134,35 @@ JobMetricsSnapshot RecoveryCoordinator::metrics() const {
 }
 
 bool RecoveryCoordinator::take_checkpoint(const std::shared_ptr<Job>& job) {
-  // A checkpoint is only consistent if the pipeline fully drains; skip when
-  // the job is already failing or a resource is down (the snapshot would
-  // capture a half-processed barrier).
+  // A failing job or a dead resource could not complete the barriers.
   if (job->failed() || job->completed() || any_resource_down()) return false;
-  job->pause();
-  bool quiet = job->quiesce(options_.quiesce_timeout);
-  if (!quiet) {
-    // A pipeline that cannot drain within the budget is a health signal in
-    // its own right (wedged operator, saturated edge, runaway backlog) —
-    // surface it instead of silently skipping the checkpoint.
+  std::lock_guard<std::mutex> ckpt(checkpoint_mu_);
+  std::optional<JobSnapshot> snap = job->checkpoint(++epoch_, options_.checkpoint_timeout);
+  if (!snap) {
+    if (job->failed() || failure_flag_->load(std::memory_order_acquire)) return false;
+    // A barrier that cannot get through within the budget (wedged
+    // operator, runaway backlog) is a health signal: surface it.
     quiesce_timeouts_.fetch_add(1, std::memory_order_relaxed);
-    NEPTUNE_LOG_WARN("checkpoint: job '%s' failed to quiesce within %.1fs — skipping",
-                     job->name().c_str(),
-                     std::chrono::duration<double>(options_.quiesce_timeout).count());
-    obs::IncidentReporter::trigger_global(
-        "quiesce-timeout",
-        job->name() + ": pipeline failed to drain within " +
-            std::to_string(
-                std::chrono::duration_cast<std::chrono::milliseconds>(options_.quiesce_timeout)
-                    .count()) +
-            " ms; checkpoint skipped");
+    std::string what = job->name() + ": checkpoint epoch " + std::to_string(epoch_) +
+                       " incomplete after " +
+                       std::to_string(options_.checkpoint_timeout.count() / 1'000'000) +
+                       " ms; abandoned";
+    NEPTUNE_LOG_WARN("%s", what.c_str());
+    obs::IncidentReporter::trigger_global("checkpoint-timeout", what);
+    return false;
   }
-  bool healthy = quiet && !job->failed() && !any_resource_down() &&
-                 !failure_flag_->load(std::memory_order_acquire);
-  if (healthy) {
-    JobSnapshot snap = job->checkpoint_state();
-    if (store_ && store_->save(snap)) {
-      snapshots_persisted_.fetch_add(1, std::memory_order_relaxed);
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      snapshot_ = std::move(snap);
-      have_snapshot_ = true;
-    }
-    checkpoints_.fetch_add(1, std::memory_order_relaxed);
-    obs::FlightRecorder::record(
-        obs::FlightRecorder::register_actor("job " + graph_.name()),
-        obs::FlightEventType::kCheckpoint, checkpoints_.load(std::memory_order_relaxed));
+  // A complete epoch is a consistent cut even if a fault follows it.
+  if (store_ && store_->save(*snap)) snapshots_persisted_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    snapshot_ = std::move(*snap);
+    have_snapshot_ = true;
   }
-  job->resume();
-  return healthy;
+  checkpoints_.fetch_add(1, std::memory_order_relaxed);
+  obs::FlightRecorder::record(obs::FlightRecorder::register_actor("job " + graph_.name()),
+                              obs::FlightEventType::kCheckpoint,
+                              checkpoints_.load(std::memory_order_relaxed));
+  return true;
 }
 
 void RecoveryCoordinator::execute_due_kills() {
@@ -246,7 +224,7 @@ void RecoveryCoordinator::monitor() {
 
     if (now_ns() - last_checkpoint_ns >= options_.checkpoint_interval_ns) {
       take_checkpoint(job);
-      last_checkpoint_ns = now_ns();  // even on failure: don't hammer pause/resume
+      last_checkpoint_ns = now_ns();  // even on failure: don't retry back to back
     }
   }
 }

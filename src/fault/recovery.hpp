@@ -6,9 +6,9 @@
 // a killed resource. It implements the paper's §VI "failure recovery" future
 // work on top of the existing checkpoint/restore prototype:
 //
-//   * every `checkpoint_interval_ns` it runs the pause → quiesce →
-//     checkpoint_state → resume protocol and keeps the latest JobSnapshot
-//     (operator state + source replay positions);
+//   * every `checkpoint_interval_ns` it takes a barrier checkpoint
+//     (Job::checkpoint; nothing pauses) and keeps the latest complete
+//     JobSnapshot (operator state + source replay positions);
 //   * it watches for failure — Job::report_failure (wired into every
 //     supervised edge and the corrupt-frame path) plus a liveness poll over
 //     the runtime's resources — and executes any scheduled resource kills
@@ -41,7 +41,8 @@ namespace neptune::fault {
 struct RecoveryOptions {
   int64_t checkpoint_interval_ns = 500'000'000;  ///< automatic checkpoint period
   int64_t poll_interval_ns = 20'000'000;         ///< failure / completion poll period
-  std::chrono::nanoseconds quiesce_timeout = std::chrono::seconds(30);
+  /// Barrier-to-complete budget for one epoch; past it the epoch is abandoned.
+  std::chrono::nanoseconds checkpoint_timeout = std::chrono::seconds(30);
   uint32_t max_recoveries = 16;                  ///< then permanently_failed()
   /// Non-empty: persist each checkpoint crash-safely into this directory
   /// (temp file + fsync + atomic rename, CRC-32 footer) and seed the first
@@ -83,9 +84,9 @@ class RecoveryCoordinator {
   uint64_t recoveries() const { return recoveries_.load(std::memory_order_relaxed); }
   /// Stalls the watchdog escalated (0 when the watchdog is disabled).
   uint64_t watchdog_stalls() const { return watchdog_stalls_.load(std::memory_order_relaxed); }
-  /// Checkpoint attempts abandoned because quiesce timed out. Each one also
+  /// Checkpoint epochs abandoned past checkpoint_timeout. Each one also
   /// bumps the neptune_checkpoint_quiesce_timeouts series and triggers an
-  /// incident bundle — a pipeline that cannot drain is a health signal.
+  /// incident bundle — a stuck barrier is a health signal.
   uint64_t quiesce_timeouts() const { return quiesce_timeouts_.load(std::memory_order_relaxed); }
   /// Checkpoints durably persisted to snapshot_dir (0 when not configured).
   uint64_t snapshots_persisted() const {
@@ -116,6 +117,8 @@ class RecoveryCoordinator {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  std::mutex checkpoint_mu_;  // one epoch at a time (monitor vs checkpoint_now)
+  uint64_t epoch_ = 0;        // last epoch begun; under checkpoint_mu_
   std::shared_ptr<Job> job_;
   JobSnapshot snapshot_;
   bool have_snapshot_ = false;

@@ -22,25 +22,6 @@ void loop_barrier(EventLoop* loop) {
   fut.wait_for(std::chrono::milliseconds(500));
 }
 
-/// Control frames (heartbeats, acks, EOF) are encoded into pooled buffers
-/// and sent through the zero-copy ref path, so the steady-state ack stream
-/// is allocation-free once the pool is warm.
-FrameBufRef encode_control(uint8_t flags, uint32_t link_id, uint64_t ack_value,
-                           bool with_payload) {
-  FrameHeader h;
-  h.flags = flags;
-  h.link_id = link_id;
-  FrameBufRef buf = FrameBufPool::global().acquire();
-  if (with_payload) {
-    uint8_t payload[8];
-    for (int i = 0; i < 8; ++i) payload[i] = static_cast<uint8_t>(ack_value >> (8 * i));
-    encode_frame(h, payload, buf->buffer());
-  } else {
-    encode_frame(h, {}, buf->buffer());
-  }
-  return buf;
-}
-
 void detach_connection(const std::shared_ptr<TcpConnection>& conn) {
   if (!conn) return;
   conn->set_data_callback({});
@@ -134,7 +115,7 @@ void SupervisedTcpSender::close() {
   {
     std::lock_guard lk(mu_);
     if (shutdown_ || eof_enqueued_) return;
-    FrameBufRef eof = encode_control(FrameHeader::kFlagEof, edge_.link_id, 0, false);
+    FrameBufRef eof = encode_signal_frame(FrameHeader::kFlagEof, edge_.link_id, {});
     retained_bytes_ += eof.size();
     retained_.push_back({std::move(eof), /*control=*/true});
     ++total_enqueued_;
@@ -393,14 +374,19 @@ std::shared_ptr<TcpConnection> SupervisedTcpSender::link_dead_locked(const char*
 }
 
 void SupervisedTcpSender::send_heartbeat() {
+  // A heartbeat takes the pump's turn, so it can never land inside a frame
+  // that pump() is still writing (a torn write is prefix-then-close). When
+  // a pump is running, the link is busy and this probe is skipped.
+  if (pumping_.exchange(true, std::memory_order_acquire)) return;
   std::shared_ptr<TcpConnection> conn;
   {
     std::lock_guard lk(mu_);
-    if (link_state_ == LinkState::kDisconnected || !conn_) return;
-    conn = conn_;
+    if (link_state_ != LinkState::kDisconnected) conn = conn_;
   }
-  FrameBufRef frame = encode_control(FrameHeader::kFlagHeartbeat, edge_.link_id, 0, false);
-  conn->try_send(frame);  // best effort; a dead link is caught by the timeout
+  // Best effort; a dead link is caught by the timeout.
+  if (conn) conn->try_send(encode_signal_frame(FrameHeader::kFlagHeartbeat, edge_.link_id, {}));
+  pumping_.store(false, std::memory_order_release);
+  pump();  // frames enqueued while the heartbeat held the turn
 }
 
 // --- SupervisedTcpReceiver ------------------------------------------------------
@@ -568,7 +554,7 @@ void SupervisedTcpReceiver::send_ack() {
     conn = conn_;
     consumed = consumed_;
   }
-  FrameBufRef frame = encode_control(FrameHeader::kFlagAck, edge_.link_id, consumed, true);
+  FrameBufRef frame = encode_signal_frame(FrameHeader::kFlagAck, edge_.link_id, consumed);
   conn->try_send(frame);  // best effort; acks are cumulative
 }
 

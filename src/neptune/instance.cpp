@@ -65,9 +65,32 @@ int64_t InstanceRuntime::flush_timer_period_ns() const {
   return interval > 0 ? std::max<int64_t>(interval / 2, 500'000) : 0;
 }
 
-Checkpointable* InstanceRuntime::checkpointable() {
+Checkpointable* InstanceRuntime::checkpointable() const {
   if (source) return dynamic_cast<Checkpointable*>(source.get());
   return dynamic_cast<Checkpointable*>(processor.get());
+}
+
+void InstanceRuntime::snapshot_into(JobSnapshot& snapshot) const {
+  const Checkpointable* c = checkpointable();
+  if (!c) return;
+  ByteBuffer buf;
+  c->snapshot_state(buf);
+  auto bytes = buf.contents();
+  snapshot.put(op_id_, instance_, std::vector<uint8_t>(bytes.begin(), bytes.end()));
+}
+
+void InstanceRuntime::restore_state(const JobSnapshot& snapshot) {
+  Checkpointable* c = checkpointable();
+  const std::vector<uint8_t>* state = snapshot.find(op_id_, instance_);
+  if (!c || !state) return;
+  ByteReader r(*state);
+  c->restore_state(r);
+}
+
+void InstanceRuntime::request_barrier(uint64_t epoch) {
+  if (kind_ != OperatorKind::kSource) return;
+  barrier_request_.store(epoch, std::memory_order_release);
+  wake();
 }
 
 // --- Emitter ------------------------------------------------------------------
@@ -158,6 +181,11 @@ void InstanceRuntime::execute(granules::TaskContext& ctx) {
     finalize(ctx, /*discard=*/true);
     return;
   }
+  // Before the blocked check: a barrier queues behind parked frames. Only
+  // this thread clears the request, and reading it first keeps the common
+  // case from writing a shared cache line on every execution.
+  if (barrier_request_.load(std::memory_order_relaxed) != 0)
+    emit_barrier(barrier_request_.exchange(0, std::memory_order_acq_rel));
   if (!retry_blocked_outputs()) return;  // writable callback will re-notify
   if (kind_ == OperatorKind::kSource) {
     run_source(ctx);
@@ -178,6 +206,24 @@ void InstanceRuntime::on_flush_timer() {
   }
 }
 
+// --- checkpoint barriers ------------------------------------------------------------
+
+/// Snapshot (through the host), then send the barrier down every output.
+void InstanceRuntime::emit_barrier(uint64_t epoch) {
+  host_->on_barrier(*this, epoch);
+  for (auto& out : outputs) {
+    for (auto& buf : out.dst) {
+      if (!buf->add_barrier(epoch)) output_blocked_.store(true, std::memory_order_relaxed);
+    }
+  }
+}
+
+bool InstanceRuntime::complete_barrier() {
+  if (align_epoch_ == 0 || !ready_.empty() || !all_inputs_drained(/*or_held=*/true)) return false;
+  emit_barrier(std::exchange(align_epoch_, 0));
+  return true;
+}
+
 // --- source path -----------------------------------------------------------------
 
 void InstanceRuntime::run_source(granules::TaskContext& ctx) {
@@ -185,7 +231,6 @@ void InstanceRuntime::run_source(granules::TaskContext& ctx) {
     finalize(ctx, false);
     return;
   }
-  if (paused_.load(std::memory_order_acquire)) return;  // resume() re-notifies
   bool more = source->next(*this, cfg_.source_batch_budget);
   if (!more) {
     source_exhausted_ = true;
@@ -205,11 +250,14 @@ void InstanceRuntime::run_processor(granules::TaskContext& ctx) {
   if (!drain_ready_batches()) return;  // output blocked mid-batch
   size_t rounds = 0;
   while (rounds < cfg_.max_batches_per_execution) {
-    if (!fetch_some_frames()) break;
+    if (!fetch_some_frames()) {
+      if (complete_barrier()) continue;  // the held inputs are readable again
+      break;
+    }
     ++rounds;
     if (!drain_ready_batches()) return;
   }
-  if (all_inputs_drained() && ready_.empty()) {
+  if (all_inputs_drained(/*or_held=*/false) && ready_.empty()) {
     finalize(ctx, false);
     return;
   }
@@ -231,7 +279,7 @@ bool InstanceRuntime::fetch_some_frames() {
   size_t n = inputs.size();
   for (size_t step = 0; step < n; ++step) {
     InEdge& e = inputs[(next_edge_ + step) % n];
-    if (e.drained) continue;
+    if (e.drained || held(e)) continue;
     auto frame = e.rx->try_receive_buf();
     if (!frame) {
       if (e.rx->closed()) e.drained = true;
@@ -267,6 +315,14 @@ void InstanceRuntime::report_corrupt_frame(InEdge& e, FrameDecodeStatus s) {
 void InstanceRuntime::ingest_frame(InEdge& e, const FrameHeader& h,
                                    std::span<const uint8_t> payload, const FrameBufRef& frame) {
   if (h.control()) return;  // control frames never carry packets
+  if (h.barrier()) {
+    // A repeat (retransmission) is ignored. An input that skipped an epoch
+    // raises the alignment target; inputs held on the older one resume.
+    if (payload.size() != 8) return report_corrupt_frame(e, FrameDecodeStatus::kBadLength);
+    uint64_t epoch = ByteReader(payload).read_u64();
+    if (epoch > e.barrier_epoch) align_epoch_ = std::max(align_epoch_, e.barrier_epoch = epoch);
+    return;
+  }
   FrameBufRef keep;  // pins `raw` for the life of the batch
   std::span<const uint8_t> raw = payload;
   if (h.compressed()) {
@@ -559,15 +615,12 @@ void InstanceRuntime::record_span(const Batch& b) {
   obs::TraceCollector::global().record(std::move(s));
 }
 
-bool InstanceRuntime::all_inputs_drained() {
+/// Every input is drained (closed ones get marked) or, `or_held`, held.
+bool InstanceRuntime::all_inputs_drained(bool or_held) {
   for (auto& e : inputs) {
-    if (!e.drained) {
-      if (e.rx->closed()) {
-        e.drained = true;
-      } else {
-        return false;
-      }
-    }
+    if (e.drained || (or_held && held(e))) continue;
+    if (!e.rx->closed()) return false;
+    e.drained = true;
   }
   return true;
 }
@@ -610,7 +663,35 @@ void InstanceRuntime::finalize(granules::TaskContext& ctx, bool discard) {
   if (kind_ == OperatorKind::kSource && source) source->close();
   done_.store(true, std::memory_order_release);
   ctx.request_termination();
-  host_->on_instance_done();
+  host_->on_instance_done(*this);
+}
+
+// --- CheckpointCollector -----------------------------------------------------------
+
+void CheckpointCollector::begin(uint64_t epoch, const std::vector<InstanceRuntime*>& instances) {
+  *this = {};
+  epoch_ = epoch;
+  waiting_.assign(instances.begin(), instances.end());
+  for (InstanceRuntime* inst : instances) {
+    if (inst->done())
+      on_barrier(*inst, epoch);  // terminated: its final state is settled
+    else
+      inst->request_barrier(epoch);
+  }
+}
+
+void CheckpointCollector::on_barrier(const InstanceRuntime& inst, uint64_t epoch) {
+  if (epoch == 0 || epoch != epoch_) return;
+  auto it = std::find(waiting_.begin(), waiting_.end(), &inst);
+  if (it == waiting_.end()) return;  // already reported
+  waiting_.erase(it);
+  inst.snapshot_into(snapshot_);
+}
+
+JobSnapshot CheckpointCollector::take() {
+  JobSnapshot out = std::move(snapshot_);
+  *this = {};
+  return out;
 }
 
 }  // namespace neptune::detail

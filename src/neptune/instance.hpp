@@ -3,11 +3,17 @@
 // writes to. It owns the instance's whole data path — fetch frames from the
 // input edges, validate sequence numbers, ingest batches without copying,
 // dispatch packets as views or into a scratch packet, buffer and flush
-// emissions, retry flow-controlled outputs, finalize at end-of-stream.
+// emissions, retry flow-controlled outputs, align checkpoint barriers,
+// finalize at end-of-stream.
+//
+// Checkpoints are aligned barriers (Carbone et al., arXiv:1506.08603): a
+// source snapshots and sends barrier(e) behind its data; a processor holds
+// each input that delivered barrier(e) until all have (or closed), then
+// snapshots and forwards it. Nothing pauses; nothing is in flight at the cut.
 //
 // The instance reaches outside itself through three injected seams only:
 //   * a Clock for every timestamp (its StreamBuffers take the same one);
-//   * an InstanceHost for permanent failures and completion;
+//   * an InstanceHost for failures, barriers and completion;
 //   * a wake hook that makes the scheduler run it again.
 // Runtime deploys instances onto granules resources with the steady clock
 // and Resource::notify_data as the wake hook; testkit::DstJob runs the same
@@ -36,6 +42,8 @@
 
 namespace neptune::detail {
 
+class InstanceRuntime;
+
 /// What an instance reports to the job that owns it. Job implements it for
 /// the threaded runtime and testkit::DstJob for the simulation.
 class InstanceHost {
@@ -44,8 +52,11 @@ class InstanceHost {
   /// A permanent failure exactly-once cannot survive (corrupt frame on an
   /// unrepairable edge, malformed packet past the CRC layer).
   virtual void report_failure(const std::string& what) = 0;
-  /// The instance finished: outputs flushed and closed.
-  virtual void on_instance_done() = 0;
+  /// The instance reached barrier `epoch`. Called on its own thread before
+  /// the barrier goes downstream, so inst.snapshot_into() is safe here.
+  virtual void on_barrier(const InstanceRuntime& inst, uint64_t epoch) = 0;
+  /// The instance finished: outputs flushed and closed (on its own thread).
+  virtual void on_instance_done(const InstanceRuntime& inst) = 0;
 };
 
 /// An inbound batch awaiting execution, recycled through an object pool
@@ -92,6 +103,8 @@ struct InEdge {
   uint32_t link_id = 0;
   uint32_t src_instance = 0;
   bool drained = false;
+  /// Last barrier epoch delivered; a repeat at or below it is ignored.
+  uint64_t barrier_epoch = 0;
   /// Best-effort edge with a shed policy: sequence gaps are expected sheds
   /// (counted in shed_gaps), not exactly-once violations.
   bool lossy = false;
@@ -153,16 +166,13 @@ class InstanceRuntime final : public granules::ComputationalTask, public Emitter
   /// for its writable wakeup.
   bool output_blocked() const { return output_blocked_.load(std::memory_order_relaxed); }
 
-  /// Checkpoint support: pause/resume source emission (processors drain
-  /// naturally once sources are quiet).
-  void set_paused(bool paused) { paused_.store(paused, std::memory_order_release); }
-  bool paused() const { return paused_.load(std::memory_order_acquire); }
+  /// Ask a source for barrier(epoch) at its next execution (any thread).
+  void request_barrier(uint64_t epoch);
 
-  /// The Checkpointable view of the user operator, or nullptr.
-  Checkpointable* checkpointable();
-  const Checkpointable* checkpointable() const {
-    return const_cast<InstanceRuntime*>(this)->checkpointable();
-  }
+  /// Put a Checkpointable operator's state into `snapshot` — only on the
+  /// instance's own thread, or once done() — and restore it (before start).
+  void snapshot_into(JobSnapshot& snapshot) const;
+  void restore_state(const JobSnapshot& snapshot);
 
   // --- Emitter ---------------------------------------------------------------
   EmitStatus emit(StreamPacket&& packet) override { return emit(0, std::move(packet)); }
@@ -188,6 +198,7 @@ class InstanceRuntime final : public granules::ComputationalTask, public Emitter
   void on_flush_timer();
 
  private:
+  Checkpointable* checkpointable() const;  // the user operator's, or nullptr
   void run_source(granules::TaskContext& ctx);
   void run_processor(granules::TaskContext& ctx);
   bool fetch_some_frames();
@@ -202,7 +213,13 @@ class InstanceRuntime final : public granules::ComputationalTask, public Emitter
   bool dispatch_batch(Batch& b, bool is_sink);
   InEdge* find_edge(const Batch& b);
   void record_span(const Batch& b);
-  bool all_inputs_drained();
+  bool all_inputs_drained(bool or_held);
+  /// An input that delivered the barrier being aligned is not read.
+  bool held(const InEdge& e) const { return align_epoch_ != 0 && e.barrier_epoch >= align_epoch_; }
+  /// Once all inputs are aligned and no batch is left, snapshot and forward
+  /// the barrier, releasing the inputs. True when it did.
+  bool complete_barrier();
+  void emit_barrier(uint64_t epoch);
   bool retry_blocked_outputs();
   void finalize(granules::TaskContext& ctx, bool discard);
 
@@ -220,8 +237,8 @@ class InstanceRuntime final : public granules::ComputationalTask, public Emitter
   OperatorMetrics metrics_;
   std::atomic<uint64_t> packets_emitted_{0};
   std::atomic<bool> stop_requested_{false};
-  std::atomic<bool> paused_{false};
   std::atomic<bool> done_{false};
+  std::atomic<uint64_t> barrier_request_{0};  // sources: epoch to inject, 0 = none
 
   // Mutated only on the worker thread, but the IO-thread flush timer peeks at
   // it to decide whether to re-notify the task — hence atomic, relaxed.
@@ -232,6 +249,7 @@ class InstanceRuntime final : public granules::ComputationalTask, public Emitter
   bool source_exhausted_ = false;
   bool close_called_ = false;
   size_t next_edge_ = 0;
+  uint64_t align_epoch_ = 0;  // processors: barrier being aligned, 0 = none
   std::shared_ptr<ObjectPool<Batch>> batch_pool_;
   std::deque<ObjectPool<Batch>::PoolPtr> ready_;
 
@@ -243,6 +261,27 @@ class InstanceRuntime final : public granules::ComputationalTask, public Emitter
   PacketView skip_view_;
   BatchView batch_view_;
   bool batch_mode_ = false;
+};
+
+/// Collects one checkpoint epoch — Job's and DstJob's single way to a
+/// snapshot. Each instance contributes its state once: at its barrier, or
+/// its final state if it terminates without one (at begin() if already
+/// done). Not thread-safe: Job holds its own mutex around it.
+class CheckpointCollector {
+ public:
+  /// Open `epoch` (above any earlier one; an open epoch is dropped) and ask
+  /// every live source for barrier(epoch).
+  void begin(uint64_t epoch, const std::vector<InstanceRuntime*>& instances);
+  void on_barrier(const InstanceRuntime& inst, uint64_t epoch);  ///< also at termination
+  uint64_t epoch() const { return epoch_; }  ///< the open epoch, 0 = none
+  bool complete() const { return epoch_ != 0 && waiting_.empty(); }
+  /// Close the complete epoch and hand over its snapshot.
+  JobSnapshot take();
+
+ private:
+  uint64_t epoch_ = 0;
+  std::vector<const InstanceRuntime*> waiting_;
+  JobSnapshot snapshot_;
 };
 
 }  // namespace neptune::detail

@@ -26,13 +26,38 @@ void Job::start() {
   for (auto& inst : instances_) inst->wake();
 }
 
-void Job::on_instance_done() {
+void Job::on_instance_done(const detail::InstanceRuntime& inst) {
   std::lock_guard lk(done_mu_);
   ++done_count_;
-  if (done_count_ == instances_.size()) {
-    end_ns_.store(now_ns(), std::memory_order_release);
-    done_cv_.notify_all();
-  }
+  if (done_count_ == instances_.size()) end_ns_.store(now_ns(), std::memory_order_release);
+  checkpoint_.on_barrier(inst, checkpoint_.epoch());  // its final state
+  done_cv_.notify_all();
+}
+
+void Job::on_barrier(const detail::InstanceRuntime& inst, uint64_t epoch) {
+  std::lock_guard lk(done_mu_);
+  checkpoint_.on_barrier(inst, epoch);
+  done_cv_.notify_all();
+}
+
+void Job::begin_checkpoint(uint64_t epoch) {
+  std::vector<detail::InstanceRuntime*> instances;
+  for (auto& inst : instances_) instances.push_back(inst.get());
+  std::lock_guard lk(done_mu_);
+  checkpoint_.begin(epoch, instances);
+  done_cv_.notify_all();
+}
+
+std::optional<JobSnapshot> Job::await_checkpoint(uint64_t epoch,
+                                                 std::chrono::nanoseconds timeout) {
+  std::unique_lock lk(done_mu_);
+  done_cv_.wait_for(lk, timeout, [&] {
+    return checkpoint_.epoch() != epoch || checkpoint_.complete() || stopped_ || failed();
+  });
+  // A stopped or failed job's instances report no consistent cut.
+  if (stopped_ || failed() || checkpoint_.epoch() != epoch || !checkpoint_.complete())
+    return std::nullopt;
+  return checkpoint_.take();
 }
 
 bool Job::wait(std::chrono::nanoseconds timeout) {
@@ -63,88 +88,28 @@ void Job::report_failure(const std::string& what) {
     failure_reason_ = what;
     handler = failure_handler_;
   }
+  {
+    std::lock_guard lk(done_mu_);  // release a checkpoint waiter
+    done_cv_.notify_all();
+  }
   NEPTUNE_LOG_ERROR("job %s: permanent failure: %s", name_.c_str(), what.c_str());
   if (handler) handler(what);
 }
 
 void Job::stop() {
+  {
+    std::lock_guard lk(done_mu_);
+    stopped_ = true;
+    done_cv_.notify_all();
+  }
   for (auto& inst : instances_) {
     inst->request_stop();
     inst->wake();
   }
 }
 
-void Job::pause() {
-  for (auto& inst : instances_) inst->set_paused(true);
-}
-
-void Job::resume() {
-  for (auto& inst : instances_) {
-    inst->set_paused(false);
-    inst->wake();
-  }
-}
-
-bool Job::quiesce(std::chrono::nanoseconds timeout) {
-  // With sources paused, the pipeline is drained once no counter moves
-  // across several consecutive samples (flush timers push out any partial
-  // buffers within their interval, which the sampling window covers).
-  int64_t deadline = now_ns() + timeout.count();
-  uint64_t last_signature = ~0ULL;
-  int stable = 0;
-  while (now_ns() < deadline) {
-    auto m = metrics();
-    // Frozen is not the same as drained: a dispatch wedged inside an
-    // operator (or parsed batches it never got to) freezes every counter
-    // while packets are still in flight — a checkpoint taken then would
-    // lose them on restore. Require genuinely idle operators.
-    bool busy = false;
-    for (const auto& op : m.operators) {
-      if (op.exec_begin_ns != 0 || op.inbound_ready_batches > 0) {
-        busy = true;
-        break;
-      }
-    }
-    uint64_t signature = m.total(&OperatorMetricsSnapshot::packets_in) * 1315423911u +
-                         m.total(&OperatorMetricsSnapshot::packets_out) * 2654435761u +
-                         m.total(&OperatorMetricsSnapshot::flushes);
-    if (busy) {
-      stable = 0;
-      last_signature = signature;
-    } else if (signature == last_signature) {
-      if (++stable >= 5) return true;
-    } else {
-      stable = 0;
-      last_signature = signature;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return false;
-}
-
-JobSnapshot Job::checkpoint_state() const {
-  JobSnapshot snap;
-  for (const auto& inst : instances_) {
-    if (const Checkpointable* c = inst->checkpointable()) {
-      ByteBuffer buf;
-      c->snapshot_state(buf);
-      snap.put(inst->op_id(), inst->instance_index(),
-               std::vector<uint8_t>(buf.contents().begin(), buf.contents().end()));
-    }
-  }
-  return snap;
-}
-
 void Job::restore_state(const JobSnapshot& snapshot) {
-  for (auto& inst : instances_) {
-    if (Checkpointable* c = inst->checkpointable()) {
-      if (const std::vector<uint8_t>* state =
-              snapshot.find(inst->op_id(), inst->instance_index())) {
-        ByteReader r(*state);
-        c->restore_state(r);
-      }
-    }
-  }
+  for (auto& inst : instances_) inst->restore_state(snapshot);
 }
 
 void Job::note_watchdog_stall(const std::string& op_id, uint32_t instance) {

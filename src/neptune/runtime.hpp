@@ -14,6 +14,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "fault/dead_letter.hpp"
@@ -51,19 +52,18 @@ class Job : private detail::InstanceHost {
 
   // --- checkpoint / restore (prototype of the paper's §VI future work) ----
 
-  /// Suspend source emission. In-flight data keeps draining downstream.
-  void pause();
-  /// Resume source emission after pause().
-  void resume();
-
-  /// Wait (while paused) until the pipeline is drained: no metric movement
-  /// across consecutive samples. Returns false on timeout.
-  bool quiesce(std::chrono::nanoseconds timeout = std::chrono::seconds(30));
-
-  /// Capture the state of every Checkpointable operator instance plus
-  /// source replay positions. Requires pause() + quiesce() first — the
-  /// caller owns that protocol; concurrent execution would race user state.
-  JobSnapshot checkpoint_state() const;
+  /// Start checkpoint `epoch` (above every earlier one; an open epoch is
+  /// dropped): sources snapshot and send barrier(epoch) in-band, processors
+  /// snapshot once it arrived on all inputs. Nothing pauses.
+  void begin_checkpoint(uint64_t epoch);
+  /// Block until every local instance has reported `epoch` (terminated ones
+  /// their final state) and return the snapshot. nullopt on timeout (the
+  /// epoch stays open), if `epoch` is not open, or if the job failed/stopped.
+  std::optional<JobSnapshot> await_checkpoint(uint64_t epoch, std::chrono::nanoseconds timeout);
+  std::optional<JobSnapshot> checkpoint(uint64_t epoch, std::chrono::nanoseconds timeout) {
+    begin_checkpoint(epoch);
+    return await_checkpoint(epoch, timeout);
+  }
 
   /// Restore a snapshot into this (not-yet-started) job's operators.
   /// Entries with no matching (operator id, instance) are ignored.
@@ -101,7 +101,8 @@ class Job : private detail::InstanceHost {
   friend class Runtime;
   Job() = default;
 
-  void on_instance_done() override;
+  void on_barrier(const detail::InstanceRuntime& inst, uint64_t epoch) override;
+  void on_instance_done(const detail::InstanceRuntime& inst) override;
 
   std::string name_;
   // Failure state is declared before instances_ so it outlives the edge
@@ -122,6 +123,8 @@ class Job : private detail::InstanceHost {
   mutable std::mutex done_mu_;
   std::condition_variable done_cv_;
   size_t done_count_ = 0;
+  bool stopped_ = false;
+  detail::CheckpointCollector checkpoint_;
   // Atomic: start() writes it while watchdog/telemetry threads read metrics().
   std::atomic<int64_t> start_ns_{0};
   mutable std::atomic<int64_t> end_ns_{0};

@@ -3,12 +3,12 @@
 // overheads that often accompany such schemes", §VI).
 //
 // Model: upstream backup. A checkpoint captures (a) each source's replay
-// position and (b) each stateful processor's user state, taken while the
-// job is paused and drained (Job::pause() + Job::quiesce()). Recovery
-// submits the same graph again and restores the snapshot before start();
-// sources resume from their recorded positions, so nothing is lost and —
-// because the drain barrier empties all in-flight data first — nothing is
-// duplicated either.
+// position and (b) each stateful processor's user state, each taken at the
+// aligned barrier of one epoch (neptune/instance.hpp). Recovery submits
+// the same graph again and restores the snapshot before start(); sources
+// resume from their recorded positions, so nothing is lost and — because
+// every state covers exactly the data sent before the barrier — nothing
+// is duplicated either.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +21,9 @@ namespace neptune {
 
 /// Opt-in interface for operators with state worth checkpointing. Sources
 /// typically persist their replay position; processors their aggregation
-/// state. Both hooks are invoked only while the instance is quiescent
-/// (never concurrently with next()/process()).
+/// state. snapshot_state runs on the instance's own thread at barrier
+/// alignment (or once the instance terminated), restore_state before the
+/// job starts: never concurrently with next()/process().
 class Checkpointable {
  public:
   virtual ~Checkpointable() = default;

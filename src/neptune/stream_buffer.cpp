@@ -64,13 +64,8 @@ bool StreamBuffer::finish_add_locked() {
   ++next_seq_;
 
   if (accum_.size() >= config_.capacity_bytes + BatchHeader::kSize) {
-    if (!pending_) {
-      flush_locked();
-    } else {
-      // Previous frame still parked: retry it; only if that clears can the
-      // new content go out.
-      if (retry_pending_locked()) flush_locked();
-    }
+    // Parked frames go first; the new content follows only if they clear.
+    if (retry_pending_locked()) flush_locked();
   }
   return !blocked_;
 }
@@ -97,8 +92,8 @@ bool StreamBuffer::add_raw(std::span<const uint8_t> packet_bytes) {
 }
 
 bool StreamBuffer::pending_overstayed_locked(int64_t now) const {
-  return pending_ && pending_since_ns_ != 0 && shed_.max_queue_wait_ns > 0 &&
-         now - pending_since_ns_ > shed_.max_queue_wait_ns;
+  return !pending_.empty() && shed_.max_queue_wait_ns > 0 &&
+         now - pending_.front().since_ns > shed_.max_queue_wait_ns;
 }
 
 void StreamBuffer::count_admission_shed_locked(size_t packet_bytes) {
@@ -118,23 +113,22 @@ void StreamBuffer::count_admission_shed_locked(size_t packet_bytes) {
 }
 
 void StreamBuffer::shed_pending_locked() {
+  if (pending_.empty() || pending_.front().count == 0) return;  // a barrier is never shed
+  const Parked& p = pending_.front();
   obs::FlightRecorder::record(flight_actor_, obs::FlightEventType::kShed,
-                              shed_packets_ + pending_count_, link_id_);
-  if (!pending_) return;
+                              shed_packets_ + p.count, link_id_);
   shed_batches_ += 1;
-  shed_packets_ += pending_count_;
-  shed_bytes_ += pending_.size();
+  shed_packets_ += p.count;
+  shed_bytes_ += p.frame.size();
   if (metrics_) {
     metrics_->batches_shed.fetch_add(1, std::memory_order_relaxed);
-    metrics_->packets_shed.fetch_add(pending_count_, std::memory_order_relaxed);
-    metrics_->shed_bytes.fetch_add(pending_.size(), std::memory_order_relaxed);
+    metrics_->packets_shed.fetch_add(p.count, std::memory_order_relaxed);
+    metrics_->shed_bytes.fetch_add(p.frame.size(), std::memory_order_relaxed);
   }
   // Dropping the ref recycles the pooled frame — no payload bytes move on
   // the shed path (the zero-copy invariant holds here too).
-  pending_.reset();
-  pending_count_ = 0;
-  pending_since_ns_ = 0;
-  settle_blocked_locked();
+  pending_.pop_front();
+  retry_pending_locked();  // what queued behind it, if anything; settles when empty
 }
 
 bool StreamBuffer::admission_shed_locked(size_t packet_bytes) {
@@ -195,52 +189,51 @@ bool StreamBuffer::flush_locked() {
   h.raw_size = static_cast<uint32_t>(accum_.size());
   if (compressed) h.flags |= FrameHeader::kFlagCompressed;
 
-  pending_ = FrameBufPool::global().acquire();
-  encode_frame(h, codec_scratch_, pending_->buffer());
-  pending_count_ = accum_count_;
-  pending_since_ns_ = clock_->now_ns();
+  FrameBufRef frame = FrameBufPool::global().acquire();
+  encode_frame(h, codec_scratch_, frame->buffer());
+  pending_.push_back({std::move(frame), accum_count_, clock_->now_ns()});
 
   accum_.clear();
   accum_count_ = 0;
   first_packet_ns_ = 0;
   if (metrics_) metrics_->flushes.fetch_add(1, std::memory_order_relaxed);
-  obs::FlightRecorder::record(flight_actor_, obs::FlightEventType::kFlush, pending_.size(),
-                              link_id_);
+  obs::FlightRecorder::record(flight_actor_, obs::FlightEventType::kFlush,
+                              pending_.back().frame.size(), link_id_);
+  return retry_pending_locked();
+}
 
+bool StreamBuffer::add_barrier(uint64_t epoch) {
+  std::lock_guard lk(mu_);
+  if (accum_count_ > 0) flush_locked();
+  pending_.push_back(
+      {encode_signal_frame(FrameHeader::kFlagBarrier, link_id_, epoch), 0, clock_->now_ns()});
   return retry_pending_locked();
 }
 
 bool StreamBuffer::retry_pending_locked() {
-  if (!pending_) return true;
-  // FrameBufRef overload: an in-process channel takes a ref to the pooled
-  // frame (zero-copy); socket transports fall back to the span adapter.
-  SendStatus s = sender_->try_send(pending_);
-  switch (s) {
-    case SendStatus::kOk:
-      if (metrics_) metrics_->bytes_out.fetch_add(pending_.size(), std::memory_order_relaxed);
-      pending_.reset();
-      pending_count_ = 0;
-      pending_since_ns_ = 0;
-      settle_blocked_locked();
-      return true;
-    case SendStatus::kBlocked:
+  while (!pending_.empty()) {
+    // FrameBufRef overload: an in-process channel takes a ref to the pooled
+    // frame (zero-copy); socket transports fall back to the span adapter.
+    const FrameBufRef& frame = pending_.front().frame;
+    SendStatus s = sender_->try_send(frame);
+    if (s == SendStatus::kBlocked) {
       if (!blocked_) {
         blocked_ = true;
         blocked_since_ns_ = clock_->now_ns();
         if (metrics_) metrics_->blocked_sends.fetch_add(1, std::memory_order_relaxed);
-        obs::FlightRecorder::record(flight_actor_, obs::FlightEventType::kBlock, pending_.size(),
+        obs::FlightRecorder::record(flight_actor_, obs::FlightEventType::kBlock, frame.size(),
                                     link_id_);
       }
       return false;
-    case SendStatus::kClosed:
-      // Downstream is gone; drop the frame to avoid wedging shutdown.
-      pending_.reset();
-      pending_count_ = 0;
-      pending_since_ns_ = 0;
-      settle_blocked_locked();
-      return true;
+    }
+    // kOk, or kClosed: downstream is gone; drop the frame to avoid wedging
+    // shutdown.
+    if (s == SendStatus::kOk && metrics_)
+      metrics_->bytes_out.fetch_add(frame.size(), std::memory_order_relaxed);
+    pending_.pop_front();
   }
-  return false;
+  settle_blocked_locked();
+  return true;
 }
 
 void StreamBuffer::settle_blocked_locked() {
@@ -256,20 +249,15 @@ void StreamBuffer::settle_blocked_locked() {
 
 void StreamBuffer::on_timer() {
   std::lock_guard lk(mu_);
-  if (pending_) {
-    if (!retry_pending_locked()) {
-      // Still flow-controlled. On a drop-oldest edge the queue-wait signal
-      // runs from the timer too, so shedding progresses even when the
-      // producer has been descheduled by backpressure.
-      if (shed_.policy == ShedPolicy::kDropOldest &&
-          pending_overstayed_locked(clock_->now_ns())) {
-        shed_pending_locked();
-      } else {
-        return;
-      }
-    } else {
+  if (!pending_.empty()) {
+    if (retry_pending_locked()) return;
+    // Still flow-controlled. On a drop-oldest edge the queue-wait signal
+    // runs from the timer too, so shedding progresses even when the
+    // producer has been descheduled by backpressure.
+    if (shed_.policy != ShedPolicy::kDropOldest || !pending_overstayed_locked(clock_->now_ns()))
       return;
-    }
+    shed_pending_locked();
+    if (!pending_.empty()) return;
   }
   if (accum_count_ == 0 || config_.flush_interval_ns <= 0) return;
   if (clock_->now_ns() - first_packet_ns_ < config_.flush_interval_ns &&
@@ -289,11 +277,6 @@ bool StreamBuffer::drain(bool force) {
   return accum_count_ == 0 || !force;
 }
 
-bool StreamBuffer::has_unflushed() const {
-  std::lock_guard lk(mu_);
-  return accum_count_ > 0 || static_cast<bool>(pending_);
-}
-
 bool StreamBuffer::blocked() const {
   std::lock_guard lk(mu_);
   return blocked_;
@@ -310,7 +293,9 @@ void StreamBuffer::note_trace(const obs::TraceContext& ctx) {
 
 size_t StreamBuffer::buffered_bytes() const {
   std::lock_guard lk(mu_);
-  return accum_.size() + pending_.size();
+  size_t bytes = accum_.size();
+  for (const Parked& p : pending_) bytes += p.frame.size();
+  return bytes;
 }
 
 uint64_t StreamBuffer::next_seq() const {

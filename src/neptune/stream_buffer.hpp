@@ -12,8 +12,11 @@
 //    ChannelSender. A rejected flush (flow control) parks the frame in
 //    `pending_` — the packet data is never dropped; the owning operator is
 //    descheduled until the channel's writable callback fires (§III-B4).
+//  * A checkpoint barrier follows everything buffered before it and is
+//    never shed.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <mutex>
 
@@ -118,6 +121,10 @@ class StreamBuffer {
   /// StreamPacket wire format. Same flush/flow-control behavior as add().
   bool add_raw(std::span<const uint8_t> packet_bytes);
 
+  /// Send checkpoint barrier `epoch` behind every packet added so far,
+  /// parked if need be. Returns false when the edge is flow-controlled.
+  bool add_barrier(uint64_t epoch);
+
   /// Timer hook: flush if the oldest buffered packet has waited past the
   /// interval. Called from the IO thread.
   void on_timer();
@@ -126,9 +133,6 @@ class StreamBuffer {
   /// even below capacity (used at end-of-stream). Returns true when
   /// nothing remains unflushed.
   bool drain(bool force);
-
-  /// True if a parked frame or buffered bytes exist.
-  bool has_unflushed() const;
 
   /// True when the edge would currently accept a flush.
   bool blocked() const;
@@ -164,10 +168,10 @@ class StreamBuffer {
   void prepare_batch_locked();
   /// Post-append bookkeeping: seq/count, threshold flush. Pre: lock held.
   bool finish_add_locked();
-  /// Build a frame from the accumulation buffer and try to send it.
-  /// Pre: lock held, accum non-empty, no pending frame.
+  /// Frame the accumulation buffer and send it (or park it behind parked
+  /// frames). Pre: lock held, accum non-empty.
   bool flush_locked();
-  /// Try to send the parked frame. Pre: lock held.
+  /// Send parked frames, oldest first. True when none is left. Pre: lock held.
   bool retry_pending_locked();
   /// Clear the blocked flag, folding the completed stall into blocked_ns.
   void settle_blocked_locked();
@@ -176,11 +180,11 @@ class StreamBuffer {
   /// For kDropOldest this never drops the incoming packet but may release
   /// an overstayed parked frame to make room. Pre: lock held.
   bool admission_shed_locked(size_t packet_bytes);
-  /// Release the parked frame back to the pool without sending (zero-copy
-  /// shed) and count it. Pre: lock held.
+  /// Release the oldest parked frame back to the pool without sending
+  /// (zero-copy shed) and count it; a parked barrier is kept. Pre: lock held.
   void shed_pending_locked();
   void count_admission_shed_locked(size_t packet_bytes);
-  /// True when the parked frame has waited past the queue-wait bound.
+  /// True when the oldest parked frame has waited past the queue-wait bound.
   bool pending_overstayed_locked(int64_t now) const;
 
   const uint32_t link_id_;
@@ -197,12 +201,15 @@ class StreamBuffer {
   uint32_t accum_count_ = 0;  // packets in accum_
   uint64_t next_seq_ = 0;     // seq of the next packet added
   int64_t first_packet_ns_ = 0;
-  /// Fully framed bytes awaiting (re)send, in a pooled refcounted buffer:
-  /// an in-process channel takes its own ref instead of copying, so the
-  /// flush -> receive path moves zero payload bytes.
-  FrameBufRef pending_;
-  uint32_t pending_count_ = 0;    // packets inside pending_
-  int64_t pending_since_ns_ = 0;  // when pending_ was framed (queue-wait signal)
+  /// Framed bytes awaiting (re)send, oldest first, in pooled refcounted
+  /// buffers: an in-process channel takes its own ref instead of copying,
+  /// so the flush -> receive path moves zero payload bytes.
+  struct Parked {
+    FrameBufRef frame;
+    uint32_t count = 0;    // packets inside; 0 for a barrier
+    int64_t since_ns = 0;  // when it was parked (queue-wait signal)
+  };
+  std::deque<Parked> pending_;
   std::vector<uint8_t> codec_scratch_;
   bool blocked_ = false;
   int64_t blocked_since_ns_ = 0;   // when blocked_ last became true

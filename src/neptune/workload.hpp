@@ -44,8 +44,8 @@ class BytesSource final : public StreamSource, public Checkpointable {
   bool next(Emitter& out, size_t budget) override;
 
   // Checkpointable: replay position (emitted count). Atomic (relaxed, like
-  // CountingSink::count_) because the recovery coordinator snapshots it from
-  // its own thread after Job::quiesce.
+  // CountingSink::count_) because tests and benches read it from their own
+  // threads; snapshots run on the source's thread at its barrier.
   void snapshot_state(ByteBuffer& out) const override {
     out.write_varint(emitted_.load(std::memory_order_relaxed));
   }

@@ -17,6 +17,17 @@ void encode_frame(const FrameHeader& h, std::span<const uint8_t> payload, ByteBu
   out.write_bytes(payload);
 }
 
+FrameBufRef encode_signal_frame(uint8_t flags, uint32_t link_id, std::optional<uint64_t> value) {
+  FrameHeader h;
+  h.flags = flags;
+  h.link_id = link_id;
+  uint8_t payload[8];
+  for (int i = 0; i < 8; ++i) payload[i] = static_cast<uint8_t>(value.value_or(0) >> (8 * i));
+  FrameBufRef buf = FrameBufPool::global().acquire();
+  encode_frame(h, std::span<const uint8_t>(payload, value ? 8 : 0), buf->buffer());
+  return buf;
+}
+
 namespace {
 
 FrameDecodeStatus parse_header(const uint8_t* p, FrameHeader& h) {

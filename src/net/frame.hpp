@@ -3,7 +3,7 @@
 // individual packets, traverse the network). Layout (little-endian):
 //
 //   u16  magic            0x4E50 ("NP")
-//   u8   flags            bit 0: payload is LZ4-compressed
+//   u8   flags            bit 0: LZ4 payload; bits 1-3: control; bit 4: barrier
 //   u32  link_id          which logical link this batch belongs to
 //   u32  batch_count      number of stream packets inside the payload
 //   u32  raw_size         payload size before compression
@@ -32,6 +32,9 @@ struct FrameHeader {
   static constexpr uint8_t kFlagHeartbeat = 0x04;  ///< edge liveness probe
   static constexpr uint8_t kFlagAck = 0x08;        ///< cumulative consumption ack (u64 payload)
   static constexpr uint8_t kControlMask = kFlagEof | kFlagHeartbeat | kFlagAck;
+  /// Checkpoint barrier (u64 epoch payload). Not a control flag: it rides
+  /// in order with the batches, acked and retransmitted like one.
+  static constexpr uint8_t kFlagBarrier = 0x10;
   /// Sanity cap: no single buffer flush may exceed this (64 MB).
   static constexpr uint32_t kMaxPayload = 64u << 20;
 
@@ -44,10 +47,15 @@ struct FrameHeader {
 
   bool compressed() const { return (flags & kFlagCompressed) != 0; }
   bool control() const { return (flags & kControlMask) != 0; }
+  bool barrier() const { return (flags & kFlagBarrier) != 0; }
 };
 
 /// Append a full frame (header + payload) to `out`. Computes the CRC.
 void encode_frame(const FrameHeader& h, std::span<const uint8_t> payload, ByteBuffer& out);
+
+/// A frame without packets (control or barrier), with `value` as its u64
+/// payload if any, in a pooled buffer — allocation-free once it is warm.
+FrameBufRef encode_signal_frame(uint8_t flags, uint32_t link_id, std::optional<uint64_t> value);
 
 enum class FrameDecodeStatus {
   kNeedMore,    ///< the bytes end before the frame (or its header) does

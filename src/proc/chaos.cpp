@@ -81,15 +81,23 @@ ChaosPlan ChaosPlan::load(const std::string& path, size_t total_resources) {
   return from_json(JsonValue::parse(buf.str()), total_resources);
 }
 
-std::vector<ChaosAction*> ChaosController::due(int64_t elapsed_ms, uint64_t global_events) {
+std::vector<ChaosAction*> ChaosController::due(int64_t elapsed_ms, uint64_t generation,
+                                               uint64_t generation_events) {
+  if (generation != generation_) earlier_events_ += generation_events_;
+  generation_ = generation;
+  generation_events_ = generation_events;
+  const uint64_t events = earlier_events_ + generation_events;
   std::vector<ChaosAction*> out;
   for (ChaosAction& a : plan_.actions) {
     if (a.fired) continue;
+    const bool kill = a.kind == ChaosAction::Kind::kKill;
+    if (kill && killed_generation_ == generation) continue;
     bool time_due = a.at_ms >= 0 && elapsed_ms >= a.at_ms;
-    bool event_due = a.at_events > 0 && global_events >= a.at_events;
+    bool event_due = a.at_events > 0 && events >= a.at_events;
     if (time_due || event_due) {
       a.fired = true;
       ++fired_;
+      if (kill) killed_generation_ = generation;
       out.push_back(&a);
     }
   }

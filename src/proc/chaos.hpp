@@ -17,10 +17,11 @@
 // }
 //
 // Triggers: "at_ms" fires on wall-clock time since deployment start;
-// "at_events" fires when the global packets-in count (summed over worker
-// heartbeats) crosses the threshold — the reliable trigger for golden runs,
-// whose trace generation is simulated-time, not wall-clock paced. An action
-// with both fires on whichever comes first.
+// "at_events" fires when the packets-in count, summed per generation over
+// worker heartbeats and then over generations, crosses the threshold — the
+// reliable trigger for golden runs, whose trace generation is
+// simulated-time, not wall-clock paced. An action with both fires on
+// whichever comes first.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,7 @@ struct ChaosAction {
   Kind kind = Kind::kKill;
   size_t resource = 0;
   int64_t at_ms = -1;       ///< wall-clock trigger (ms since start); -1 = unused
-  uint64_t at_events = 0;   ///< global packets-in trigger; 0 = unused
+  uint64_t at_events = 0;   ///< deployment packets-in trigger; 0 = unused
   int64_t duration_ms = 0;  ///< kStop: auto-SIGCONT after; kPartition: stall window
   bool fired = false;
 };
@@ -63,8 +64,10 @@ class ChaosController {
   explicit ChaosController(ChaosPlan plan) : plan_(std::move(plan)) {}
 
   /// Actions whose trigger has been crossed and that have not fired yet.
-  /// Marks them fired — the caller must execute everything returned.
-  std::vector<ChaosAction*> due(int64_t elapsed_ms, uint64_t global_events);
+  /// `generation_events` counts deployment `generation` alone; it fires one
+  /// kill per generation. Marks them fired — execute everything returned.
+  std::vector<ChaosAction*> due(int64_t elapsed_ms, uint64_t generation,
+                                uint64_t generation_events);
 
   const ChaosPlan& plan() const { return plan_; }
   uint64_t fired() const { return fired_; }
@@ -74,6 +77,10 @@ class ChaosController {
  private:
   ChaosPlan plan_;
   uint64_t fired_ = 0;
+  uint64_t generation_ = 0;
+  uint64_t earlier_events_ = 0;     // the generations before, summed
+  uint64_t generation_events_ = 0;  // the current one
+  uint64_t killed_generation_ = ~0ULL;  // none yet
 };
 
 }  // namespace neptune::proc

@@ -6,7 +6,7 @@
 //
 // Worker -> supervisor: hello, hb (heartbeat + stat counters), checkpointed,
 //                       completed (sink digests), failed.
-// Supervisor -> worker: pause, resume, checkpoint{epoch}, stop.
+// Supervisor -> worker: checkpoint{epoch}, stop.
 #pragma once
 
 #include <cstdint>

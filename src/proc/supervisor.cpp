@@ -84,16 +84,12 @@ struct ResourceSupervisor::Impl {
     bool failed = false;
     std::string fail_reason;
     int64_t last_msg_ms = 0;
-    uint64_t in = 0, out = 0, flush = 0, seq = 0;
-    bool busy = true;
-    uint64_t signature = 0;
-    uint32_t stable_beats = 0;
+    uint64_t in = 0, seq = 0;
+    bool held = false;  ///< chaos killed or stopped it; not yet seen dead or resumed
     bool ckpt_acked = false;
     bool ckpt_ok = false;
     std::map<std::string, SupervisorSink> sinks;
   };
-
-  enum class Phase { kStreaming, kDraining, kCommitting };
 
   SupervisorOptions opts;
   SupervisorReport report;
@@ -105,8 +101,7 @@ struct ResourceSupervisor::Impl {
   std::map<size_t, std::vector<WorkerOptions::Partition>> partitions;
   uint64_t generation = 0;
   uint64_t epoch_next = 1;
-  Phase phase = Phase::kStreaming;
-  int64_t phase_deadline_ms = 0;
+  int64_t commit_deadline_ms = -1;  ///< >=0: an epoch awaits its acks
   int64_t last_checkpoint_ms = 0;
   int64_t recovery_detect_ms = -1;  ///< >=0: waiting for all hellos to close a recovery
   struct PendingCont {
@@ -138,7 +133,7 @@ struct ResourceSupervisor::Impl {
     counter("neptune_supervisor_checkpoints_total",
             "Coordinated epochs committed to the manifest", &report.checkpoints);
     counter("neptune_supervisor_quiesce_timeouts_total",
-            "Coordinated checkpoints abandoned because the deployment failed to drain",
+            "Coordinated checkpoint epochs abandoned past the checkpoint timeout",
             &report.quiesce_timeouts);
   }
 
@@ -257,7 +252,7 @@ struct ResourceSupervisor::Impl {
     }
     workers.clear();
     for (size_t r = 0; r < total; ++r) spawn_worker(r, restore_epoch);
-    phase = Phase::kStreaming;
+    commit_deadline_ms = -1;
     last_checkpoint_ms = now_ms();
     if (opts.verbose)
       NEPTUNE_LOG_INFO("supervisor: generation %llu up (%zu workers, restore epoch %lld)",
@@ -291,22 +286,15 @@ struct ResourceSupervisor::Impl {
       w.hello = true;
     } else if (type == "hb") {
       w.in = static_cast<uint64_t>(msg.number_or("in", 0));
-      w.out = static_cast<uint64_t>(msg.number_or("out", 0));
-      w.flush = static_cast<uint64_t>(msg.number_or("flush", 0));
       w.seq = static_cast<uint64_t>(msg.number_or("seq", 0));
-      w.busy = msg.as_object().at("busy").as_bool();
-      uint64_t sig = w.in * 1315423911ull + w.out * 2654435761ull + w.flush;
-      if (!w.busy && sig == w.signature)
-        ++w.stable_beats;
-      else
-        w.stable_beats = 0;
-      w.signature = sig;
     } else if (type == "checkpointed") {
-      w.ckpt_acked = true;
-      w.ckpt_ok = msg.as_object().at("ok").as_bool() &&
-                  static_cast<uint64_t>(msg.number_or("epoch", 0)) == epoch_next;
+      if (static_cast<uint64_t>(msg.number_or("epoch", 0)) == epoch_next) {  // not a late ack
+        w.ckpt_acked = true;
+        w.ckpt_ok = msg.as_object().at("ok").as_bool();
+      }
     } else if (type == "completed") {
       w.completed = true;
+      w.in = static_cast<uint64_t>(msg.number_or("in", 0));
       w.seq = static_cast<uint64_t>(msg.number_or("seq", 0));
       if (msg.contains("sinks")) {
         for (const auto& [id, s] : msg.as_object().at("sinks").as_object()) {
@@ -359,19 +347,21 @@ struct ResourceSupervisor::Impl {
 
   void execute_chaos(int64_t elapsed_ms) {
     if (!chaos) return;
-    uint64_t global_events = 0;
-    for (const WorkerState& w : workers) global_events += w.in;
-    for (ChaosAction* a : chaos->due(elapsed_ms, global_events)) {
+    uint64_t generation_events = 0;
+    for (const WorkerState& w : workers) generation_events += w.in;
+    for (ChaosAction* a : chaos->due(elapsed_ms, generation, generation_events)) {
       ++report.chaos_fired;
       WorkerState* target = nullptr;
       for (WorkerState& w : workers) {
         if (w.resource == a->resource && w.pid > 0) target = &w;
       }
       if (opts.verbose)
-        NEPTUNE_LOG_INFO("chaos: %s resource %zu (t=%lldms, events=%llu)", to_string(a->kind),
-                         a->resource, static_cast<long long>(elapsed_ms),
-                         static_cast<unsigned long long>(global_events));
+        NEPTUNE_LOG_INFO("chaos: %s resource %zu (t=%lldms, generation %llu events=%llu)",
+                         to_string(a->kind), a->resource, static_cast<long long>(elapsed_ms),
+                         static_cast<unsigned long long>(generation),
+                         static_cast<unsigned long long>(generation_events));
       if (!target) continue;
+      target->held = a->kind == ChaosAction::Kind::kKill || a->kind == ChaosAction::Kind::kStop;
       switch (a->kind) {
         case ChaosAction::Kind::kKill:
           ::kill(target->pid, SIGKILL);
@@ -392,7 +382,10 @@ struct ResourceSupervisor::Impl {
     for (auto it = pending_conts.begin(); it != pending_conts.end();) {
       if (it->generation == generation && now >= it->fire_at_ms) {
         for (WorkerState& w : workers) {
-          if (w.resource == it->resource && w.pid > 0) ::kill(w.pid, SIGCONT);
+          if (w.resource == it->resource && w.pid > 0) {
+            ::kill(w.pid, SIGCONT);
+            w.held = false;
+          }
         }
         it = pending_conts.erase(it);
       } else if (it->generation != generation) {
@@ -500,20 +493,22 @@ struct ResourceSupervisor::Impl {
         }
         if (recovered_this_tick) continue;
 
-        execute_chaos(now - t_start);
-
+        bool up = std::all_of(workers.begin(), workers.end(),
+                              [](const WorkerState& w) { return w.hello; });
         // Close out a recovery's latency once the new generation is up.
-        if (recovery_detect_ms >= 0 &&
-            std::all_of(workers.begin(), workers.end(),
-                        [](const WorkerState& w) { return w.hello; })) {
+        if (up && recovery_detect_ms >= 0) {
           report.recovery_ms.push_back(static_cast<double>(now_ms() - recovery_detect_ms));
           recovery_detect_ms = -1;
         }
+        // Fault a generation only once it is up: a kill during the respawn
+        // would fold two rollbacks into one.
+        if (up) execute_chaos(now - t_start);
 
         run_checkpoint_machine(now);
 
+        // A chaos fault landing at the very end still takes effect first.
         if (!workers.empty() && std::all_of(workers.begin(), workers.end(), [](const WorkerState& w) {
-              return w.completed;
+              return w.completed && !w.held;
             })) {
           return finish_success(t_start);
         }
@@ -528,77 +523,41 @@ struct ResourceSupervisor::Impl {
 
   void run_checkpoint_machine(int64_t now) {
     if (opts.checkpoint_interval_ms <= 0) return;
-    switch (phase) {
-      case Phase::kStreaming: {
-        bool all_hello = !workers.empty() &&
-                         std::all_of(workers.begin(), workers.end(),
-                                     [](const WorkerState& w) { return w.hello; });
-        bool any_running = std::any_of(workers.begin(), workers.end(),
-                                       [](const WorkerState& w) { return !w.completed; });
-        if (all_hello && any_running && now - last_checkpoint_ms >= opts.checkpoint_interval_ms) {
-          broadcast(control_message("pause"));
-          for (WorkerState& w : workers) w.stable_beats = 0;
-          phase = Phase::kDraining;
-          phase_deadline_ms = now + opts.drain_timeout_ms;
-        }
-        break;
+    auto all = [&](bool WorkerState::*flag) {
+      return !workers.empty() && std::all_of(workers.begin(), workers.end(),
+                                             [&](const WorkerState& w) { return w.*flag; });
+    };
+    if (commit_deadline_ms < 0) {
+      if (all(&WorkerState::hello) && !all(&WorkerState::completed) &&
+          now - last_checkpoint_ms >= opts.checkpoint_interval_ms) {
+        JsonValue msg = control_message("checkpoint");
+        msg.as_object()["epoch"] = JsonValue(static_cast<int64_t>(epoch_next));
+        for (WorkerState& w : workers) w.ckpt_acked = w.ckpt_ok = false;
+        broadcast(msg);
+        commit_deadline_ms = now + opts.checkpoint_timeout_ms;
       }
-      case Phase::kDraining: {
-        bool drained = std::all_of(workers.begin(), workers.end(),
-                                   [](const WorkerState& w) { return w.stable_beats >= 3; });
-        if (drained) {
-          JsonValue msg = control_message("checkpoint");
-          msg.as_object()["epoch"] = JsonValue(static_cast<int64_t>(epoch_next));
-          for (WorkerState& w : workers) {
-            w.ckpt_acked = false;
-            w.ckpt_ok = false;
-          }
-          broadcast(msg);
-          phase = Phase::kCommitting;
-          phase_deadline_ms = now + opts.drain_timeout_ms;
-        } else if (now > phase_deadline_ms) {
-          ++report.quiesce_timeouts;
-          obs::IncidentReporter::trigger_global(
-              "quiesce-timeout", "deployment failed to drain within " +
-                                     std::to_string(opts.drain_timeout_ms) +
-                                     " ms; checkpoint epoch " + std::to_string(epoch_next) +
-                                     " abandoned");
-          broadcast(control_message("resume"));
-          phase = Phase::kStreaming;
-          last_checkpoint_ms = now;
-        }
-        break;
-      }
-      case Phase::kCommitting: {
-        bool all_acked = std::all_of(workers.begin(), workers.end(),
-                                     [](const WorkerState& w) { return w.ckpt_acked; });
-        if (all_acked) {
-          bool all_ok = std::all_of(workers.begin(), workers.end(),
-                                    [](const WorkerState& w) { return w.ckpt_ok; });
-          if (all_ok && write_manifest(epoch_next)) {
-            report.last_epoch = epoch_next;
-            ++epoch_next;
-            ++report.checkpoints;
-          } else {
-            obs::IncidentReporter::trigger_global(
-                "checkpoint-failed",
-                "epoch " + std::to_string(epoch_next) + " not committed (worker save failed)");
-          }
-          broadcast(control_message("resume"));
-          phase = Phase::kStreaming;
-          last_checkpoint_ms = now;
-        } else if (now > phase_deadline_ms) {
-          ++report.quiesce_timeouts;
-          obs::IncidentReporter::trigger_global(
-              "checkpoint-timeout",
-              "epoch " + std::to_string(epoch_next) + " acks missing; abandoned");
-          broadcast(control_message("resume"));
-          phase = Phase::kStreaming;
-          last_checkpoint_ms = now;
-        }
-        break;
-      }
+      return;
     }
+    if (all(&WorkerState::ckpt_acked)) {
+      if (all(&WorkerState::ckpt_ok) && write_manifest(epoch_next)) {
+        report.last_epoch = epoch_next;
+        ++report.checkpoints;
+      } else {
+        obs::IncidentReporter::trigger_global(
+            "checkpoint-failed",
+            "epoch " + std::to_string(epoch_next) + " not committed (worker save failed)");
+      }
+    } else if (now > commit_deadline_ms) {
+      ++report.quiesce_timeouts;
+      obs::IncidentReporter::trigger_global(
+          "checkpoint-timeout", "epoch " + std::to_string(epoch_next) + " acks missing after " +
+                                    std::to_string(opts.checkpoint_timeout_ms) + " ms; abandoned");
+    } else {
+      return;
+    }
+    ++epoch_next;  // spent either way: a late ack never counts for the next
+    commit_deadline_ms = -1;
+    last_checkpoint_ms = now;
   }
 
   SupervisorReport finish_failure() {

@@ -15,13 +15,13 @@
 // every worker has durably acked the epoch, so a crash mid-checkpoint
 // always rolls back to a complete, consistent cut.
 //
-// Checkpoint protocol (supervisor-driven, all workers in parallel):
-//   pause all -> poll heartbeats until every worker reports idle with a
-//   stable counter signature for 3 consecutive beats (global drain) ->
-//   checkpoint{epoch} to all -> await all durable acks -> commit manifest
-//   -> resume all. A drain that exceeds the budget is abandoned (counted,
-//   incident bundle) and the deployment resumes — same policy as the
-//   in-process RecoveryCoordinator's quiesce timeout.
+// Checkpoint protocol (in-band barriers; nothing pauses): checkpoint{epoch}
+// to all -> each worker's Job starts the epoch and barriers travel with
+// the data, across processes over the supervised TCP edges -> each worker
+// saves its slice once every local instance has snapshotted, and acks ->
+// all acked: commit the manifest. An epoch still missing acks after
+// checkpoint_timeout_ms is abandoned (counted, incident bundle), as in the
+// in-process RecoveryCoordinator; epoch numbers are never reused.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +45,8 @@ struct SupervisorOptions {
   int64_t checkpoint_interval_ms = 200;
   /// Heartbeat silence from a live pid beyond this = gray failure.
   int64_t heartbeat_timeout_ms = 1500;
-  /// Global drain budget per checkpoint attempt.
-  int64_t drain_timeout_ms = 10'000;
+  /// Barrier-to-all-acks budget per checkpoint epoch.
+  int64_t checkpoint_timeout_ms = 10'000;
   /// Recovery budget; exceeding it fails the deployment.
   uint32_t max_recoveries = 8;
   int64_t restart_backoff_ms = 50;

@@ -25,22 +25,14 @@ int64_t now_ms() {
 
 JsonValue stat_message(const Job& job, const char* type) {
   JobMetricsSnapshot m = job.metrics();
-  uint64_t in = 0, out = 0, flush = 0, seq = 0;
-  bool busy = false;
+  uint64_t in = 0, seq = 0;
   for (const auto& op : m.operators) {
     in += op.packets_in;
-    out += op.packets_out;
-    flush += op.flushes;
     seq += op.seq_violations;
-    if (op.exec_begin_ns != 0 || op.inbound_ready_batches > 0) busy = true;
   }
   JsonValue msg = control_message(type);
-  JsonObject& o = msg.as_object();
-  o["in"] = JsonValue(static_cast<int64_t>(in));
-  o["out"] = JsonValue(static_cast<int64_t>(out));
-  o["flush"] = JsonValue(static_cast<int64_t>(flush));
-  o["seq"] = JsonValue(static_cast<int64_t>(seq));
-  o["busy"] = JsonValue(busy);
+  msg.as_object()["in"] = JsonValue(static_cast<int64_t>(in));
+  msg.as_object()["seq"] = JsonValue(static_cast<int64_t>(seq));
   return msg;
 }
 
@@ -131,8 +123,25 @@ int run_worker(const WorkerOptions& opts) {
     bool completed_sent = false;
     bool failed_sent = false;
     int64_t last_hb = 0;
+    uint64_t open_epoch = 0;  // checkpoint begun but not yet acked
     for (;;) {
-      std::optional<JsonValue> msg = ctl.poll(static_cast<int>(opts.heartbeat_interval_ms));
+      std::optional<JsonValue> msg;
+      if (open_epoch != 0) {
+        // Barriers are in flight: wait on the job, not the control link,
+        // so the ack leaves the moment the last local instance reports.
+        std::optional<JobSnapshot> snap = job->await_checkpoint(
+            open_epoch, std::chrono::milliseconds(opts.heartbeat_interval_ms));
+        if (snap || job->failed()) {
+          JsonValue ack = control_message("checkpointed");
+          ack.as_object()["epoch"] = JsonValue(static_cast<int64_t>(open_epoch));
+          ack.as_object()["ok"] = JsonValue(snap && store.save_tagged(*snap, open_epoch));
+          ctl.send(ack);
+          open_epoch = 0;
+        }
+        msg = ctl.poll(0);
+      } else {
+        msg = ctl.poll(static_cast<int>(opts.heartbeat_interval_ms));
+      }
       if (ctl.eof()) {
         // Supervisor died: there is nobody left to coordinate recovery, so
         // tear down rather than stream into half a deployment.
@@ -141,24 +150,9 @@ int run_worker(const WorkerOptions& opts) {
       }
       if (msg) {
         const std::string type = msg->as_object().at("type").as_string();
-        if (type == "pause") {
-          job->pause();
-        } else if (type == "resume") {
-          job->resume();
-        } else if (type == "checkpoint") {
-          uint64_t epoch = static_cast<uint64_t>(msg->number_or("epoch", 0));
-          JsonValue ack = control_message("checkpointed");
-          JsonObject& o = ack.as_object();
-          o["epoch"] = JsonValue(static_cast<int64_t>(epoch));
-          // The supervisor already drained the deployment globally; the
-          // local quiesce is a cheap belt-and-braces check that this slice
-          // really is idle before touching operator state.
-          bool ok = job->quiesce(std::chrono::seconds(5));
-          if (ok) ok = store.save_tagged(job->checkpoint_state(), epoch);
-          o["ok"] = JsonValue(ok);
-          ctl.send(ack);
-        } else if (type == "stat") {
-          ctl.send(stat_message(*job, "hb"));
+        if (type == "checkpoint") {  // barriers from peers arrive in-band
+          open_epoch = static_cast<uint64_t>(msg->number_or("epoch", 0));
+          job->begin_checkpoint(open_epoch);
         } else if (type == "stop") {
           job->stop();
           return 0;
@@ -171,13 +165,9 @@ int run_worker(const WorkerOptions& opts) {
       }
       if (!completed_sent && job->completed()) {
         completed_sent = true;
-        JsonValue done = control_message("completed");
+        JsonValue done = stat_message(*job, "completed");  // final counts
         JsonObject& o = done.as_object();
         o["generation"] = JsonValue(static_cast<int64_t>(opts.generation));
-        uint64_t seq = 0;
-        JobMetricsSnapshot m = job->metrics();
-        for (const auto& op : m.operators) seq += op.seq_violations;
-        o["seq"] = JsonValue(static_cast<int64_t>(seq));
         JsonObject sinks;
         for (const auto& [id, acc] : ctx.sinks) {
           if (!local_ops.count(id)) continue;

@@ -49,9 +49,8 @@ class DigestAccumulator {
   }
 
   /// Overwrite the totals with absolute values (checkpoint restore). Unlike
-  /// add(), this is idempotent: parallel sink instances restoring the same
-  /// quiesced snapshot all store identical totals, so order and repetition
-  /// don't matter.
+  /// add(), this is idempotent: repeating it, or restoring over the totals
+  /// of an earlier incarnation in the same process, changes nothing.
   void store(uint64_t count, uint64_t sum, uint64_t xor_value) {
     count_.store(count, std::memory_order_relaxed);
     sum_.store(sum, std::memory_order_relaxed);
@@ -69,11 +68,14 @@ class DigestAccumulator {
 /// here — the scenario benches read their percentiles off this operator.
 ///
 /// Checkpointable so exactly-once digests survive a full-deployment restart
-/// (chaos recovery): the snapshot captures the accumulator's absolute totals
-/// at the quiesced cut, and restore *stores* them back rather than adding —
-/// idempotent across parallel instances sharing one accumulator, and correct
-/// under re-submit into the same process (the stale contribution of the old
-/// incarnation is overwritten, not doubled).
+/// (chaos recovery): the snapshot, taken on the sink's thread at its
+/// barrier, captures the accumulator's absolute totals, and restore
+/// *stores* them back rather than adding — correct under re-submit into the
+/// same process (the stale contribution of the old incarnation is
+/// overwritten, not doubled). Those totals are a consistent cut only while
+/// the sink has one instance, as every golden scenario's sinks do: parallel
+/// instances share the accumulator but reach their barriers at different
+/// times.
 class DigestSink final : public StreamProcessor, public Checkpointable {
  public:
   explicit DigestSink(std::shared_ptr<DigestAccumulator> acc) : acc_(std::move(acc)) {}

@@ -172,12 +172,15 @@ void DstJob::start_epoch() {
     if (int64_t period = tasks_[i]->rt->flush_timer_period_ns(); period > 0)
       schedule_timer(i, period);
   }
-  if (opts_.checkpoint_interval_ns > 0) {
-    uint64_t ep = epoch_;
-    q_.schedule_in(opts_.checkpoint_interval_ns, [this, ep] {
-      if (ep == epoch_) checkpoint_pending_ = true;
-    });
-  }
+  schedule_checkpoint();
+}
+
+void DstJob::schedule_checkpoint() {
+  if (opts_.checkpoint_interval_ns <= 0) return;
+  uint64_t ep = epoch_;
+  q_.schedule_in(opts_.checkpoint_interval_ns, [this, ep] {
+    if (ep == epoch_) begin_checkpoint();
+  });
 }
 
 int64_t DstJob::wakeup_jitter() {
@@ -251,19 +254,6 @@ bool DstJob::all_done() const {
   return true;
 }
 
-bool DstJob::quiescent() const {
-  for (const auto& t : tasks_) {
-    if (!t->terminated &&
-        t->rt->metrics().inbound_ready_batches.load(std::memory_order_relaxed) > 0)
-      return false;
-  }
-  for (size_t i = 0; i < edge_locs_.size(); ++i) {
-    if (edge_locs_[i].channel->in_flight_bytes() > 0) return false;
-    if (view_.edges[i].buffer->has_unflushed()) return false;
-  }
-  return true;
-}
-
 uint64_t DstJob::progress_signature() const {
   uint64_t sig = checkpoints_ * 31 + recoveries_ * 131;
   for (const auto& t : tasks_) {
@@ -278,28 +268,16 @@ uint64_t DstJob::progress_signature() const {
 
 void DstJob::refresh_view() {
   view_.now = q_.now();
-  for (size_t i = 0; i < tasks_.size(); ++i) {
-    const Task& t = *tasks_[i];
-    InstanceProbe& p = view_.instances[i];
-    p.done = t.terminated;
-    p.scheduled = t.scheduled;
-    p.paused = t.rt->paused();
-    p.ready_batches = static_cast<size_t>(
-        t.rt->metrics().inbound_ready_batches.load(std::memory_order_relaxed));
-  }
   for (size_t i = 0; i < edge_locs_.size(); ++i) {
     EdgeProbe& e = view_.edges[i];
     const Task& src = *tasks_[e.src_index];
-    const Task& dst = *tasks_[e.dst_index];
-    const neptune::detail::InEdge& in = dst.rt->inputs[edge_locs_[i].in_pos];
+    const neptune::detail::InEdge& in = tasks_[e.dst_index]->rt->inputs[edge_locs_[i].in_pos];
     e.sent_seq = e.buffer->next_seq();
     e.received_seq = in.expected_seq;
     e.shed_gap_packets = in.shed_gap_packets;
     e.shed_packets = e.buffer->shed_packets();
-    e.receiver_drained = in.drained;
     e.sender_scheduled = src.scheduled;
     e.sender_done = src.terminated;
-    e.receiver_done = dst.terminated;
   }
 }
 
@@ -341,61 +319,47 @@ bool DstJob::step_once() {
   return true;
 }
 
-void DstJob::do_checkpoint() {
-  trace_line("checkpoint begin");
-  for (auto& t : tasks_) t->rt->set_paused(true);  // as Job::pause
-  // Drain to a quiescent barrier: with sources paused the flush timers push
-  // residual buffers out and processors finish in-flight batches — exactly
-  // the real pause → quiesce protocol, but in bounded virtual time.
-  uint64_t guard = 0;
-  bool aborted = false;
-  while (!quiescent() && !all_done()) {
-    if (q_.empty() || guard++ > opts_.livelock_steps) {
-      violation("harness", "checkpoint failed to quiesce");
-      aborted = true;
-      break;
-    }
-    if (!step_once()) {
-      aborted = true;
-      break;
-    }
-  }
-  if (!aborted) {
-    // Serialize → deserialize round trip: the snapshot used for recovery is
-    // the one that went through the real wire format (magic/version/CRC).
-    JobSnapshot snap = state_snapshot();
-    ByteBuffer buf;
-    snap.serialize(buf);
-    snapshot_ = JobSnapshot::deserialize(buf.contents());
-    ++checkpoints_;
-    trace_line("checkpoint taken entries=" + std::to_string(snapshot_->size()));
-  }
-  for (size_t i = 0; i < tasks_.size(); ++i) {  // as Job::resume
-    tasks_[i]->rt->set_paused(false);
-    notify(i);
-  }
-  if (opts_.checkpoint_interval_ns > 0) {
-    uint64_t ep = epoch_;
-    q_.schedule_in(opts_.checkpoint_interval_ns, [this, ep] {
-      if (ep == epoch_) checkpoint_pending_ = true;
-    });
-  }
+void DstJob::begin_checkpoint() {
+  ++checkpoint_epoch_;
+  trace_line("checkpoint begin epoch=" + std::to_string(checkpoint_epoch_) +
+             " step=" + std::to_string(report_.steps + 1));
+  std::vector<InstanceRuntime*> instances;
+  for (auto& t : tasks_) instances.push_back(t->rt.get());
+  checkpoint_.begin(checkpoint_epoch_, instances);
+  commit_checkpoint_if_complete();  // every instance may have finished already
+}
+
+void DstJob::on_barrier(const InstanceRuntime& inst, uint64_t epoch) {
+  checkpoint_.on_barrier(inst, epoch);
+  commit_checkpoint_if_complete();
+}
+
+void DstJob::on_instance_done(const InstanceRuntime& inst) {
+  checkpoint_.on_barrier(inst, checkpoint_.epoch());  // its final state
+  commit_checkpoint_if_complete();
+}
+
+void DstJob::commit_checkpoint_if_complete() {
+  if (!checkpoint_.complete()) return;
+  // Serialize → deserialize round trip: the snapshot used for recovery is
+  // the one that went through the real wire format (magic/version/CRC).
+  ByteBuffer buf;
+  checkpoint_.take().serialize(buf);
+  snapshot_ = JobSnapshot::deserialize(buf.contents());
+  ++checkpoints_;
+  trace_line("checkpoint committed epoch=" + std::to_string(checkpoint_epoch_) +
+             " step=" + std::to_string(report_.steps + 1) +
+             " entries=" + std::to_string(snapshot_->size()));
+  schedule_checkpoint();
 }
 
 void DstJob::do_recover() {
   trace_line("crash: killing epoch " + std::to_string(epoch_));
   ++epoch_;  // every pending execute/timer/checkpoint event is now inert
+  checkpoint_ = {};
   deploy();
   if (snapshot_) {  // as Job::restore_state, before the first execution
-    for (auto& t : tasks_) {
-      Checkpointable* c = t->rt->checkpointable();
-      if (!c) continue;
-      if (const std::vector<uint8_t>* state =
-              snapshot_->find(t->rt->op_id(), t->rt->instance_index())) {
-        ByteReader r(*state);
-        c->restore_state(r);
-      }
-    }
+    for (auto& t : tasks_) t->rt->restore_state(*snapshot_);
   }
   start_epoch();
   ++recoveries_;
@@ -423,14 +387,13 @@ DstReport DstJob::run() {
       violation("harness", "virtual-time budget exhausted");
       break;
     }
+    if (crash_after_step_ != 0 && report_.steps == crash_after_step_) {
+      crash_after_step_ = 0;
+      crash_pending_ = true;
+    }
     if (crash_pending_) {
       crash_pending_ = false;
-      checkpoint_pending_ = false;
       do_recover();
-    }
-    if (checkpoint_pending_) {
-      checkpoint_pending_ = false;
-      do_checkpoint();
     }
     if (all_done()) break;
     if (q_.empty()) {
@@ -457,14 +420,7 @@ DstReport DstJob::run() {
 
 JobSnapshot DstJob::state_snapshot() const {
   JobSnapshot snap;
-  for (const auto& t : tasks_) {
-    const Checkpointable* c = t->rt->checkpointable();
-    if (!c) continue;
-    ByteBuffer buf;
-    c->snapshot_state(buf);
-    snap.put(t->rt->op_id(), t->rt->instance_index(),
-             std::vector<uint8_t>(buf.contents().begin(), buf.contents().end()));
-  }
+  for (const auto& t : tasks_) t->rt->snapshot_into(snap);
   return snap;
 }
 

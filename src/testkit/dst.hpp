@@ -14,9 +14,10 @@
 //   * the clock: instances and their StreamBuffers read the EventQueue.
 // Everything an execution does — fetch, ingest, drain, retry, finalize — is
 // the production code path, so every runtime change is checked here
-// without being copied here. The harness adds the checkpoint pause →
-// quiesce → snapshot protocol in bounded virtual time, crash/recovery, and
-// per-step invariant checking.
+// without being copied here — checkpoints too: barriers travel through the
+// real buffers and channels into the CheckpointCollector Job uses. The
+// harness adds the virtual-time checkpoint trigger, crash/recovery (roll
+// back to the last committed epoch), and per-step invariant checking.
 //
 // Why: schedule-sensitive defects (lost wakeups, backpressure leaks,
 // replay off-by-ones) hide behind races on the threaded runtime. Here the
@@ -89,10 +90,6 @@ struct InstanceProbe {
   uint32_t instance = 0;
   size_t global_index = 0;
   bool is_source = false;
-  bool done = false;
-  bool scheduled = false;  ///< an execute event is pending
-  bool paused = false;
-  size_t ready_batches = 0;
   const OperatorMetrics* metrics = nullptr;
 };
 
@@ -116,10 +113,8 @@ struct EdgeProbe {
   uint64_t received_seq = 0;  ///< receiver-side expected_seq (packets accepted)
   uint64_t shed_gap_packets = 0;  ///< receiver: seq positions skipped (shed upstream)
   uint64_t shed_packets = 0;      ///< sender: packets the buffer shed
-  bool receiver_drained = false;
   bool sender_scheduled = false;
   bool sender_done = false;
-  bool receiver_done = false;
 };
 
 class DstJob;
@@ -153,7 +148,7 @@ struct DstReport {
   bool completed = false;  ///< every instance reached done
   uint64_t steps = 0;
   int64_t virtual_ns = 0;
-  uint64_t checkpoints = 0;
+  uint64_t checkpoints = 0;  ///< epochs committed
   uint64_t recoveries = 0;
   std::vector<std::string> violations;
   std::vector<std::string> trace;  ///< one line per event (when record_trace)
@@ -176,8 +171,10 @@ class DstJob : private neptune::detail::InstanceHost {
 
   /// Kill-and-recover at a virtual time: the whole job is torn down and
   /// redeployed (the DST analogue of the RecoveryCoordinator's resubmit),
-  /// then restored from the latest periodic checkpoint, if any.
+  /// then restored from the last committed checkpoint epoch, if any.
   void schedule_crash(int64_t at_virtual_ns);
+  /// The same, after simulated step `step` (trace checkpoint lines name theirs).
+  void schedule_crash_after_step(uint64_t step) { crash_after_step_ = step; }
 
   /// White-box fault hook: run an arbitrary mutation (e.g. steal a frame
   /// from a channel) at a virtual time, between steps.
@@ -202,7 +199,8 @@ class DstJob : private neptune::detail::InstanceHost {
   // InstanceHost: a permanent failure is a "runtime" violation; completion
   // is read from the TaskContext (request_termination), as granules does.
   void report_failure(const std::string& what) override { violation("runtime", what); }
-  void on_instance_done() override {}
+  void on_barrier(const neptune::detail::InstanceRuntime& inst, uint64_t epoch) override;
+  void on_instance_done(const neptune::detail::InstanceRuntime& inst) override;
 
   void deploy();  ///< (re)build instances + wiring under the current epoch
   void start_epoch();
@@ -212,8 +210,9 @@ class DstJob : private neptune::detail::InstanceHost {
   int64_t wakeup_jitter();
   bool step_once();  ///< run one event + bookkeeping + checkers
   bool all_done() const;
-  bool quiescent() const;
-  void do_checkpoint();
+  void begin_checkpoint();
+  void commit_checkpoint_if_complete();
+  void schedule_checkpoint();
   void do_recover();
   void refresh_view();
   void trace_line(std::string line);
@@ -232,11 +231,13 @@ class DstJob : private neptune::detail::InstanceHost {
   DstView view_;
   DstReport report_;
 
-  std::optional<JobSnapshot> snapshot_;
+  std::optional<JobSnapshot> snapshot_;  // last committed epoch
+  neptune::detail::CheckpointCollector checkpoint_;
+  uint64_t checkpoint_epoch_ = 0;  // last epoch begun
   uint64_t checkpoints_ = 0;
   uint64_t recoveries_ = 0;
-  bool checkpoint_pending_ = false;
   bool crash_pending_ = false;
+  uint64_t crash_after_step_ = 0;  // 0 = none
   bool ran_ = false;
 
   uint64_t last_progress_sig_ = ~0ULL;

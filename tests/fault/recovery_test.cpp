@@ -176,6 +176,32 @@ TEST(SupervisedTcp, SurvivesPartialWrites) {
   EXPECT_FALSE(job->failed());
 }
 
+TEST(SupervisedTcp, HeartbeatNeverLandsInsideATornFrame) {
+  // The torn connection lingers 50 ms between the frame prefix and the
+  // close while heartbeats are due every millisecond. Heartbeats leave only
+  // through the sender's pump, which is busy writing the torn frame, so no
+  // heartbeat bytes can follow the prefix and be carved into a phantom
+  // frame; the receiver sees a truncated tail, the link recovers, and every
+  // packet arrives once.
+  auto injector = std::make_shared<FaultInjector>();
+  injector->add_rule({.any_edge = true, .at_frame = 4,
+                      .action = {FaultKind::kPartialWrite, /*delay_ns=*/50'000'000,
+                                 /*byte_offset=*/10}});
+  RuntimeOptions opt = tcp_with(injector);
+  opt.supervisor.heartbeat_interval_ns = 1'000'000;
+  Runtime rt(2, {.worker_threads = 1, .io_threads = 1}, opt);
+  auto sink = std::make_shared<RecordingSink>();
+  static constexpr uint64_t kTotal = 2000;
+  auto job = rt.submit(two_resource_relay(kTotal, sink));
+  job->start();
+  ASSERT_TRUE(job->wait(120s));
+
+  expect_exactly_once_in_order(sink->ids(), kTotal);
+  EXPECT_EQ(job->metrics().total(&OperatorMetricsSnapshot::seq_violations), 0u);
+  EXPECT_EQ(injector->stats().partial_writes, 1u);
+  EXPECT_FALSE(job->failed());
+}
+
 TEST(SupervisedTcp, SurvivesRandomFaultSoup) {
   auto injector = std::make_shared<FaultInjector>();
   injector->set_random({.seed = 42, .reset_probability = 0.01, .corrupt_probability = 0.01,

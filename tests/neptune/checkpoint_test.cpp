@@ -1,9 +1,20 @@
 // Checkpoint/restore (prototype of the paper's §VI fault-tolerance future
-// work): pause -> quiesce -> snapshot -> tear everything down -> submit the
-// same graph on a fresh runtime -> restore -> run to completion. The
-// end-to-end invariant is exactly-once ACROSS the restart.
+// work) with aligned barriers: Job::checkpoint asks every source for
+// barrier(epoch), the barriers travel in-band behind the data, and each
+// instance snapshots once aligned — while the sources keep emitting. The
+// invariants: the snapshot is a consistent cut (every operator's state
+// covers exactly the data its upstreams emitted before their barriers),
+// and a restart from it is exactly-once.
 #include <gtest/gtest.h>
 
+#include <mutex>
+
+#include "../support/gate.hpp"
+#include "../support/poll.hpp"
+#include "compress/selective.hpp"
+#include "fault/fault_injector.hpp"
+#include "net/inproc_transport.hpp"
+#include "neptune/instance.hpp"
 #include "neptune/runtime.hpp"
 #include "neptune/state.hpp"
 #include "neptune/window.hpp"
@@ -13,6 +24,8 @@ namespace neptune {
 namespace {
 
 using namespace std::chrono_literals;
+using test_util::Gate;
+using test_util::wait_until;
 using workload::BytesSource;
 using workload::CountingSink;
 
@@ -44,39 +57,385 @@ TEST(JobSnapshot, DetectsCorruption) {
   EXPECT_THROW(JobSnapshot::deserialize(bad_magic.contents()), std::runtime_error);
 }
 
-TEST(Checkpoint, PauseStopsSourcesAndResumeContinues) {
-  Runtime rt(1, {.worker_threads = 1, .io_threads = 1});
+/// The varints an operator wrote into the snapshot, in order.
+std::vector<uint64_t> state_of(const JobSnapshot& snap, const std::string& op) {
+  const std::vector<uint8_t>* bytes = snap.find(op, 0);
+  EXPECT_NE(bytes, nullptr) << op << " missing from the snapshot";
+  std::vector<uint64_t> out;
+  if (!bytes) return out;
+  ByteReader r(*bytes);
+  while (r.remaining() > 0) out.push_back(r.read_varint());
+  return out;
+}
+
+/// Emits packets (tag, seq) with seq 0, 1, 2, ...; `total` 0 = unbounded.
+/// Its position is also published to the test through `emitted`.
+class TaggedSource final : public StreamSource, public Checkpointable {
+ public:
+  TaggedSource(int64_t tag, uint64_t total, std::shared_ptr<std::atomic<uint64_t>> emitted)
+      : tag_(tag), total_(total), emitted_(std::move(emitted)) {}
+  bool next(Emitter& out, size_t budget) override {
+    for (size_t i = 0; i < budget; ++i) {
+      uint64_t seq = emitted_->load(std::memory_order_relaxed);
+      if (total_ != 0 && seq >= total_) return false;
+      StreamPacket p;
+      p.add_i64(tag_);
+      p.add_i64(static_cast<int64_t>(seq));
+      emitted_->store(seq + 1, std::memory_order_relaxed);
+      if (out.emit(std::move(p)) == EmitStatus::kBackpressured) break;
+    }
+    return true;
+  }
+  void snapshot_state(ByteBuffer& out) const override {
+    out.write_varint(emitted_->load(std::memory_order_relaxed));
+  }
+  void restore_state(ByteReader& in) override {
+    emitted_->store(in.read_varint(), std::memory_order_relaxed);
+  }
+
+ private:
+  const int64_t tag_;
+  const uint64_t total_;
+  std::shared_ptr<std::atomic<uint64_t>> emitted_;
+};
+
+/// Two-input operator: forwards every packet and counts it per tag. Tag-1
+/// packets cost a little CPU, so that input backs up behind the other.
+class Mix final : public StreamProcessor, public Checkpointable {
+ public:
+  void process(StreamPacket& p, Emitter& out) override {
+    int64_t tag = p.i64(0);
+    ++counts_[tag];
+    if (tag == 1) {
+      auto until = std::chrono::steady_clock::now() + 1us;
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    }
+    out.emit(std::move(p));
+  }
+  void snapshot_state(ByteBuffer& out) const override {
+    out.write_varint(counts_[0]);
+    out.write_varint(counts_[1]);
+  }
+  void restore_state(ByteReader& in) override {
+    counts_[0] = in.read_varint();
+    counts_[1] = in.read_varint();
+  }
+
+ private:
+  uint64_t counts_[2] = {0, 0};
+};
+
+/// Per-tag in-order, exactly-once ledger shared with the test.
+struct Ledger {
+  mutable std::mutex mu;
+  uint64_t next[2] = {0, 0};
+  uint64_t violations = 0;
+  uint64_t total() const {
+    std::lock_guard lk(mu);
+    return next[0] + next[1];
+  }
+  uint64_t count(int tag) const {
+    std::lock_guard lk(mu);
+    return next[tag];
+  }
+};
+
+class LedgerSink final : public StreamProcessor, public Checkpointable {
+ public:
+  explicit LedgerSink(std::shared_ptr<Ledger> ledger) : ledger_(std::move(ledger)) {}
+  void process(StreamPacket& p, Emitter&) override {
+    std::lock_guard lk(ledger_->mu);
+    uint64_t& next = ledger_->next[p.i64(0)];
+    if (static_cast<uint64_t>(p.i64(1)) != next) ++ledger_->violations;
+    next = static_cast<uint64_t>(p.i64(1)) + 1;
+  }
+  void snapshot_state(ByteBuffer& out) const override {
+    std::lock_guard lk(ledger_->mu);
+    out.write_varint(ledger_->next[0]);
+    out.write_varint(ledger_->next[1]);
+  }
+  void restore_state(ByteReader& in) override {
+    std::lock_guard lk(ledger_->mu);
+    ledger_->next[0] = in.read_varint();
+    ledger_->next[1] = in.read_varint();
+  }
+
+ private:
+  std::shared_ptr<Ledger> ledger_;
+};
+
+struct TwoInputJob {
+  std::shared_ptr<std::atomic<uint64_t>> a_emitted = std::make_shared<std::atomic<uint64_t>>(0);
+  std::shared_ptr<std::atomic<uint64_t>> b_emitted = std::make_shared<std::atomic<uint64_t>>(0);
+  std::shared_ptr<Ledger> ledger = std::make_shared<Ledger>();
+
+  /// a --> mix <-- b, mix --> sink.
+  StreamGraph graph(uint64_t a_total, uint64_t b_total) const {
+    GraphConfig cfg;
+    cfg.buffer.capacity_bytes = 2048;
+    cfg.buffer.flush_interval_ns = 1'000'000;
+    cfg.channel.capacity_bytes = 32 << 10;
+    cfg.channel.low_watermark_bytes = 8 << 10;
+    StreamGraph g("two-input", cfg);
+    g.add_source("a", [e = a_emitted, a_total] {
+      return std::make_unique<TaggedSource>(0, a_total, e);
+    });
+    g.add_source("b", [e = b_emitted, b_total] {
+      return std::make_unique<TaggedSource>(1, b_total, e);
+    });
+    g.add_processor("mix", [] { return std::make_unique<Mix>(); });
+    g.add_processor("sink", [l = ledger] { return std::make_unique<LedgerSink>(l); });
+    g.connect("a", "mix");
+    g.connect("b", "mix");
+    g.connect("mix", "sink");
+    return g;
+  }
+};
+
+/// Every operator's state covers exactly what its upstreams sent before
+/// their barriers.
+void expect_consistent_cut(const JobSnapshot& snap) {
+  uint64_t a = state_of(snap, "a").at(0);
+  uint64_t b = state_of(snap, "b").at(0);
+  EXPECT_EQ(state_of(snap, "mix"), (std::vector<uint64_t>{a, b}));
+  EXPECT_EQ(state_of(snap, "sink"), (std::vector<uint64_t>{a, b}));
+}
+
+TEST(Checkpoint, BarrierAlignsTwoInputsWhileSourcesKeepEmitting) {
+  static constexpr uint64_t kTotal = 200'000;
+  TwoInputJob first;
+  ByteBuffer wire;
+  {
+    Runtime rt(1, {.worker_threads = 3, .io_threads = 1});
+    auto job = rt.submit(first.graph(kTotal, kTotal));
+    job->start();
+    ASSERT_TRUE(wait_until([&] { return first.ledger->total() >= 5000; }, 60s));
+
+    std::optional<JobSnapshot> snap = job->checkpoint(1, 30s);
+    ASSERT_TRUE(snap.has_value());
+    // Whichever input delivered its barrier first was held until the other
+    // did: with either input read past its barrier, mix would count more
+    // than its source's recorded position.
+    expect_consistent_cut(*snap);
+    uint64_t a = state_of(*snap, "a").at(0);
+    uint64_t b = state_of(*snap, "b").at(0);
+    ASSERT_LT(a, kTotal) << "the checkpoint must land mid-stream";
+    ASSERT_LT(b, kTotal);
+    // Nothing paused: both sources carried on past their barrier.
+    EXPECT_TRUE(wait_until(
+        [&] { return first.a_emitted->load() > a && first.b_emitted->load() > b; }, 60s));
+    snap->serialize(wire);
+    job->stop();
+    job->wait(30s);
+  }  // runtime destroyed: the "crash"
+
+  TwoInputJob second;
+  Runtime rt(1, {.worker_threads = 3, .io_threads = 1});
+  auto job = rt.submit(second.graph(kTotal, kTotal));
+  job->restore_state(JobSnapshot::deserialize(wire.contents()));
+  job->start();
+  ASSERT_TRUE(job->wait(120s));
+  EXPECT_EQ(second.ledger->count(0), kTotal);
+  EXPECT_EQ(second.ledger->count(1), kTotal);
+  EXPECT_EQ(second.ledger->violations, 0u) << "a packet was lost or repeated across the restart";
+  EXPECT_EQ(job->metrics().total(&OperatorMetricsSnapshot::seq_violations), 0u);
+}
+
+TEST(Checkpoint, SourceExhaustedBeforeTheRequestReportsItsFinalState) {
+  static constexpr uint64_t kShort = 1000;
+  TwoInputJob t;
+  Runtime rt(1, {.worker_threads = 2, .io_threads = 1});
+  auto job = rt.submit(t.graph(kShort, /*unbounded*/ 0));
+  job->start();
+  // Source a has emitted everything and its edge has delivered it all.
+  ASSERT_TRUE(wait_until([&] { return t.ledger->count(0) == kShort; }, 60s));
+
+  std::optional<JobSnapshot> snap = job->checkpoint(1, 30s);
+  ASSERT_TRUE(snap.has_value()) << "a closed input must count as aligned";
+  EXPECT_EQ(state_of(*snap, "a"), (std::vector<uint64_t>{kShort}));
+  expect_consistent_cut(*snap);
+  job->stop();
+  job->wait(30s);
+}
+
+/// Sink that blocks on the test's gate before consuming anything.
+class HeldSink final : public StreamProcessor, public Checkpointable {
+ public:
+  explicit HeldSink(std::shared_ptr<Gate> gate) : gate_(std::move(gate)) {}
+  void process(StreamPacket&, Emitter&) override {
+    gate_->wait();
+    ++count_;
+  }
+  void snapshot_state(ByteBuffer& out) const override { out.write_varint(count_); }
+  void restore_state(ByteReader& in) override { count_ = in.read_varint(); }
+
+ private:
+  std::shared_ptr<Gate> gate_;
+  uint64_t count_ = 0;
+};
+
+/// Unbounded src on resource 0 --> held sink on resource 1. The channel
+/// budget is below one frame, so once a frame is in flight nothing else —
+/// not even a barrier — gets past the sender's queue.
+StreamGraph held_graph(std::shared_ptr<Gate> gate, QosClass qos = QosClass::kCritical,
+                       ShedConfig shed = {}) {
+  GraphConfig cfg;
+  cfg.buffer.capacity_bytes = 1 << 10;
+  cfg.buffer.flush_interval_ns = 1'000'000;
+  cfg.channel.capacity_bytes = 64;
+  cfg.channel.low_watermark_bytes = 32;
+  StreamGraph g("held", cfg);
+  g.add_source("src", [] { return std::make_unique<BytesSource>(0, 64); }, 1, 0);
+  g.add_processor("sink", [gate] { return std::make_unique<HeldSink>(gate); }, 1, 1);
+  g.connect("src", "sink", nullptr, {}, std::nullopt, qos, shed);
+  return g;
+}
+
+TEST(Checkpoint, BarrierParkedBehindAFlowControlledFrame) {
+  auto gate = std::make_shared<Gate>();
+  Runtime rt(2, {.worker_threads = 1, .io_threads = 1});
+  auto job = rt.submit(held_graph(gate));
+  job->start();
+  ASSERT_TRUE(wait_until(
+      [&] { return job->metrics().total("src", &OperatorMetricsSnapshot::blocked_sends) > 0; },
+      60s));
+
+  // The source snapshots and queues the barrier behind its parked frame;
+  // the epoch cannot complete while the sink is held.
+  job->begin_checkpoint(1);
+  EXPECT_FALSE(job->await_checkpoint(1, 50ms).has_value());
+  gate->open();
+  std::optional<JobSnapshot> snap = job->await_checkpoint(1, 30s);
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(state_of(*snap, "sink"), state_of(*snap, "src"))
+      << "the sink's state must cover exactly the packets before the barrier";
+  job->stop();
+  job->wait(30s);
+}
+
+TEST(Checkpoint, DropOldestEdgeUnderOverloadNeverShedsTheBarrier) {
+  auto gate = std::make_shared<Gate>();
+  ShedConfig shed;
+  shed.policy = ShedPolicy::kDropOldest;
+  shed.max_queue_wait_ns = 1'000'000;
+  Runtime rt(2, {.worker_threads = 1, .io_threads = 1});
+  auto job = rt.submit(held_graph(gate, QosClass::kBestEffort, shed));
+  job->start();
+  ASSERT_TRUE(wait_until(
+      [&] { return job->metrics().total("src", &OperatorMetricsSnapshot::packets_shed) > 0; },
+      60s));
+
+  // While the sink is held the barrier overstays the 1 ms queue-wait bound
+  // many times over; a shed barrier would leave the sink never aligned.
+  job->begin_checkpoint(1);
+  EXPECT_FALSE(job->await_checkpoint(1, 50ms).has_value());
+  gate->open();
+  EXPECT_TRUE(job->await_checkpoint(1, 30s).has_value());
+  job->stop();
+  job->wait(30s);
+}
+
+TEST(Checkpoint, SupervisedTcpReconnectsDuringTheBarrierDeliverItOnce) {
+  auto injector = std::make_shared<fault::FaultInjector>();
+  // Reset the link on every fifth frame transmission, barriers included.
+  injector->add_rule({.any_edge = true, .at_frame = 5, .repeat_every = 5,
+                      .action = {fault::FaultKind::kReset}});
+  RuntimeOptions opt;
+  opt.cross_resource_transport = EdgeTransport::kTcp;
+  opt.fault_injector = injector;
+  opt.supervisor.heartbeat_interval_ns = 10'000'000;
+  opt.supervisor.peer_timeout_ns = 200'000'000;
+  opt.supervisor.reconnect_backoff_ns = 2'000'000;
+  opt.supervisor.reconnect_backoff_max_ns = 20'000'000;
+  Runtime rt(2, {.worker_threads = 1, .io_threads = 1}, opt);
+
+  static constexpr uint64_t kTotal = 20'000;
   GraphConfig cfg;
   cfg.buffer.capacity_bytes = 2048;
   cfg.buffer.flush_interval_ns = 1'000'000;
   auto sink = std::make_shared<CountingSink>();
-  StreamGraph g("pausable", cfg);
-  g.add_source("src", [] { return std::make_unique<BytesSource>(0, 64); });  // unbounded
+  StreamGraph g("tcp-barrier", cfg);
+  g.add_source("src", [] { return std::make_unique<BytesSource>(kTotal, 64); }, 1, 0);
   g.add_processor("sink", [sink]() -> std::unique_ptr<StreamProcessor> {
-    struct Fwd : StreamProcessor {
+    struct Fwd : StreamProcessor, Checkpointable {
       std::shared_ptr<CountingSink> inner;
       explicit Fwd(std::shared_ptr<CountingSink> s) : inner(std::move(s)) {}
       void process(StreamPacket& p, Emitter& out) override { inner->process(p, out); }
+      void snapshot_state(ByteBuffer& out) const override { inner->snapshot_state(out); }
+      void restore_state(ByteReader& in) override { inner->restore_state(in); }
     };
     return std::make_unique<Fwd>(sink);
-  });
+  }, 1, 1);
   g.connect("src", "sink");
   auto job = rt.submit(g);
   job->start();
-  for (int i = 0; i < 400 && sink->count() < 1000; ++i) std::this_thread::sleep_for(5ms);
-  ASSERT_GT(sink->count(), 0u);
+  ASSERT_TRUE(wait_until([&] { return sink->count() >= 2000; }, 60s));
 
-  job->pause();
-  ASSERT_TRUE(job->quiesce(30s));
-  uint64_t at_pause = sink->count();
-  std::this_thread::sleep_for(50ms);
-  EXPECT_EQ(sink->count(), at_pause);  // fully quiescent
+  for (uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    std::optional<JobSnapshot> snap = job->checkpoint(epoch, 60s);
+    ASSERT_TRUE(snap.has_value()) << "epoch " << epoch;
+    EXPECT_EQ(state_of(*snap, "sink"), state_of(*snap, "src")) << "epoch " << epoch;
+  }
+  ASSERT_TRUE(job->wait(120s));
+  EXPECT_EQ(sink->count(), kTotal);
+  EXPECT_EQ(job->metrics().total(&OperatorMetricsSnapshot::seq_violations), 0u);
+  EXPECT_GE(job->metrics().total(&OperatorMetricsSnapshot::reconnects), 1u);
+}
 
-  job->resume();
-  for (int i = 0; i < 400 && sink->count() == at_pause; ++i) std::this_thread::sleep_for(5ms);
-  EXPECT_GT(sink->count(), at_pause);  // flowing again
-  job->stop();
-  job->wait(30s);
+/// Host that records which barriers an instance reported.
+struct RecordingHost final : detail::InstanceHost {
+  std::vector<uint64_t> barriers;
+  uint64_t failures = 0;
+  void report_failure(const std::string&) override { ++failures; }
+  void on_barrier(const detail::InstanceRuntime&, uint64_t epoch) override {
+    barriers.push_back(epoch);
+  }
+  void on_instance_done(const detail::InstanceRuntime&) override {}
+};
+
+struct InlineContext final : granules::TaskContext {
+  uint64_t task_id() const override { return 0; }
+  uint64_t execution_count() const override { return 0; }
+  void request_reschedule() override {}
+  void request_termination() override {}
+};
+
+TEST(Checkpoint, BarrierRepeatedOnAnEdgeIsIgnored) {
+  // A retransmission can hand an edge the same barrier twice; the receiver
+  // ignores any epoch at or below the last one that edge delivered.
+  LinkDecl link;
+  link.link_id = 7;
+  auto ch = std::make_shared<InprocChannel>(ChannelConfig{});
+  RecordingHost host;
+  detail::InstanceRuntime sink("sink", 0, 1, OperatorKind::kProcessor, GraphConfig{}, &host,
+                               &SteadyClock::instance(), [] {});
+  auto counter = std::make_unique<CountingSink>();
+  CountingSink* count = counter.get();
+  sink.processor = std::move(counter);
+  sink.add_input(link, 0, ch);
+
+  StreamBuffer out(7, 0, ch, std::make_shared<SelectiveCodec>(CompressionPolicy{}),
+                   {.capacity_bytes = 1 << 16, .flush_interval_ns = 0}, nullptr);
+  auto packet = [] {
+    StreamPacket p;
+    p.add_i64(1);
+    return p;
+  };
+  out.add(packet());
+  out.add(packet());
+  out.add_barrier(1);
+  out.add_barrier(1);  // the repeat
+  out.add(packet());
+  out.add_barrier(2);
+  out.add_barrier(1);  // a stale one
+
+  InlineContext ctx;
+  sink.initialize(ctx);
+  sink.execute(ctx);
+  EXPECT_EQ(host.barriers, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(count->count(), 3u);
+  EXPECT_EQ(host.failures, 0u);
 }
 
 TEST(Checkpoint, ExactlyOnceAcrossRestart) {
@@ -115,17 +474,15 @@ TEST(Checkpoint, ExactlyOnceAcrossRestart) {
     auto g = build(sink);
     auto job = rt.submit(g);
     job->start();
-    for (int i = 0; i < 400 && sink->count() < kTotal / 4; ++i)
-      std::this_thread::sleep_for(2ms);
-    ASSERT_GT(sink->count(), 0u);
-    ASSERT_LT(sink->count(), kTotal);  // genuinely mid-stream
+    ASSERT_TRUE(wait_until([&] { return sink->count() >= kTotal / 4; }, 60s));
 
-    job->pause();
-    ASSERT_TRUE(job->quiesce(30s));
-    JobSnapshot snap = job->checkpoint_state();
-    EXPECT_GE(snap.size(), 2u);  // src + sink are Checkpointable
-    snap.serialize(wire);        // "persist"
-    count_at_checkpoint = sink->count();
+    std::optional<JobSnapshot> snap = job->checkpoint(1, 30s);
+    ASSERT_TRUE(snap.has_value());
+    EXPECT_GE(snap->size(), 2u);  // src + sink are Checkpointable
+    count_at_checkpoint = state_of(*snap, "sink").at(0);
+    ASSERT_LT(count_at_checkpoint, kTotal);  // genuinely mid-stream
+    EXPECT_EQ(state_of(*snap, "src"), state_of(*snap, "sink"));
+    snap->serialize(wire);  // "persist"
     job->stop();
     job->wait(30s);
   }  // runtime destroyed: the "crash"

@@ -155,7 +155,7 @@ TEST_F(BufferFixture, EmptyBufferTimerIsNoop) {
   clock.advance_ns(10'000'000);
   buf->on_timer();
   EXPECT_TRUE(drain_frames().empty());
-  EXPECT_FALSE(buf->has_unflushed());
+  EXPECT_EQ(buf->buffered_bytes(), 0u);
 }
 
 TEST_F(BufferFixture, BlockedFlushParksFrameWithoutLoss) {
@@ -166,7 +166,7 @@ TEST_F(BufferFixture, BlockedFlushParksFrameWithoutLoss) {
   bool second = buf->add(packet_of(120, 2));  // flush 2 -> blocked
   EXPECT_FALSE(second);
   EXPECT_TRUE(buf->blocked());
-  EXPECT_TRUE(buf->has_unflushed());
+  EXPECT_GT(buf->buffered_bytes(), 0u);
   EXPECT_GE(metrics.blocked_sends.load(), 1u);
 
   // Drain the channel; retry succeeds; nothing lost, order kept.
@@ -183,9 +183,9 @@ TEST_F(BufferFixture, BlockedFlushParksFrameWithoutLoss) {
 TEST_F(BufferFixture, ForceDrainFlushesPartialBuffer) {
   make(/*capacity=*/1 << 20);
   buf->add(packet_of(10, 7));
-  EXPECT_TRUE(buf->has_unflushed());
+  EXPECT_GT(buf->buffered_bytes(), 0u);
   EXPECT_TRUE(buf->drain(/*force=*/true));
-  EXPECT_FALSE(buf->has_unflushed());
+  EXPECT_EQ(buf->buffered_bytes(), 0u);
   auto frames = drain_frames();
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].packets.size(), 1u);

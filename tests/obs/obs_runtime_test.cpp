@@ -6,6 +6,8 @@
 #include <set>
 #include <string>
 
+#include "../support/gate.hpp"
+#include "../support/poll.hpp"
 #include "common/json.hpp"
 #include "neptune/runtime.hpp"
 #include "neptune/workload.hpp"
@@ -137,8 +139,10 @@ TEST(ObsRuntime, TracingDisabledRecordsNothing) {
 }
 
 TEST(ObsRuntime, BlockedSecondsExposedForThrottledSource) {
-  // Slow sink + small channels: the sender must stall, and the stall must be
-  // visible both in format_metrics' blocked-ms and the telemetry counter.
+  // A held consumer + small channels: the sender must stall, and the stall
+  // must be visible both in format_metrics' blocked-ms and the telemetry
+  // counter. The test holds "slow" until the source has blocked, so the
+  // stall does not depend on relative speed.
   GraphConfig cfg;
   cfg.buffer.capacity_bytes = 1 << 10;
   cfg.buffer.flush_interval_ns = 1'000'000;
@@ -149,17 +153,19 @@ TEST(ObsRuntime, BlockedSecondsExposedForThrottledSource) {
   RuntimeOptions opts;
   opts.obs.metrics_port = 0;
   Runtime rt(2, {.worker_threads = 1, .io_threads = 1}, opts);
+  auto gate = std::make_shared<test_util::Gate>();
   StreamGraph g("obs-throttle", cfg);
   g.add_source("src", [] { return std::make_unique<BytesSource>(20'000, 100); }, 1, 0);
-  g.add_processor("slow", []() -> std::unique_ptr<StreamProcessor> {
-    struct Slow : StreamProcessor {
+  g.add_processor("slow", [gate]() -> std::unique_ptr<StreamProcessor> {
+    struct Held : StreamProcessor {
+      std::shared_ptr<test_util::Gate> gate;
+      explicit Held(std::shared_ptr<test_util::Gate> g) : gate(std::move(g)) {}
       void process(StreamPacket& p, Emitter& out) override {
-        for (volatile int i = 0; i < 2000; ++i) {
-        }
+        gate->wait();
         out.emit(std::move(p));
       }
     };
-    return std::make_unique<Slow>();
+    return std::make_unique<Held>(gate);
   }, 1, 1);
   g.add_processor("sink", [] { return std::make_unique<CountingSink>(); }, 1, 0);
   g.connect("src", "slow");
@@ -167,14 +173,16 @@ TEST(ObsRuntime, BlockedSecondsExposedForThrottledSource) {
 
   auto job = rt.submit(g);
   job->start();
+  ASSERT_TRUE(test_util::wait_until(
+      [&] { return job->metrics().total("src", &OperatorMetricsSnapshot::blocked_sends) > 0; },
+      60s));
+  gate->open();  // the stall ends, and its length is accounted
   ASSERT_TRUE(job->wait(120s));
 
   auto m = job->metrics();
-  uint64_t blocked = m.total("src", &OperatorMetricsSnapshot::blocked_ns);
-  if (m.total("src", &OperatorMetricsSnapshot::blocked_sends) > 0) {
-    EXPECT_GT(blocked, 0u);
-    EXPECT_NE(format_metrics(m).find("blocked-ms"), std::string::npos);
-  }
+  EXPECT_GT(m.total("src", &OperatorMetricsSnapshot::blocked_sends), 0u);
+  EXPECT_GT(m.total("src", &OperatorMetricsSnapshot::blocked_ns), 0u);
+  EXPECT_NE(format_metrics(m).find("blocked-ms"), std::string::npos);
 }
 
 }  // namespace

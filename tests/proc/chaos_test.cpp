@@ -69,19 +69,50 @@ TEST(ChaosController, FiresEachActionExactlyOnce) {
   ]})");
   ChaosController ctl(std::move(plan));
 
-  EXPECT_TRUE(ctl.due(50, 0).empty());
-  auto due = ctl.due(120, 0);  // wall-clock trigger crossed
+  EXPECT_TRUE(ctl.due(50, 0, 0).empty());
+  auto due = ctl.due(120, 0, 0);  // wall-clock trigger crossed
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0]->resource, 0u);
   EXPECT_TRUE(due[0]->fired);
-  EXPECT_TRUE(ctl.due(200, 0).empty()) << "an action fires once";
+  EXPECT_TRUE(ctl.due(200, 0, 0).empty()) << "an action fires once";
   EXPECT_FALSE(ctl.exhausted());
 
-  due = ctl.due(200, 6000);  // event trigger crossed
+  due = ctl.due(200, 1, 6000);  // event trigger crossed in the next generation
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0]->resource, 1u);
   EXPECT_EQ(ctl.fired(), 2u);
   EXPECT_TRUE(ctl.exhausted());
+}
+
+TEST(ChaosController, CountsEventsPerGenerationAcrossRollbacks) {
+  // The two-kill plan of the multi-process acceptance test. Each
+  // generation's heartbeat count restarts at zero after a rollback; the
+  // controller adds the generations up, and never fires a second kill into
+  // a generation that is already being rolled back.
+  ChaosPlan plan = parse(R"({"actions": [
+    {"action": "kill", "resource": 1, "at_events": 15000},
+    {"action": "kill", "resource": 0, "at_events": 45000}
+  ]})");
+  ChaosController ctl(std::move(plan));
+  EXPECT_TRUE(ctl.due(10, 0, 9000).empty());
+  auto due = ctl.due(20, 0, 50000);  // one late heartbeat crosses both
+  ASSERT_EQ(due.size(), 1u);
+  EXPECT_EQ(due[0]->resource, 1u);
+  EXPECT_TRUE(ctl.due(30, 0, 60000).empty()) << "generation 0 already lost a worker";
+
+  // Generation 1 starts counting at zero; the 60000 of generation 0 carry.
+  due = ctl.due(40, 1, 0);
+  ASSERT_EQ(due.size(), 1u);
+  EXPECT_EQ(due[0]->resource, 0u);
+  EXPECT_TRUE(ctl.exhausted());
+}
+
+TEST(ChaosController, EventTriggerCountsEarlierGenerations) {
+  ChaosPlan plan = parse(R"({"actions": [{"action": "stop", "resource": 0, "at_events": 100}]})");
+  ChaosController ctl(std::move(plan));
+  EXPECT_TRUE(ctl.due(10, 0, 60).empty());
+  EXPECT_TRUE(ctl.due(20, 1, 30).empty()) << "60 + 30 < 100";
+  EXPECT_EQ(ctl.due(30, 1, 45).size(), 1u) << "60 + 45 crosses 100";
 }
 
 TEST(ChaosController, EitherTriggerFiresCombinedAction) {
@@ -89,8 +120,8 @@ TEST(ChaosController, EitherTriggerFiresCombinedAction) {
   ChaosPlan plan = parse(
       R"({"actions": [{"action": "stop", "resource": 0, "at_ms": 500, "at_events": 100}]})");
   ChaosController ctl(std::move(plan));
-  EXPECT_TRUE(ctl.due(10, 50).empty());
-  EXPECT_EQ(ctl.due(20, 150).size(), 1u) << "event trigger beats the clock";
+  EXPECT_TRUE(ctl.due(10, 0, 50).empty());
+  EXPECT_EQ(ctl.due(20, 0, 150).size(), 1u) << "event trigger beats the clock";
 }
 
 }  // namespace

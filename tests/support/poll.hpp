@@ -1,7 +1,8 @@
-// Waiting on a channel from a test. Channels have no blocking receive (the
-// runtime is driven by data callbacks), so a test that needs "the next
-// frame, or give up" polls try_receive_buf() until a frame arrives, the
-// channel is closed and drained, or the timeout passes.
+// Waiting from a test. Channels have no blocking receive (the runtime is
+// driven by data callbacks), so a test that needs "the next frame, or give
+// up" polls try_receive_buf() until a frame arrives, the channel is closed
+// and drained, or the timeout passes; wait_until() does the same for any
+// condition the test can only observe (a metric, an operator's counter).
 #pragma once
 
 #include <chrono>
@@ -20,6 +21,16 @@ inline std::optional<FrameBufRef> receive_within(ChannelReceiver& rx,
     if (rx.closed() || std::chrono::steady_clock::now() >= deadline) return std::nullopt;
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
+}
+
+template <typename Pred>
+bool wait_until(Pred pred, std::chrono::nanoseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
 }
 
 }  // namespace neptune::test_util

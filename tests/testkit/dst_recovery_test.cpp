@@ -1,13 +1,16 @@
-// Crash/recovery under DST: periodic checkpoints (pause -> quiesce ->
-// snapshot through the real JobSnapshot wire format) and whole-job crashes
-// at chosen virtual times. After every crash the job redeploys, restores the
-// latest checkpoint and must converge to exactly the fault-free final state
-// — sources neither lose nor replay packets into downstream state.
+// Crash/recovery under DST: periodic barrier checkpoints (sources inject
+// barrier(epoch), every instance snapshots at alignment, the epoch commits
+// through the real JobSnapshot wire format) and whole-job crashes at chosen
+// virtual times or steps. After every crash the job redeploys, restores the
+// last committed epoch and must converge to exactly the fault-free final
+// state — sources neither lose nor replay packets into downstream state.
 #include "testkit/dst.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "testkit/invariants.hpp"
 #include "testkit/workloads.hpp"
@@ -46,7 +49,28 @@ JobSnapshot reference_state(uint64_t seed) {
   return job.state_snapshot();
 }
 
-TEST(DstRecovery, PeriodicCheckpointsQuiesceAndSnapshot) {
+/// Steps at which checkpoint `epoch` began and committed in a crash-free
+/// run (0 when the trace has no such line), and the run's total steps.
+std::tuple<uint64_t, uint64_t, uint64_t> epoch_window(uint64_t seed, int64_t interval_ns,
+                                                      uint64_t epoch) {
+  DstOptions opts;
+  opts.seed = seed;
+  opts.checkpoint_interval_ns = interval_ns;
+  DstJob job(recovery_graph(std::make_shared<Collected>()), opts);
+  DstReport r = job.run();
+  EXPECT_TRUE(r.ok()) << r.summary();
+  auto step_of = [&](const std::string& what) -> uint64_t {
+    const std::string key = "checkpoint " + what + " epoch=" + std::to_string(epoch) + " step=";
+    for (const std::string& line : r.trace) {
+      size_t at = line.find(key);
+      if (at != std::string::npos) return std::stoull(line.substr(at + key.size()));
+    }
+    return 0;
+  };
+  return {step_of("begin"), step_of("committed"), r.steps};
+}
+
+TEST(DstRecovery, PeriodicBarrierCheckpointsCommit) {
   DstOptions opts;
   opts.seed = 21;
   opts.checkpoint_interval_ns = 300'000;
@@ -77,6 +101,37 @@ TEST(DstRecovery, CrashesAtManyVirtualTimesConvergeToExactlyOnceState) {
   // At least some of the chosen times must hit a live job (deterministic,
   // so this is a guard against all crashes landing after completion).
   EXPECT_GE(crashes_landed_mid_run, 2u);
+}
+
+TEST(DstRecovery, CrashAtEveryStepOfABarrierEpochConverges) {
+  // Crash after each step from barrier injection to commit of epoch 1.
+  // Before the commit the epoch dies with the crash and the job replays
+  // from scratch; from the commit step on it rolls back to epoch 1. Either
+  // way it must reach exactly the crash-free final state.
+  const uint64_t seed = 21;
+  const int64_t interval_ns = 300'000;
+  JobSnapshot expected = reference_state(seed);
+  auto [begin, commit, steps] = epoch_window(seed, interval_ns, 1);
+  ASSERT_GT(begin, 0u);
+  ASSERT_GT(commit, begin + 4) << "the barriers should take several steps to travel";
+  ASSERT_LT(commit, steps / 2) << "the epoch must commit mid-run, not when the job ends";
+  for (uint64_t step = begin; step <= commit; ++step) {
+    DstOptions opts;
+    opts.seed = seed;
+    opts.checkpoint_interval_ns = interval_ns;
+    DstJob job(recovery_graph(std::make_shared<Collected>()), opts);
+    job.add_checker(make_exactly_once_checker(expected));
+    job.add_checker(make_sequence_checker());
+    job.schedule_crash_after_step(step);
+    DstReport r = job.run();
+    ASSERT_TRUE(r.ok()) << "crash after step " << step << ":\n" << r.summary();
+    ASSERT_EQ(r.recoveries, 1u) << "crash after step " << step;
+    const std::string rollback = step < commit ? " from scratch" : " from checkpoint";
+    bool found = false;
+    for (const std::string& line : r.trace)
+      found |= line.find("recovered epoch=1" + rollback) != std::string::npos;
+    EXPECT_TRUE(found) << "crash after step " << step << " should recover" << rollback;
+  }
 }
 
 TEST(DstRecovery, CrashBeforeFirstCheckpointReplaysFromScratch) {
