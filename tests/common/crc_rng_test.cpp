@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -177,12 +180,28 @@ TEST(Clock, StopwatchMeasuresElapsed) {
 }
 
 TEST(ThreadUtil, ContextSwitchCountersReadable) {
-  auto cs = read_context_switches();
-  // On Linux /proc is present and a running process has switched at least once.
-  EXPECT_GT(cs.total(), 0u);
+  // A fresh, short-lived process may not have switched yet: both counters
+  // are then really 0. Block once so there is a switch to count. nanosleep
+  // enters schedule() (voluntary) unless its timer already expired, which
+  // means the thread was preempted (nonvoluntary) - a switch either way.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  // The thread reader reports the kernel's own counters, which getrusage
+  // brackets: they only grow, so the read lies between two samples.
+  rusage before{};
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_THREAD, &before), 0);
   auto t = read_thread_context_switches();
-  EXPECT_GE(cs.total(), 0u);
-  (void)t;
+  ASSERT_EQ(getrusage(RUSAGE_THREAD, &after), 0);
+  EXPECT_GE(t.voluntary, static_cast<uint64_t>(before.ru_nvcsw));
+  EXPECT_LE(t.voluntary, static_cast<uint64_t>(after.ru_nvcsw));
+  EXPECT_GE(t.nonvoluntary, static_cast<uint64_t>(before.ru_nivcsw));
+  EXPECT_LE(t.nonvoluntary, static_cast<uint64_t>(after.ru_nivcsw));
+  EXPECT_GT(t.total(), 0u);
+
+  // The process sum covers every live thread, the calling one included.
+  auto cs = read_context_switches();
+  EXPECT_GE(cs.total(), t.total());
 }
 
 TEST(ThreadUtil, SetThreadNameDoesNotCrash) {
