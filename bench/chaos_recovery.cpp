@@ -56,7 +56,7 @@ RunResult run_once(const std::string& scenario, uint64_t trace_events, bool chao
   opts.neptuned_path = NEPTUNE_NEPTUNED_PATH;
   opts.scenario_path = scenario_path(scenario);
   opts.work_dir = work_dir;
-  opts.checkpoint_interval_ms = 30;
+  opts.checkpoint_interval_ns = 30'000'000;
   if (chaos) opts.chaos = two_kill_plan();
   RunResult r;
   r.report = proc::ResourceSupervisor(std::move(opts)).run();

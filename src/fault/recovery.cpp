@@ -9,31 +9,30 @@ namespace neptune::fault {
 
 RecoveryCoordinator::RecoveryCoordinator(Runtime& runtime, StreamGraph graph,
                                          RecoveryOptions options)
-    : runtime_(runtime), graph_(std::move(graph)), options_(std::move(options)) {
-  if (!options_.snapshot_dir.empty()) store_ = std::make_unique<SnapshotStore>(options_.snapshot_dir);
+    : runtime_(runtime),
+      graph_(std::move(graph)),
+      options_(std::move(options)),
+      epochs_(&SteadyClock::instance(), options_, /*parts=*/1) {
   obs::TelemetryRegistry& reg = obs::TelemetryRegistry::global();
   auto counter = [&](const char* name, const char* help, auto read) {
     telemetry_.push_back(reg.register_series(
-        {name, {{"job", graph_.name()}}, obs::SeriesKind::kCounter, help}, read));
-  };
-  auto count = [](const std::atomic<uint64_t>& c) {
-    return [&c] { return static_cast<double>(c.load(std::memory_order_relaxed)); };
+        {name, {{"job", graph_.name()}}, obs::SeriesKind::kCounter, help},
+        [read] { return static_cast<double>(read()); }));
   };
   counter("neptune_checkpoints_total",
-          "Automatic checkpoints captured by the recovery coordinator", count(checkpoints_));
+          "Automatic checkpoints captured by the recovery coordinator",
+          [this] { return checkpoints_taken(); });
   counter("neptune_recoveries_total", "Checkpoint restores after detected failures",
-          count(recoveries_));
-  counter("neptune_recovery_seconds_total", "Cumulative failure-to-restored wall time", [this] {
-    return static_cast<double>(recovery_ns_.load(std::memory_order_relaxed)) * 1e-9;
-  });
+          [this] { return recoveries(); });
+  counter("neptune_recovery_seconds_total", "Cumulative failure-to-restored wall time",
+          [this] { return static_cast<double>(recovery_ns()) * 1e-9; });
   counter("neptune_watchdog_stalls_total",
-          "Stuck-operator detections escalated by the watchdog", count(watchdog_stalls_));
-  counter("neptune_snapshots_persisted_total",
-          "Checkpoints durably written to the snapshot store", count(snapshots_persisted_));
+          "Stuck-operator detections escalated by the watchdog",
+          [this] { return watchdog_stalls(); });
   counter("neptune_checkpoint_quiesce_timeouts",
           "Checkpoint epochs abandoned because their barriers did not complete within the "
           "checkpoint timeout",
-          count(quiesce_timeouts_));
+          [this] { return quiesce_timeouts(); });
 }
 
 RecoveryCoordinator::~RecoveryCoordinator() { stop(); }
@@ -50,18 +49,6 @@ void RecoveryCoordinator::attach(const std::shared_ptr<Job>& job) {
 std::shared_ptr<Job> RecoveryCoordinator::start() {
   auto job = runtime_.submit(graph_);
   attach(job);
-  // Crash restart: seed the first incarnation from the newest valid on-disk
-  // snapshot (a torn or bit-flipped current file falls back to the previous
-  // good one inside SnapshotStore::load).
-  if (store_) {
-    if (auto snap = store_->load()) {
-      job->restore_state(*snap);
-      std::lock_guard<std::mutex> lk(mu_);
-      snapshot_ = std::move(*snap);
-      have_snapshot_ = true;
-      restored_from_disk_ = true;
-    }
-  }
   {
     std::lock_guard<std::mutex> lk(mu_);
     job_ = job;
@@ -98,71 +85,66 @@ void RecoveryCoordinator::stop() {
   cv_.notify_all();
   if (monitor_.joinable()) monitor_.join();
   watchdog_.reset();  // after the monitor: recover() re-arms it
-  std::shared_ptr<Job> job;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    job = job_;
-  }
+  std::shared_ptr<Job> job = this->job();
   if (job && !job->completed()) job->stop();
 }
 
-bool RecoveryCoordinator::permanently_failed() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return permanent_failure_;
-}
-
 bool RecoveryCoordinator::checkpoint_now() {
-  std::shared_ptr<Job> job;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    job = job_;
-  }
-  return job && take_checkpoint(job);
+  std::shared_ptr<Job> job = this->job();
+  return job && take_checkpoint(job, /*manual=*/true);
 }
 
 JobMetricsSnapshot RecoveryCoordinator::metrics() const {
-  std::shared_ptr<Job> job;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    job = job_;
-  }
+  std::shared_ptr<Job> job = this->job();
   JobMetricsSnapshot m = job ? job->metrics() : JobMetricsSnapshot{};
-  m.checkpoints_taken = checkpoints_.load(std::memory_order_relaxed);
-  m.recoveries = recoveries_.load(std::memory_order_relaxed);
-  m.recovery_ns = recovery_ns_.load(std::memory_order_relaxed);
+  m.checkpoints_taken = checkpoints_taken();
+  m.recoveries = recoveries();
+  m.recovery_ns = recovery_ns();
   return m;
 }
 
-bool RecoveryCoordinator::take_checkpoint(const std::shared_ptr<Job>& job) {
+bool RecoveryCoordinator::take_checkpoint(const std::shared_ptr<Job>& job, bool manual) {
   // A failing job or a dead resource could not complete the barriers.
   if (job->failed() || job->completed() || any_resource_down()) return false;
-  std::lock_guard<std::mutex> ckpt(checkpoint_mu_);
-  std::optional<JobSnapshot> snap = job->checkpoint(++epoch_, options_.checkpoint_timeout);
-  if (!snap) {
-    if (job->failed() || failure_flag_->load(std::memory_order_acquire)) return false;
+  // The controller keeps one epoch open at a time, so a manual checkpoint
+  // and the monitor's never overlap.
+  std::optional<EpochAction> a;
+  {
+    std::lock_guard<std::mutex> lk(epochs_mu_);
+    a = manual ? epochs_.request() : epochs_.tick();
+  }
+  if (a && a->kind == EpochAction::Kind::kBegin) {
+    std::optional<JobSnapshot> snap = job->checkpoint(a->epoch, options_.checkpoint_timeout);
+    // A failing job leaves the epoch to the rollback, which drops it.
+    // Otherwise an incomplete epoch still open has run out its timeout:
+    // the tick abandons it.
+    if (!snap && (job->failed() || failure_flag_->load(std::memory_order_acquire))) return false;
+    std::lock_guard<std::mutex> lk(epochs_mu_);
+    if (snap) {
+      a = epochs_.acked(0, a->epoch, true);
+    } else {
+      a = epochs_.open_epoch() == a->epoch ? epochs_.tick() : std::nullopt;
+    }
+    if (a && a->kind == EpochAction::Kind::kCommit) snapshot_ = std::move(*snap);
+  }
+  if (a) report(*a);
+  return a && a->kind == EpochAction::Kind::kCommit;
+}
+
+void RecoveryCoordinator::report(const EpochAction& action) {
+  if (action.kind == EpochAction::Kind::kCommit) {
+    obs::FlightRecorder::record(obs::FlightRecorder::register_actor("job " + graph_.name()),
+                                obs::FlightEventType::kCheckpoint, checkpoints_taken());
+  } else if (action.kind == EpochAction::Kind::kAbandon) {
     // A barrier that cannot get through within the budget (wedged
     // operator, runaway backlog) is a health signal: surface it.
-    quiesce_timeouts_.fetch_add(1, std::memory_order_relaxed);
-    std::string what = job->name() + ": checkpoint epoch " + std::to_string(epoch_) +
+    std::string what = graph_.name() + ": checkpoint epoch " + std::to_string(action.epoch) +
                        " incomplete after " +
                        std::to_string(options_.checkpoint_timeout.count() / 1'000'000) +
                        " ms; abandoned";
     NEPTUNE_LOG_WARN("%s", what.c_str());
     obs::IncidentReporter::trigger_global("checkpoint-timeout", what);
-    return false;
   }
-  // A complete epoch is a consistent cut even if a fault follows it.
-  if (store_ && store_->save(*snap)) snapshots_persisted_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    snapshot_ = std::move(*snap);
-    have_snapshot_ = true;
-  }
-  checkpoints_.fetch_add(1, std::memory_order_relaxed);
-  obs::FlightRecorder::record(obs::FlightRecorder::register_actor("job " + graph_.name()),
-                              obs::FlightEventType::kCheckpoint,
-                              checkpoints_.load(std::memory_order_relaxed));
-  return true;
 }
 
 void RecoveryCoordinator::execute_due_kills() {
@@ -187,7 +169,6 @@ bool RecoveryCoordinator::any_resource_down() const {
 }
 
 void RecoveryCoordinator::monitor() {
-  int64_t last_checkpoint_ns = now_ns();
   while (!stop_.load(std::memory_order_acquire)) {
     {
       std::unique_lock<std::mutex> lk(mu_);
@@ -196,25 +177,21 @@ void RecoveryCoordinator::monitor() {
     }
     if (stop_.load(std::memory_order_acquire)) break;
 
-    std::shared_ptr<Job> job;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      job = job_;
-    }
+    std::shared_ptr<Job> job = this->job();
     if (!job) break;
 
     execute_due_kills();
 
-    const bool failed = failure_flag_->load(std::memory_order_acquire) || job->failed() ||
-                        any_resource_down();
-    if (failed) {
-      recover();
-      if (stop_.load(std::memory_order_acquire)) break;
-      last_checkpoint_ns = now_ns();
+    if (failure_flag_->load(std::memory_order_acquire) || job->failed() || any_resource_down()) {
+      recover(job);
       continue;
     }
 
     if (job->completed()) {
+      {
+        std::lock_guard<std::mutex> lk(epochs_mu_);
+        epochs_.all_done();
+      }
       std::lock_guard<std::mutex> lk(mu_);
       done_ = true;
       completed_ = true;
@@ -222,18 +199,21 @@ void RecoveryCoordinator::monitor() {
       break;
     }
 
-    if (now_ns() - last_checkpoint_ns >= options_.checkpoint_interval_ns) {
-      take_checkpoint(job);
-      last_checkpoint_ns = now_ns();  // even on failure: don't retry back to back
-    }
+    take_checkpoint(job, /*manual=*/false);
   }
 }
 
-void RecoveryCoordinator::recover() {
-  if (recoveries_.load(std::memory_order_relaxed) >= options_.max_recoveries) {
-    NEPTUNE_LOG_ERROR("recovery: budget exhausted (%u), giving up", options_.max_recoveries);
+void RecoveryCoordinator::recover(const std::shared_ptr<Job>& old) {
+  const std::string reason = old->failed() ? old->failure_reason() : "resource down";
+  EpochAction rollback;
+  {
+    std::lock_guard<std::mutex> lk(epochs_mu_);
+    rollback = epochs_.part_failed(reason);
+  }
+  if (rollback.kind == EpochAction::Kind::kGiveUp) {  // failure() is only written here
+    NEPTUNE_LOG_ERROR("recovery: job '%s': %s; giving up", old->name().c_str(),
+                      epochs_.failure().c_str());
     std::lock_guard<std::mutex> lk(mu_);
-    permanent_failure_ = true;
     done_ = true;
     stop_.store(true, std::memory_order_release);
     cv_.notify_all();
@@ -241,47 +221,25 @@ void RecoveryCoordinator::recover() {
   }
 
   const int64_t t0 = now_ns();
-  std::shared_ptr<Job> old;
-  bool from_snapshot = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    old = job_;
-    from_snapshot = have_snapshot_;
-  }
   failure_flag_->store(false, std::memory_order_release);
   watchdog_.reset();  // stop watching the wreck; re-armed on the fresh incarnation
   NEPTUNE_LOG_WARN("recovery: job '%s' failed (%s) — restoring from %s", old->name().c_str(),
-                   old->failed() ? old->failure_reason().c_str() : "resource down",
-                   from_snapshot ? "latest checkpoint" : "scratch (no checkpoint yet)");
+                   reason.c_str(),
+                   rollback.epoch != 0 ? "latest checkpoint" : "scratch (no checkpoint yet)");
   // Bundle the wreck before teardown wipes the evidence.
-  obs::FlightRecorder::record(
-      obs::FlightRecorder::register_actor("job " + graph_.name()),
-      obs::FlightEventType::kRecovery, recoveries_.load(std::memory_order_relaxed) + 1);
-  obs::IncidentReporter::trigger_global(
-      "recovery", old->name() + ": " +
-                      (old->failed() ? old->failure_reason() : "resource down"));
+  obs::FlightRecorder::record(obs::FlightRecorder::register_actor("job " + graph_.name()),
+                              obs::FlightEventType::kRecovery, recoveries());
+  obs::IncidentReporter::trigger_global("recovery", old->name() + ": " + reason);
 
   // Tear the wreck down (best effort — dead resources never run the stop
   // notifications, which is fine; the runtime keeps the old job's carcass
-  // alive so late supervisor callbacks stay safe).
+  // alive so late supervisor callbacks stay safe), then wait until none of
+  // its executions is in flight: workers on live resources may still be
+  // draining a batch into operators shared with the next incarnation.
   old->stop();
-  // Wait until the wreck stops moving before restoring state: workers may
-  // still be draining in-flight batches into operators that are shared with
-  // the next incarnation (Job::wait would hang on a dead resource, so watch
-  // packet movement instead — frozen instantly there, drained in ms here).
-  auto moved = [&] {
-    JobMetricsSnapshot m = old->metrics();
-    return m.total(&OperatorMetricsSnapshot::packets_in) +
-           m.total(&OperatorMetricsSnapshot::packets_out) +
-           m.total(&OperatorMetricsSnapshot::executions);
-  };
-  uint64_t prev = moved();
-  for (int i = 0; i < 200; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    uint64_t cur = moved();
-    if (cur == prev) break;
-    prev = cur;
-  }
+  if (!old->wait_idle(std::chrono::seconds(2)))
+    NEPTUNE_LOG_WARN("recovery: job '%s' still executing after 2 s; restoring anyway",
+                     old->name().c_str());
 
   // Restart any dead resource: fresh IO loops + worker pools. Old task
   // entries stay terminated/idle and are never rescheduled.
@@ -292,19 +250,21 @@ void RecoveryCoordinator::recover() {
     }
   }
 
-  // Resubmit the same graph and restore the latest consistent snapshot;
-  // sources rewind to their recorded replay positions.
+  // Resubmit the same graph and restore the last committed epoch; sources
+  // rewind to their recorded replay positions.
   auto fresh = runtime_.submit(graph_);
   attach(fresh);
+  if (rollback.epoch != 0) {
+    std::lock_guard<std::mutex> lk(epochs_mu_);
+    fresh->restore_state(snapshot_);
+  }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (have_snapshot_) fresh->restore_state(snapshot_);
     job_ = fresh;
   }
   fresh->start();
   if (options_.watchdog.enabled) arm_watchdog(fresh);
 
-  recoveries_.fetch_add(1, std::memory_order_relaxed);
   recovery_ns_.fetch_add(now_ns() - t0, std::memory_order_relaxed);
   NEPTUNE_LOG_INFO("recovery: job '%s' restored in %.1f ms", fresh->name().c_str(),
                    static_cast<double>(now_ns() - t0) * 1e-6);

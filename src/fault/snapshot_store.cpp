@@ -74,59 +74,10 @@ bool fsync_path(const std::string& path, bool directory) {
   return ok;
 }
 
-bool file_exists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0;
-}
-
 }  // namespace
 
 SnapshotStore::SnapshotStore(std::string dir) : dir_(std::move(dir)) {
-  ::mkdir(dir_.c_str(), 0755);  // best-effort; save() reports real failures
-}
-
-std::string SnapshotStore::current_path() const { return dir_ + "/snapshot.bin"; }
-std::string SnapshotStore::previous_path() const { return dir_ + "/snapshot.prev"; }
-std::string SnapshotStore::temp_path() const { return dir_ + "/snapshot.tmp"; }
-
-bool SnapshotStore::save(const JobSnapshot& snap) {
-  ByteBuffer body;
-  snap.serialize(body);
-  uint8_t footer[kFooterSize];
-  store_u32(kFooterMagic, footer);
-  store_u32(static_cast<uint32_t>(body.size()), footer + 4);
-  store_u32(crc32(body.contents()), footer + 8);
-
-  const std::string tmp = temp_path();
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size() &&
-            std::fwrite(footer, 1, kFooterSize, f) == kFooterSize &&
-            std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-
-  // Keep the last good snapshot as the fallback, then swing the new one in.
-  if (file_exists(current_path())) {
-    if (std::rename(current_path().c_str(), previous_path().c_str()) != 0) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), current_path().c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  fsync_path(dir_, /*directory=*/true);  // make both renames durable
-  return true;
-}
-
-std::optional<JobSnapshot> SnapshotStore::load() const {
-  if (auto cur = load_validated(current_path())) return cur;
-  return load_validated(previous_path());
+  ::mkdir(dir_.c_str(), 0755);  // best-effort; save_tagged() reports real failures
 }
 
 std::string SnapshotStore::tagged_path(uint64_t epoch) const {
@@ -141,7 +92,7 @@ bool SnapshotStore::save_tagged(const JobSnapshot& snap, uint64_t epoch, size_t 
   store_u32(static_cast<uint32_t>(body.size()), footer + 4);
   store_u32(crc32(body.contents()), footer + 8);
 
-  const std::string tmp = temp_path();
+  const std::string tmp = dir_ + "/snapshot.tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return false;
   bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size() &&
@@ -186,10 +137,6 @@ std::vector<uint64_t> SnapshotStore::tagged_epochs() const {
   ::closedir(d);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-bool SnapshotStore::current_is_corrupt() const {
-  return file_exists(current_path()) && !load_validated(current_path()).has_value();
 }
 
 }  // namespace neptune::fault

@@ -1,13 +1,14 @@
-// Crash-safe persistence for JobSnapshot (checkpoint durability satellite).
+// Crash-safe persistence for JobSnapshot, one file per checkpoint epoch.
 //
-// Save protocol: serialize + CRC32 footer into `<dir>/snapshot.tmp`, fsync
-// the file, rotate the previous `snapshot.bin` to `snapshot.prev`, then
-// atomically rename the temp file into place and fsync the directory. A
-// crash at any point leaves either the old snapshot, the new snapshot, or
-// both — never a half-written current file.
-//
-// Load tries `snapshot.bin` first; a torn or bit-flipped file (bad footer
-// magic, length mismatch, or CRC mismatch) falls back to `snapshot.prev`.
+// A distributed deployment commits checkpoints in numbered epochs: every
+// worker persists its slice under the same epoch, and the supervisor
+// commits the epoch only after all slices are durable. Save protocol:
+// serialize + CRC32 footer into `<dir>/snapshot.tmp`, fsync the file, then
+// atomically rename it to `snapshot-<epoch>.bin` and fsync the directory.
+// A crash at any point leaves either no file for the epoch or a complete
+// one — never a half-written file under the epoch's name. Load validates
+// the footer (magic, length, CRC) and reports a torn or bit-flipped file as
+// missing.
 #pragma once
 
 #include <cstdint>
@@ -23,25 +24,6 @@ class SnapshotStore {
   /// `dir` must exist (or be creatable); files live directly inside it.
   explicit SnapshotStore(std::string dir);
 
-  /// Durably persist `snap`. Returns false on I/O failure (the previous
-  /// snapshot, if any, is untouched in that case).
-  bool save(const JobSnapshot& snap);
-
-  /// Best available snapshot: current, else the rotated previous one, else
-  /// nullopt. Corrupt/torn files are skipped, not deleted.
-  std::optional<JobSnapshot> load() const;
-
-  /// True if the *current* file exists but fails validation — i.e. load()
-  /// had to fall back (or found nothing). For tests and diagnostics.
-  bool current_is_corrupt() const;
-
-  // --- epoch-tagged snapshots (coordinated multi-process checkpoints) ------
-  //
-  // A distributed deployment commits checkpoints in numbered epochs: every
-  // worker persists its slice under the same epoch, and the supervisor
-  // commits the epoch only after all slices are durable. Epoch files use
-  // the same tmp+fsync+rename protocol and CRC32 footer as save()/load().
-
   /// Durably persist `snap` as `snapshot-<epoch>.bin`, then prune epochs
   /// older than the newest `retain` (default 4). False on I/O failure.
   bool save_tagged(const JobSnapshot& snap, uint64_t epoch, size_t retain = 4);
@@ -52,9 +34,6 @@ class SnapshotStore {
   /// Epochs with a file present (validity not checked), ascending.
   std::vector<uint64_t> tagged_epochs() const;
 
-  std::string current_path() const;
-  std::string previous_path() const;
-  std::string temp_path() const;
   std::string tagged_path(uint64_t epoch) const;
 
  private:

@@ -168,15 +168,18 @@ void InstanceRuntime::execute(granules::TaskContext& ctx) {
   metrics_.exec_begin_ns.store(clock_->now_ns(), std::memory_order_relaxed);
   obs::FlightRecorder::record(flight_actor_, obs::FlightEventType::kDispatchBegin,
                               metrics_.executions.load(std::memory_order_relaxed));
+  if (executing) executing->enter();
   struct ExecGuard {
     OperatorMetrics& m;
     uint32_t actor;
+    ExecutionGauge* gauge;
     ~ExecGuard() {
       m.exec_begin_ns.store(0, std::memory_order_relaxed);
       obs::FlightRecorder::record(actor, obs::FlightEventType::kDispatchEnd,
                                   m.executions.load(std::memory_order_relaxed));
+      if (gauge) gauge->exit();
     }
-  } exec_guard{metrics_, flight_actor_};
+  } exec_guard{metrics_, flight_actor_, executing.get()};
   if (stop_requested_.load(std::memory_order_acquire)) {
     finalize(ctx, /*discard=*/true);
     return;

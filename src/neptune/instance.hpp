@@ -21,9 +21,12 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -57,6 +60,32 @@ class InstanceHost {
   virtual void on_barrier(const InstanceRuntime& inst, uint64_t epoch) = 0;
   /// The instance finished: outputs flushed and closed (on its own thread).
   virtual void on_instance_done(const InstanceRuntime& inst) = 0;
+};
+
+/// Counts a job's instances inside execute(), so recovery can wait for a
+/// stopped job to go quiet without polling. exit() locks only while
+/// someone waits (seq_cst: the waiter's increment vs exit's decrement).
+class ExecutionGauge {
+ public:
+  void enter() { in_flight_.fetch_add(1); }
+  void exit() {
+    if (in_flight_.fetch_sub(1) == 1 && waiters_.load() != 0) {
+      std::lock_guard lk(mu_);
+      cv_.notify_all();
+    }
+  }
+  bool wait_idle(std::chrono::nanoseconds timeout) {
+    std::unique_lock lk(mu_);
+    waiters_.fetch_add(1);
+    bool idle = cv_.wait_for(lk, timeout, [&] { return in_flight_.load() == 0; });
+    waiters_.fetch_sub(1);
+    return idle;
+  }
+
+ private:
+  std::atomic<uint32_t> in_flight_{0}, waiters_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
 };
 
 /// An inbound batch awaiting execution, recycled through an object pool
@@ -137,6 +166,8 @@ class InstanceRuntime final : public granules::ComputationalTask, public Emitter
   std::shared_ptr<fault::DeadLetterQueue> dlq;
   /// > 0: dispatches slower than this are counted in deadline_overruns.
   int64_t packet_deadline_ns = 0;
+  /// The owning job's in-flight count (null = not counted, as in DST).
+  std::shared_ptr<ExecutionGauge> executing;
 
   /// Append the sending half of one edge of `link`: a StreamBuffer over
   /// `tx`, in destination-instance order (partitioning indexes by it).

@@ -60,6 +60,10 @@ std::optional<JobSnapshot> Job::await_checkpoint(uint64_t epoch,
   return checkpoint_.take();
 }
 
+bool Job::wait_idle(std::chrono::nanoseconds timeout) {
+  return executing_->wait_idle(timeout);
+}
+
 bool Job::wait(std::chrono::nanoseconds timeout) {
   std::unique_lock lk(done_mu_);
   return done_cv_.wait_for(lk, timeout, [&] { return done_count_ == instances_.size(); });
@@ -386,6 +390,7 @@ Runtime::Placed Runtime::make_instance(const OperatorDecl& op, uint32_t inst,
     rt->processor = op.processor_factory();
   }
   rt->dlq = job->dead_letters_;
+  rt->executing = job->executing_;
   rt->packet_deadline_ns = options_.quarantine.packet_deadline_ns;
   return Placed{std::move(rt), resource, std::move(task_id)};
 }

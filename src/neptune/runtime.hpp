@@ -50,6 +50,12 @@ class Job : private detail::InstanceHost {
   /// discarded, operators terminate. Safe to call at any time.
   void stop();
 
+  /// Block until no instance of this job is inside an execution. After
+  /// stop() every later execution only discards, so this is the point
+  /// from which the job no longer touches operator state. False on timeout
+  /// (an execution that never returns, or one on a dead resource).
+  bool wait_idle(std::chrono::nanoseconds timeout);
+
   // --- checkpoint / restore (prototype of the paper's §VI future work) ----
 
   /// Start checkpoint `epoch` (above every earlier one; an open epoch is
@@ -112,6 +118,8 @@ class Job : private detail::InstanceHost {
   std::string failure_reason_;
   std::atomic<bool> failed_{false};
   std::shared_ptr<fault::DeadLetterQueue> dead_letters_;  // null = quarantine off
+  std::shared_ptr<detail::ExecutionGauge> executing_ =
+      std::make_shared<detail::ExecutionGauge>();
   std::vector<std::shared_ptr<detail::InstanceRuntime>> instances_;
   // Telemetry registrations for this job's operators and edges. Samplers
   // capture shared_ptrs, so ordering vs instances_ is not load-bearing;

@@ -15,8 +15,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <thread>
 
+#include "common/clock.hpp"
 #include "common/log.hpp"
 #include "obs/incident.hpp"
 #include "proc/control.hpp"
@@ -28,11 +30,10 @@ namespace neptune::proc {
 
 namespace {
 
-int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using fault::EpochAction;
+
+/// Restart backoff base: the n-th rollback respawns after 50 ms << (n-1).
+constexpr int64_t kRestartBackoffNs = 50'000'000;
 
 // One-shot free-port probe: bind an ephemeral port, record it, close. The
 // close-to-reuse window is racy in principle, but a lost race just makes
@@ -86,8 +87,6 @@ struct ResourceSupervisor::Impl {
     int64_t last_msg_ms = 0;
     uint64_t in = 0, seq = 0;
     bool held = false;  ///< chaos killed or stopped it; not yet seen dead or resumed
-    bool ckpt_acked = false;
-    bool ckpt_ok = false;
     std::map<std::string, SupervisorSink> sinks;
   };
 
@@ -100,9 +99,10 @@ struct ResourceSupervisor::Impl {
   /// Partition actions resolved into per-resource worker args at spawn.
   std::map<size_t, std::vector<WorkerOptions::Partition>> partitions;
   uint64_t generation = 0;
-  uint64_t epoch_next = 1;
-  int64_t commit_deadline_ms = -1;  ///< >=0: an epoch awaits its acks
-  int64_t last_checkpoint_ms = 0;
+  /// One part per worker; built once the resource count is known.
+  std::optional<fault::EpochController> epochs;
+  /// Set between a rollback and the respawn it waits for (the backoff).
+  std::optional<EpochAction> restart;
   int64_t recovery_detect_ms = -1;  ///< >=0: waiting for all hellos to close a recovery
   struct PendingCont {
     size_t resource;
@@ -150,21 +150,6 @@ struct ResourceSupervisor::Impl {
     std::fclose(f);
     if (!ok) return false;
     return ::rename(tmp.c_str(), manifest_path().c_str()) == 0;
-  }
-
-  int64_t read_manifest() const {
-    std::FILE* f = std::fopen(manifest_path().c_str(), "r");
-    if (!f) return -1;
-    std::string body;
-    char chunk[256];
-    size_t n;
-    while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0) body.append(chunk, n);
-    std::fclose(f);
-    try {
-      return static_cast<int64_t>(JsonValue::parse(body).number_or("epoch", -1));
-    } catch (const JsonError&) {
-      return -1;
-    }
   }
 
   void spawn_worker(size_t r, int64_t restore_epoch) {
@@ -252,8 +237,6 @@ struct ResourceSupervisor::Impl {
     }
     workers.clear();
     for (size_t r = 0; r < total; ++r) spawn_worker(r, restore_epoch);
-    commit_deadline_ms = -1;
-    last_checkpoint_ms = now_ms();
     if (opts.verbose)
       NEPTUNE_LOG_INFO("supervisor: generation %llu up (%zu workers, restore epoch %lld)",
                        static_cast<unsigned long long>(generation), total,
@@ -288,10 +271,9 @@ struct ResourceSupervisor::Impl {
       w.in = static_cast<uint64_t>(msg.number_or("in", 0));
       w.seq = static_cast<uint64_t>(msg.number_or("seq", 0));
     } else if (type == "checkpointed") {
-      if (static_cast<uint64_t>(msg.number_or("epoch", 0)) == epoch_next) {  // not a late ack
-        w.ckpt_acked = true;
-        w.ckpt_ok = msg.as_object().at("ok").as_bool();
-      }
+      if (auto a = epochs->acked(w.resource, static_cast<uint64_t>(msg.number_or("epoch", 0)),
+                                 msg.as_object().at("ok").as_bool()))
+        apply(*a);
     } else if (type == "completed") {
       w.completed = true;
       w.in = static_cast<uint64_t>(msg.number_or("in", 0));
@@ -314,34 +296,52 @@ struct ResourceSupervisor::Impl {
     std::vector<struct pollfd> fds;
     fds.reserve(workers.size());
     for (WorkerState& w : workers) fds.push_back({w.ctl->fd(), POLLIN, 0});
-    if (!fds.empty()) ::poll(fds.data(), fds.size(), timeout_ms);
+    ::poll(fds.data(), fds.size(), timeout_ms);  // no workers (a restart backoff): a plain wait
     for (WorkerState& w : workers) {
       while (auto msg = w.ctl->poll(0)) handle_message(w, *msg);
     }
   }
 
-  /// Full-deployment rollback. Returns false when the budget is exhausted
-  /// (report.failure is set).
+  /// Carry out a Begin, Commit or Abandon, and mirror the counters.
+  void apply(const EpochAction& a) {
+    const std::string epoch = "epoch " + std::to_string(a.epoch);
+    if (a.kind == EpochAction::Kind::kBegin) {
+      JsonValue msg = control_message("checkpoint");
+      msg.as_object()["epoch"] = JsonValue(static_cast<int64_t>(a.epoch));
+      broadcast(msg);
+    } else if (a.kind == EpochAction::Kind::kCommit) {
+      if (!write_manifest(a.epoch))
+        obs::IncidentReporter::trigger_global("checkpoint-failed",
+                                              epoch + " committed; manifest not written");
+    } else if (a.kind == EpochAction::Kind::kAbandon) {
+      obs::IncidentReporter::trigger_global(
+          "checkpoint-timeout", epoch + " abandoned: acks missing at the timeout, or not ok");
+    }
+    report.checkpoints = epochs->committed();
+    report.quiesce_timeouts = epochs->abandoned();
+    report.recoveries = epochs->rollbacks();
+  }
+
+  /// Full-deployment rollback: kill every worker now; the loop respawns
+  /// them once the controller's backoff has passed. Returns false when the
+  /// budget is exhausted (report.failure is set).
   bool recover(const std::string& trigger, const std::string& detail) {
-    ++report.recoveries;
     obs::IncidentReporter::trigger_global(trigger, detail);
+    EpochAction a = epochs->part_failed(detail);
+    apply(a);
+    recovery_detect_ms = now_ms();
+    kill_all();
+    if (a.kind == EpochAction::Kind::kGiveUp) {
+      report.failure = epochs->failure();
+      NEPTUNE_LOG_ERROR("supervisor: %s — %s", trigger.c_str(), report.failure.c_str());
+      return false;
+    }
     NEPTUNE_LOG_WARN("supervisor: %s — %s; rolling deployment back (recovery %llu/%u)",
                      trigger.c_str(), detail.c_str(),
                      static_cast<unsigned long long>(report.recoveries), opts.max_recoveries);
-    recovery_detect_ms = now_ms();
-    kill_all();
-    if (report.recoveries > opts.max_recoveries) {
-      report.failure = "recovery budget exhausted (" + std::to_string(opts.max_recoveries) +
-                       "): " + detail;
-      return false;
-    }
-    int64_t epoch = read_manifest();
     ++generation;
     ++report.generations;
-    uint32_t shift = std::min<uint64_t>(report.recoveries - 1, 5);
-    int64_t backoff = std::min<int64_t>(opts.restart_backoff_ms << shift, 2000);
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-    spawn_all(epoch);
+    restart = a;
     return true;
   }
 
@@ -435,6 +435,7 @@ struct ResourceSupervisor::Impl {
       }
       if (!signals.empty()) chaos = std::make_unique<ChaosController>(std::move(signals));
 
+      epochs.emplace(&SteadyClock::instance(), opts, total, kRestartBackoffNs);
       spawn_all(/*restore_epoch=*/-1);
 
       for (;;) {
@@ -444,57 +445,45 @@ struct ResourceSupervisor::Impl {
           kill_all();
           break;
         }
+        if (restart && neptune::now_ns() >= restart->not_before_ns) {
+          spawn_all(restart->epoch != 0 ? static_cast<int64_t>(restart->epoch) : -1);
+          restart.reset();
+        }
         poll_workers(5);
         now = now_ms();
 
-        // Real deaths (waitpid) — the primary liveness signal.
-        bool recovered_this_tick = false;
+        // Any fault is one rollback: a real death (waitpid, the primary
+        // liveness signal); a gray failure, the pid alive but its heartbeat
+        // stopped (SIGSTOP, runaway dispatch, scheduler wedge...); or a
+        // worker-reported permanent failure (edge budget, restore error).
+        std::string trigger, detail;
         for (WorkerState& w : workers) {
-          if (w.pid <= 0) continue;
+          const std::string who = "worker r" + std::to_string(w.resource) + " (pid " +
+                                  std::to_string(w.pid) + ")";
           int status = 0;
-          pid_t r = ::waitpid(w.pid, &status, WNOHANG);
-          if (r == w.pid) {
+          if (w.pid > 0 && ::waitpid(w.pid, &status, WNOHANG) == w.pid) {
             ++report.worker_deaths;
-            std::string detail = "worker r" + std::to_string(w.resource) + " (pid " +
-                                 std::to_string(w.pid) + ") died: " + exit_description(status);
+            trigger = "worker-death";
+            detail = who + " died: " + exit_description(status);
             w.pid = -1;
-            if (!recover("worker-death", detail)) return finish_failure();
-            recovered_this_tick = true;
-            break;  // workers was rebuilt; iterators are gone
-          }
-        }
-        if (recovered_this_tick) continue;
-
-        // Gray failures: the pid exists but the heartbeat stream stopped
-        // (SIGSTOP, runaway dispatch, scheduler wedge...).
-        for (WorkerState& w : workers) {
-          if (w.pid <= 0) continue;
-          if (now - w.last_msg_ms > opts.heartbeat_timeout_ms) {
+          } else if (w.pid > 0 && now - w.last_msg_ms > opts.heartbeat_timeout_ms) {
             ++report.gray_failures;
-            std::string detail = "worker r" + std::to_string(w.resource) + " (pid " +
-                                 std::to_string(w.pid) + ") silent for " +
-                                 std::to_string(now - w.last_msg_ms) + " ms (gray failure)";
-            if (!recover("gray-failure", detail)) return finish_failure();
-            recovered_this_tick = true;
-            break;
+            trigger = "gray-failure";
+            detail = who + " silent for " + std::to_string(now - w.last_msg_ms) +
+                     " ms (gray failure)";
+          } else if (w.failed) {
+            trigger = "worker-failed";
+            detail = who + " reported failure: " + w.fail_reason;
           }
+          if (!trigger.empty()) break;
         }
-        if (recovered_this_tick) continue;
-
-        // Worker-reported permanent failures (edge budget, restore error).
-        for (WorkerState& w : workers) {
-          if (w.failed) {
-            std::string detail = "worker r" + std::to_string(w.resource) +
-                                 " reported failure: " + w.fail_reason;
-            if (!recover("worker-failed", detail)) return finish_failure();
-            recovered_this_tick = true;
-            break;
-          }
+        if (!trigger.empty()) {
+          if (!recover(trigger, detail)) return report;  // recover() killed every worker
+          continue;
         }
-        if (recovered_this_tick) continue;
 
-        bool up = std::all_of(workers.begin(), workers.end(),
-                              [](const WorkerState& w) { return w.hello; });
+        bool up = !workers.empty() && std::all_of(workers.begin(), workers.end(),
+                                                  [](const WorkerState& w) { return w.hello; });
         // Close out a recovery's latency once the new generation is up.
         if (up && recovery_detect_ms >= 0) {
           report.recovery_ms.push_back(static_cast<double>(now_ms() - recovery_detect_ms));
@@ -504,7 +493,13 @@ struct ResourceSupervisor::Impl {
         // would fold two rollbacks into one.
         if (up) execute_chaos(now - t_start);
 
-        run_checkpoint_machine(now);
+        // Tick only with every worker up: a rollback dropped any open epoch.
+        if (up && std::all_of(workers.begin(), workers.end(),
+                              [](const WorkerState& w) { return w.completed; }))
+          epochs->all_done();
+        if (up) {
+          if (auto a = epochs->tick()) apply(*a);
+        }
 
         // A chaos fault landing at the very end still takes effect first.
         if (!workers.empty() && std::all_of(workers.begin(), workers.end(), [](const WorkerState& w) {
@@ -518,50 +513,6 @@ struct ResourceSupervisor::Impl {
       kill_all();
     }
     report.seconds = static_cast<double>(now_ms() - t_start) / 1000.0;
-    return report;
-  }
-
-  void run_checkpoint_machine(int64_t now) {
-    if (opts.checkpoint_interval_ms <= 0) return;
-    auto all = [&](bool WorkerState::*flag) {
-      return !workers.empty() && std::all_of(workers.begin(), workers.end(),
-                                             [&](const WorkerState& w) { return w.*flag; });
-    };
-    if (commit_deadline_ms < 0) {
-      if (all(&WorkerState::hello) && !all(&WorkerState::completed) &&
-          now - last_checkpoint_ms >= opts.checkpoint_interval_ms) {
-        JsonValue msg = control_message("checkpoint");
-        msg.as_object()["epoch"] = JsonValue(static_cast<int64_t>(epoch_next));
-        for (WorkerState& w : workers) w.ckpt_acked = w.ckpt_ok = false;
-        broadcast(msg);
-        commit_deadline_ms = now + opts.checkpoint_timeout_ms;
-      }
-      return;
-    }
-    if (all(&WorkerState::ckpt_acked)) {
-      if (all(&WorkerState::ckpt_ok) && write_manifest(epoch_next)) {
-        report.last_epoch = epoch_next;
-        ++report.checkpoints;
-      } else {
-        obs::IncidentReporter::trigger_global(
-            "checkpoint-failed",
-            "epoch " + std::to_string(epoch_next) + " not committed (worker save failed)");
-      }
-    } else if (now > commit_deadline_ms) {
-      ++report.quiesce_timeouts;
-      obs::IncidentReporter::trigger_global(
-          "checkpoint-timeout", "epoch " + std::to_string(epoch_next) + " acks missing after " +
-                                    std::to_string(opts.checkpoint_timeout_ms) + " ms; abandoned");
-    } else {
-      return;
-    }
-    ++epoch_next;  // spent either way: a late ack never counts for the next
-    commit_deadline_ms = -1;
-    last_checkpoint_ms = now;
-  }
-
-  SupervisorReport finish_failure() {
-    kill_all();
     return report;
   }
 

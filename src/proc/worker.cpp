@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 
+#include "common/clock.hpp"
 #include "common/log.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/snapshot_store.hpp"
@@ -16,12 +17,6 @@
 namespace neptune::proc {
 
 namespace {
-
-int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 JsonValue stat_message(const Job& job, const char* type) {
   JobMetricsSnapshot m = job.metrics();

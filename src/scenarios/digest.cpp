@@ -63,12 +63,31 @@ uint64_t packet_content_hash(const StreamPacket& packet) {
   return h;
 }
 
+void DigestAccumulator::attach(uint32_t instance, std::shared_ptr<const DigestAccumulator> part) {
+  std::lock_guard lk(mu_);
+  parts_[instance] = std::move(part);
+}
+
+uint64_t DigestAccumulator::count() const {
+  uint64_t n = count_.load(std::memory_order_relaxed);
+  std::lock_guard lk(mu_);
+  for (const auto& [instance, part] : parts_) n += part->count();
+  return n;
+}
+
 std::string DigestAccumulator::digest() const {
+  uint64_t sum = this->sum(), x = xor_value();
+  {
+    std::lock_guard lk(mu_);
+    for (const auto& [instance, part] : parts_) {
+      sum += part->sum();
+      x ^= part->xor_value();
+    }
+  }
   char buf[64];
   std::snprintf(buf, sizeof buf, "n%llu-s%016llx-x%016llx",
-                static_cast<unsigned long long>(count_.load(std::memory_order_relaxed)),
-                static_cast<unsigned long long>(sum_.load(std::memory_order_relaxed)),
-                static_cast<unsigned long long>(xor_.load(std::memory_order_relaxed)));
+                static_cast<unsigned long long>(count()), static_cast<unsigned long long>(sum),
+                static_cast<unsigned long long>(x));
   return std::string(buf);
 }
 

@@ -11,7 +11,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "neptune/operators.hpp"
@@ -24,9 +26,9 @@ namespace neptune::scenarios {
 /// field). Excludes event_time_ns. Floats hash by bit pattern.
 uint64_t packet_content_hash(const StreamPacket& packet);
 
-/// Commutative digest accumulator, shared across the parallel instances of
-/// one sink operator (relaxed atomics: instances never need to agree until
-/// the job has drained).
+/// Commutative digest accumulator (relaxed atomics: readers never need
+/// agreement until the job has drained). One sink operator's accumulator
+/// combines its parallel instances' own accumulators, attached by instance.
 class DigestAccumulator {
  public:
   void add(uint64_t packet_hash) {
@@ -35,18 +37,18 @@ class DigestAccumulator {
     xor_.fetch_xor(packet_hash, std::memory_order_relaxed);
   }
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  uint64_t xor_value() const { return xor_.load(std::memory_order_relaxed); }
+  /// Make `part` instance `instance`'s share, replacing the share of an
+  /// earlier incarnation of that instance.
+  void attach(uint32_t instance, std::shared_ptr<const DigestAccumulator> part);
 
-  /// "n<count>-s<sum16hex>-x<xor16hex>" — stable, grep-friendly.
+  /// Packets in this accumulator and its attached parts.
+  uint64_t count() const;
+  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }  ///< own only
+  uint64_t xor_value() const { return xor_.load(std::memory_order_relaxed); }  ///< own only
+
+  /// "n<count>-s<sum16hex>-x<xor16hex>" over this accumulator and its
+  /// parts — stable, grep-friendly.
   std::string digest() const;
-
-  void reset() {
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    xor_.store(0, std::memory_order_relaxed);
-  }
 
   /// Overwrite the totals with absolute values (checkpoint restore). Unlike
   /// add(), this is idempotent: repeating it, or restoring over the totals
@@ -61,43 +63,46 @@ class DigestAccumulator {
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> xor_{0};
+  mutable std::mutex mu_;
+  std::map<uint32_t, std::shared_ptr<const DigestAccumulator>> parts_;
 };
 
-/// Terminal stage folding every packet into a shared DigestAccumulator.
-/// Having no output links, the framework records end-to-end sink latency
-/// here — the scenario benches read their percentiles off this operator.
+/// Terminal stage folding every packet into its own accumulator, attached
+/// to the sink operator's shared one at open(). Having no output links, the
+/// framework records end-to-end sink latency here — the scenario benches
+/// read their percentiles off this operator.
 ///
 /// Checkpointable so exactly-once digests survive a full-deployment restart
 /// (chaos recovery): the snapshot, taken on the sink's thread at its
-/// barrier, captures the accumulator's absolute totals, and restore
-/// *stores* them back rather than adding — correct under re-submit into the
-/// same process (the stale contribution of the old incarnation is
-/// overwritten, not doubled). Those totals are a consistent cut only while
-/// the sink has one instance, as every golden scenario's sinks do: parallel
-/// instances share the accumulator but reach their barriers at different
-/// times.
+/// barrier, captures this instance's absolute totals — parallel instances
+/// reach their barriers at different times, so each restores only its own
+/// share. Restore *stores* them rather than adding, and the new
+/// incarnation's accumulator replaces the old one's in the shared
+/// accumulator, so the stale contribution is never doubled.
 class DigestSink final : public StreamProcessor, public Checkpointable {
  public:
   explicit DigestSink(std::shared_ptr<DigestAccumulator> acc) : acc_(std::move(acc)) {}
 
+  void open(uint32_t instance, uint32_t) override { acc_->attach(instance, own_); }
   void process(StreamPacket& packet, Emitter&) override {
-    acc_->add(packet_content_hash(packet));
+    own_->add(packet_content_hash(packet));
   }
 
   void snapshot_state(ByteBuffer& out) const override {
-    out.write_varint(acc_->count());
-    out.write_u64(acc_->sum());
-    out.write_u64(acc_->xor_value());
+    out.write_varint(own_->count());
+    out.write_u64(own_->sum());
+    out.write_u64(own_->xor_value());
   }
   void restore_state(ByteReader& in) override {
     uint64_t count = in.read_varint();
     uint64_t sum = in.read_u64();
     uint64_t x = in.read_u64();
-    acc_->store(count, sum, x);
+    own_->store(count, sum, x);
   }
 
  private:
   std::shared_ptr<DigestAccumulator> acc_;
+  std::shared_ptr<DigestAccumulator> own_ = std::make_shared<DigestAccumulator>();
 };
 
 }  // namespace neptune::scenarios

@@ -1,6 +1,9 @@
 #include "testkit/dst.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/bytes.hpp"
 #include "obs/trace.hpp"
@@ -22,6 +25,14 @@ uint64_t fnv1a(uint64_t h, const std::string& s) {
   return h;
 }
 
+/// Resource pin -> controller part, numbered in order of first use (the
+/// unpinned operators share one part).
+std::map<int, size_t> parts_by_pin(const StreamGraph& graph) {
+  std::map<int, size_t> parts;
+  for (const OperatorDecl& op : graph.operators()) parts.emplace(op.resource, parts.size());
+  return parts;
+}
+
 }  // namespace
 
 using neptune::detail::InstanceRuntime;
@@ -31,6 +42,7 @@ using neptune::detail::InstanceRuntime;
 struct DstJob::Task final : granules::TaskContext {
   std::unique_ptr<InstanceRuntime> rt;
   size_t index = 0;  ///< global instance index
+  size_t part = 0;   ///< controller part (resource pin)
   uint64_t executions = 0;
   bool initialized = false;
   bool scheduled = false;   ///< an execute event is pending
@@ -58,7 +70,16 @@ std::string DstReport::summary() const {
 // --- DstJob ------------------------------------------------------------------
 
 DstJob::DstJob(const StreamGraph& graph, DstOptions opts)
-    : graph_(graph), opts_(opts), clock_(&q_), rng_(opts.seed) {
+    : graph_(graph),
+      opts_(opts),
+      clock_(&q_),
+      rng_(opts.seed),
+      part_of_pin_(parts_by_pin(graph)),
+      parts_(part_of_pin_.size()),
+      epochs_(&clock_,
+              {opts.checkpoint_interval_ns, std::chrono::nanoseconds(0),
+               std::numeric_limits<uint32_t>::max()},
+              parts_.size()) {
   graph_.validate();
   view_.seed = opts_.seed;
   view_.job = this;
@@ -105,6 +126,7 @@ void DstJob::deploy() {
     for (uint32_t i = 0; i < decl.parallelism; ++i) {
       auto task = std::make_unique<Task>();
       size_t index = task->index = tasks_.size();
+      task->part = part_of_pin_.at(decl.resource);
       task->rt = std::make_unique<InstanceRuntime>(
           decl.id, i, decl.parallelism, decl.kind, graph_.config(), host, &clock_,
           [this, index, ep] {
@@ -172,14 +194,16 @@ void DstJob::start_epoch() {
     if (int64_t period = tasks_[i]->rt->flush_timer_period_ns(); period > 0)
       schedule_timer(i, period);
   }
-  schedule_checkpoint();
+  arm_tick();
 }
 
-void DstJob::schedule_checkpoint() {
-  if (opts_.checkpoint_interval_ns <= 0) return;
+void DstJob::arm_tick() {
+  const int64_t at = epochs_.next_deadline();
+  if (at == std::numeric_limits<int64_t>::max()) return;
   uint64_t ep = epoch_;
-  q_.schedule_in(opts_.checkpoint_interval_ns, [this, ep] {
-    if (ep == epoch_) begin_checkpoint();
+  q_.schedule_at(std::max(at, q_.now()), [this, ep] {
+    if (ep != epoch_) return;
+    if (auto a = epochs_.tick()) begin_checkpoint(a->epoch);  // no timeout: only Begin
   });
 }
 
@@ -255,7 +279,7 @@ bool DstJob::all_done() const {
 }
 
 uint64_t DstJob::progress_signature() const {
-  uint64_t sig = checkpoints_ * 31 + recoveries_ * 131;
+  uint64_t sig = epochs_.committed() * 31 + epochs_.rollbacks() * 131;
   for (const auto& t : tasks_) {
     const OperatorMetrics& m = t->rt->metrics();
     sig = sig * 1315423911u + m.packets_in.load(std::memory_order_relaxed);
@@ -319,52 +343,64 @@ bool DstJob::step_once() {
   return true;
 }
 
-void DstJob::begin_checkpoint() {
-  ++checkpoint_epoch_;
-  trace_line("checkpoint begin epoch=" + std::to_string(checkpoint_epoch_) +
+void DstJob::begin_checkpoint(uint64_t epoch) {
+  trace_line("checkpoint begin epoch=" + std::to_string(epoch) +
              " step=" + std::to_string(report_.steps + 1));
-  std::vector<InstanceRuntime*> instances;
-  for (auto& t : tasks_) instances.push_back(t->rt.get());
-  checkpoint_.begin(checkpoint_epoch_, instances);
-  commit_checkpoint_if_complete();  // every instance may have finished already
+  acked_ = {};
+  for (size_t p = 0; p < parts_.size(); ++p) {
+    std::vector<InstanceRuntime*> members;
+    for (auto& t : tasks_)
+      if (t->part == p) members.push_back(t->rt.get());
+    parts_[p].begin(epoch, members);
+  }
+  ack_complete_parts();  // every instance of a part may have finished already
 }
 
 void DstJob::on_barrier(const InstanceRuntime& inst, uint64_t epoch) {
-  checkpoint_.on_barrier(inst, epoch);
-  commit_checkpoint_if_complete();
+  for (auto& part : parts_) part.on_barrier(inst, epoch);  // only its own part waits on it
+  ack_complete_parts();
 }
 
 void DstJob::on_instance_done(const InstanceRuntime& inst) {
-  checkpoint_.on_barrier(inst, checkpoint_.epoch());  // its final state
-  commit_checkpoint_if_complete();
+  for (auto& part : parts_) part.on_barrier(inst, part.epoch());  // its final state
+  ack_complete_parts();
 }
 
-void DstJob::commit_checkpoint_if_complete() {
-  if (!checkpoint_.complete()) return;
-  // Serialize → deserialize round trip: the snapshot used for recovery is
-  // the one that went through the real wire format (magic/version/CRC).
+void DstJob::ack_complete_parts() {
+  for (size_t p = 0; p < parts_.size(); ++p) {
+    if (!parts_[p].complete()) continue;
+    const uint64_t epoch = parts_[p].epoch();
+    for (const auto& [key, state] : parts_[p].take()) acked_.put(key.first, key.second, state);
+    trace_line("checkpoint acked epoch=" + std::to_string(epoch) + " part=" + std::to_string(p));
+    if (epochs_.acked(p, epoch, true)) commit_checkpoint(epoch);  // every save succeeds
+  }
+}
+
+void DstJob::commit_checkpoint(uint64_t epoch) {
+  // Round-trip the parts' snapshots through the real wire format
+  // (magic/version/CRC): recovery restores what a worker would load.
   ByteBuffer buf;
-  checkpoint_.take().serialize(buf);
+  std::exchange(acked_, {}).serialize(buf);
   snapshot_ = JobSnapshot::deserialize(buf.contents());
-  ++checkpoints_;
-  trace_line("checkpoint committed epoch=" + std::to_string(checkpoint_epoch_) +
+  trace_line("checkpoint committed epoch=" + std::to_string(epoch) +
              " step=" + std::to_string(report_.steps + 1) +
-             " entries=" + std::to_string(snapshot_->size()));
-  schedule_checkpoint();
+             " entries=" + std::to_string(snapshot_.size()));
+  arm_tick();
 }
 
 void DstJob::do_recover() {
   trace_line("crash: killing epoch " + std::to_string(epoch_));
-  ++epoch_;  // every pending execute/timer/checkpoint event is now inert
-  checkpoint_ = {};
+  const auto a = epochs_.part_failed("crash");  // no budget here: always a rollback
+  ++epoch_;  // every pending execute/timer/tick event is now inert
+  for (auto& part : parts_) part = {};
+  acked_ = {};
   deploy();
-  if (snapshot_) {  // as Job::restore_state, before the first execution
-    for (auto& t : tasks_) t->rt->restore_state(*snapshot_);
+  if (a.epoch != 0) {  // as Job::restore_state, before the first execution
+    for (auto& t : tasks_) t->rt->restore_state(snapshot_);
   }
   start_epoch();
-  ++recoveries_;
   trace_line("recovered epoch=" + std::to_string(epoch_) +
-             (snapshot_ ? " from checkpoint" : " from scratch"));
+             (a.epoch != 0 ? " from checkpoint" : " from scratch"));
 }
 
 DstReport DstJob::run() {
@@ -405,8 +441,8 @@ DstReport DstJob::run() {
 
   report_.completed = all_done();
   report_.virtual_ns = q_.now();
-  report_.checkpoints = checkpoints_;
-  report_.recoveries = recoveries_;
+  report_.checkpoints = epochs_.committed();
+  report_.recoveries = epochs_.rollbacks();
   refresh_view();
   view_.completed = report_.completed;
   for (auto& c : checkers_) {

@@ -15,9 +15,11 @@
 // Everything an execution does — fetch, ingest, drain, retry, finalize — is
 // the production code path, so every runtime change is checked here
 // without being copied here — checkpoints too: barriers travel through the
-// real buffers and channels into the CheckpointCollector Job uses. The
-// harness adds the virtual-time checkpoint trigger, crash/recovery (roll
-// back to the last committed epoch), and per-step invariant checking.
+// real buffers and channels into the CheckpointCollector Job uses, and the
+// shipping fault::EpochController drives them on the virtual clock, with
+// one part (and collector) per resource pin, as the ResourceSupervisor has
+// one per worker. The harness adds crash injection (roll back to the last
+// committed epoch) and per-step invariant checking.
 //
 // Why: schedule-sensitive defects (lost wakeups, backpressure leaks,
 // replay off-by-ones) hide behind races on the threaded runtime. Here the
@@ -35,13 +37,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
+#include "fault/epoch_controller.hpp"
 #include "net/inproc_transport.hpp"
 #include "neptune/graph.hpp"
 #include "neptune/instance.hpp"
@@ -78,6 +81,7 @@ struct DstOptions {
   /// Steps without any packet/flush progress before declaring a livelock.
   uint64_t livelock_steps = 50'000;
   /// Periodic checkpoint interval (virtual ns); 0 disables checkpoints.
+  /// Epochs have no timeout and recovery no budget here.
   int64_t checkpoint_interval_ns = 0;
   /// Keep the full event trace in DstReport::trace (the hash is always
   /// computed). Turn off for big schedule sweeps to save memory.
@@ -169,9 +173,10 @@ class DstJob : private neptune::detail::InstanceHost {
   void add_checker(std::unique_ptr<InvariantChecker> checker);
   void add_checkers(std::vector<std::unique_ptr<InvariantChecker>> checkers);
 
-  /// Kill-and-recover at a virtual time: the whole job is torn down and
-  /// redeployed (the DST analogue of the RecoveryCoordinator's resubmit),
-  /// then restored from the last committed checkpoint epoch, if any.
+  /// Kill-and-recover at a virtual time: a part fails, the controller rolls
+  /// back, and the whole job is torn down and redeployed (the DST analogue
+  /// of the RecoveryCoordinator's resubmit), then restored from the last
+  /// committed checkpoint epoch, if any.
   void schedule_crash(int64_t at_virtual_ns);
   /// The same, after simulated step `step` (trace checkpoint lines name theirs).
   void schedule_crash_after_step(uint64_t step) { crash_after_step_ = step; }
@@ -188,8 +193,6 @@ class DstJob : private neptune::detail::InstanceHost {
   /// Serialize every Checkpointable operator's current state.
   JobSnapshot state_snapshot() const;
   std::vector<OperatorMetricsSnapshot> metrics() const;
-  uint64_t checkpoints_taken() const { return checkpoints_; }
-  uint64_t recoveries() const { return recoveries_; }
   /// Channel of view().edges[i] — non-const, for schedule_fault mutations.
   std::shared_ptr<InprocChannel> edge_channel(size_t edge_index);
 
@@ -210,9 +213,10 @@ class DstJob : private neptune::detail::InstanceHost {
   int64_t wakeup_jitter();
   bool step_once();  ///< run one event + bookkeeping + checkers
   bool all_done() const;
-  void begin_checkpoint();
-  void commit_checkpoint_if_complete();
-  void schedule_checkpoint();
+  void arm_tick();  ///< an event at the controller's next deadline
+  void begin_checkpoint(uint64_t epoch);
+  void ack_complete_parts();
+  void commit_checkpoint(uint64_t epoch);
   void do_recover();
   void refresh_view();
   void trace_line(std::string line);
@@ -224,6 +228,9 @@ class DstJob : private neptune::detail::InstanceHost {
   sim::EventQueue q_;
   SimClock clock_;
   Xoshiro256 rng_;
+  std::map<int, size_t> part_of_pin_;  // resource pin -> controller part
+  std::vector<neptune::detail::CheckpointCollector> parts_;  // one per part
+  fault::EpochController epochs_;
 
   uint64_t epoch_ = 0;
   std::vector<std::unique_ptr<Task>> tasks_;
@@ -231,11 +238,8 @@ class DstJob : private neptune::detail::InstanceHost {
   DstView view_;
   DstReport report_;
 
-  std::optional<JobSnapshot> snapshot_;  // last committed epoch
-  neptune::detail::CheckpointCollector checkpoint_;
-  uint64_t checkpoint_epoch_ = 0;  // last epoch begun
-  uint64_t checkpoints_ = 0;
-  uint64_t recoveries_ = 0;
+  JobSnapshot acked_;     // the open epoch's states, from the parts that acked it
+  JobSnapshot snapshot_;  // of epochs_.last_committed()
   bool crash_pending_ = false;
   uint64_t crash_after_step_ = 0;  // 0 = none
   bool ran_ = false;

@@ -2,10 +2,9 @@
 // The targeted tests in snapshot_store_test.cpp pick a handful of corruption
 // shapes by hand; this suite drives hundreds of *random* torn writes, bit
 // flips, truncations and garbage splices through the validation path and
-// checks the one property recovery correctness rests on: load() returns a
-// snapshot that was durably saved, verbatim, or nothing at all — never a
-// half-parsed hybrid. The same property is checked for the epoch-tagged
-// variants the multi-process supervisor commits through.
+// checks the one property recovery correctness rests on: load_tagged()
+// returns a snapshot that was durably saved, verbatim, or nothing at all —
+// never a half-parsed hybrid.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -100,28 +99,30 @@ struct SnapshotFuzzTest : ::testing::Test {
 };
 
 TEST_F(SnapshotFuzzTest, RandomCorruptionNeverYieldsGarbage) {
-  // 200 seeded rounds: save v1, save v2 (rotates v1 to .prev), corrupt the
-  // current file at random. load() must return v2 verbatim (only possible
-  // when the mutation was an identity), else fall back to v1 verbatim. A
-  // CRC32 footer that let a single flipped bit through would surface here
-  // as a "loaded something that is neither" failure.
+  // 200 seeded rounds: save epochs 1 and 2, corrupt epoch 2 at random.
+  // load_tagged(2) must return v2 verbatim (only possible when the mutation
+  // was an identity) or nothing, and epoch 1 — the rollback target — must
+  // still load verbatim. A CRC32 footer that let a single flipped bit
+  // through would surface here as a "loaded something that is neither"
+  // failure.
   Xoshiro256 rng(20260809);
   for (int round = 0; round < 200; ++round) {
     fs::remove_all(dir);
     SnapshotStore store(dir.string());
-    ASSERT_TRUE(store.save(make_snapshot(1)));
-    ASSERT_TRUE(store.save(make_snapshot(2)));
-    bool mutated = corrupt(store.current_path(), rng);
+    ASSERT_TRUE(store.save_tagged(make_snapshot(1), 1));
+    ASSERT_TRUE(store.save_tagged(make_snapshot(2), 2));
+    bool mutated = corrupt(store.tagged_path(2), rng);
 
-    auto loaded = store.load();
-    ASSERT_TRUE(loaded.has_value()) << "round " << round << ": .prev is intact";
+    auto current = store.load_tagged(2);
     if (mutated) {
-      EXPECT_TRUE(is_snapshot(*loaded, 1)) << "round " << round
-                                           << ": corrupt current must fall back to previous";
-      EXPECT_TRUE(store.current_is_corrupt()) << "round " << round;
+      EXPECT_FALSE(current.has_value()) << "round " << round << ": corrupt epoch must not load";
     } else {
-      EXPECT_TRUE(is_snapshot(*loaded, 2)) << "round " << round;
+      ASSERT_TRUE(current.has_value()) << "round " << round;
+      EXPECT_TRUE(is_snapshot(*current, 2)) << "round " << round;
     }
+    auto previous = store.load_tagged(1);
+    ASSERT_TRUE(previous.has_value()) << "round " << round << ": epoch 1 is intact";
+    EXPECT_TRUE(is_snapshot(*previous, 1)) << "round " << round;
   }
 }
 
@@ -130,17 +131,18 @@ TEST_F(SnapshotFuzzTest, BothGenerationsCorruptLoadsNothingNotGarbage) {
   for (int round = 0; round < 100; ++round) {
     fs::remove_all(dir);
     SnapshotStore store(dir.string());
-    ASSERT_TRUE(store.save(make_snapshot(1)));
-    ASSERT_TRUE(store.save(make_snapshot(2)));
-    bool cur = corrupt(store.current_path(), rng);
-    bool prev = corrupt(store.previous_path(), rng);
+    ASSERT_TRUE(store.save_tagged(make_snapshot(1), 1));
+    ASSERT_TRUE(store.save_tagged(make_snapshot(2), 2));
+    bool cur = corrupt(store.tagged_path(2), rng);
+    bool prev = corrupt(store.tagged_path(1), rng);
 
-    auto loaded = store.load();
-    if (loaded.has_value()) {
-      // Only an identity mutation can leave a loadable file — and then it
-      // must be the uncorrupted original, never a blend.
-      EXPECT_TRUE((!cur && is_snapshot(*loaded, 2)) || (!prev && is_snapshot(*loaded, 1)))
-          << "round " << round;
+    // Only an identity mutation can leave a loadable file — and then it
+    // must be the uncorrupted original, never a blend.
+    if (auto loaded = store.load_tagged(2)) {
+      EXPECT_TRUE(!cur && is_snapshot(*loaded, 2)) << "round " << round;
+    }
+    if (auto loaded = store.load_tagged(1)) {
+      EXPECT_TRUE(!prev && is_snapshot(*loaded, 1)) << "round " << round;
     }
   }
 }

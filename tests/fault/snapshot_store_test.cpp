@@ -1,6 +1,7 @@
-// Crash-safe snapshot persistence: atomic save (tmp + fsync + rename),
-// CRC32-footer validation, and fallback to the previous good snapshot when
-// the current file is torn or bit-flipped.
+// Crash-safe snapshot persistence: atomic epoch-tagged save (tmp + fsync +
+// rename), CRC32-footer validation, and an earlier epoch that still loads
+// when the newest file is torn or bit-flipped (the epoch a rollback falls
+// back to).
 #include "fault/snapshot_store.hpp"
 
 #include <gtest/gtest.h>
@@ -47,81 +48,71 @@ struct SnapshotStoreTest : ::testing::Test {
 
 TEST_F(SnapshotStoreTest, SaveLoadRoundTrip) {
   SnapshotStore store(dir.string());
-  ASSERT_TRUE(store.save(make_snapshot(7)));
+  ASSERT_TRUE(store.save_tagged(make_snapshot(7), 1));
 
-  auto loaded = store.load();
+  auto loaded = store.load_tagged(1);
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->size(), 3u);
   const auto* a1 = loaded->find("op-a", 1);
   ASSERT_NE(a1, nullptr);
   EXPECT_EQ(*a1, std::vector<uint8_t>(64, 7));
-  EXPECT_FALSE(store.current_is_corrupt());
 }
 
 TEST_F(SnapshotStoreTest, LoadWithNoFilesReturnsNothing) {
   SnapshotStore store(dir.string());
-  EXPECT_FALSE(store.load().has_value());
-}
-
-TEST_F(SnapshotStoreTest, SecondSaveRotatesPrevious) {
-  SnapshotStore store(dir.string());
-  ASSERT_TRUE(store.save(make_snapshot(1)));
-  ASSERT_TRUE(store.save(make_snapshot(2)));
-  EXPECT_TRUE(fs::exists(store.previous_path()));
-
-  auto loaded = store.load();
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ((*loaded->find("op-b", 0))[0], 2);
+  EXPECT_FALSE(store.load_tagged(1).has_value());
+  EXPECT_TRUE(store.tagged_epochs().empty());
 }
 
 TEST_F(SnapshotStoreTest, TruncatedCurrentFallsBackToPrevious) {
   SnapshotStore store(dir.string());
-  ASSERT_TRUE(store.save(make_snapshot(1)));
-  ASSERT_TRUE(store.save(make_snapshot(2)));
+  ASSERT_TRUE(store.save_tagged(make_snapshot(1), 1));
+  ASSERT_TRUE(store.save_tagged(make_snapshot(2), 2));
 
-  // Tear the current file: chop off the trailing half (simulated crash
+  // Tear the newest file: chop off the trailing half (simulated crash
   // mid-write that somehow survived the atomic-rename protocol).
-  auto bytes = read_file(store.current_path());
+  auto bytes = read_file(store.tagged_path(2));
   bytes.resize(bytes.size() / 2);
-  write_file(store.current_path(), bytes);
+  write_file(store.tagged_path(2), bytes);
 
-  auto loaded = store.load();
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ((*loaded->find("op-b", 0))[0], 1) << "should load the previous good snapshot";
-  EXPECT_TRUE(store.current_is_corrupt());
+  EXPECT_FALSE(store.load_tagged(2).has_value()) << "a torn file must read as missing";
+  auto previous = store.load_tagged(1);
+  ASSERT_TRUE(previous.has_value());
+  EXPECT_EQ((*previous->find("op-b", 0))[0], 1) << "the previous epoch should still load";
 }
 
 TEST_F(SnapshotStoreTest, BitFlippedCurrentFallsBackToPrevious) {
   SnapshotStore store(dir.string());
-  ASSERT_TRUE(store.save(make_snapshot(1)));
-  ASSERT_TRUE(store.save(make_snapshot(2)));
+  ASSERT_TRUE(store.save_tagged(make_snapshot(1), 1));
+  ASSERT_TRUE(store.save_tagged(make_snapshot(2), 2));
 
-  auto bytes = read_file(store.current_path());
+  auto bytes = read_file(store.tagged_path(2));
   ASSERT_GT(bytes.size(), 20u);
   bytes[bytes.size() / 2] ^= 0x40;  // flip one bit in the body
-  write_file(store.current_path(), bytes);
+  write_file(store.tagged_path(2), bytes);
 
-  auto loaded = store.load();
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ((*loaded->find("op-b", 0))[0], 1);
-  EXPECT_TRUE(store.current_is_corrupt());
+  EXPECT_FALSE(store.load_tagged(2).has_value());
+  auto previous = store.load_tagged(1);
+  ASSERT_TRUE(previous.has_value());
+  EXPECT_EQ((*previous->find("op-b", 0))[0], 1);
 }
 
 TEST_F(SnapshotStoreTest, BothFilesCorruptLoadsNothing) {
   SnapshotStore store(dir.string());
-  ASSERT_TRUE(store.save(make_snapshot(1)));
-  ASSERT_TRUE(store.save(make_snapshot(2)));
-  write_file(store.current_path(), {0xDE, 0xAD});
-  write_file(store.previous_path(), {0xBE, 0xEF});
-  EXPECT_FALSE(store.load().has_value());
+  ASSERT_TRUE(store.save_tagged(make_snapshot(1), 1));
+  ASSERT_TRUE(store.save_tagged(make_snapshot(2), 2));
+  write_file(store.tagged_path(2), {0xDE, 0xAD});
+  write_file(store.tagged_path(1), {0xBE, 0xEF});
+  EXPECT_FALSE(store.load_tagged(2).has_value());
+  EXPECT_FALSE(store.load_tagged(1).has_value());
 }
 
 TEST_F(SnapshotStoreTest, TruncatedFooterOnlyFileIsRejected) {
   SnapshotStore store(dir.string());
-  ASSERT_TRUE(store.save(make_snapshot(1)));
+  ASSERT_TRUE(store.save_tagged(make_snapshot(1), 1));
   // Leave fewer bytes than one footer.
-  write_file(store.current_path(), {1, 2, 3});
-  EXPECT_FALSE(store.load().has_value());
+  write_file(store.tagged_path(1), {1, 2, 3});
+  EXPECT_FALSE(store.load_tagged(1).has_value());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <set>
 
+#include "../support/gate.hpp"
 #include "neptune/workload.hpp"
 
 namespace neptune {
@@ -343,6 +344,47 @@ TEST(RuntimeIntegration, StopCancelsUnboundedJob) {
   job->stop();
   EXPECT_TRUE(job->wait(30s));
   EXPECT_TRUE(job->completed());
+}
+
+TEST(RuntimeIntegration, WaitIdleReturnsOnlyOnceNoExecutionIsInFlight) {
+  // The sink holds its first execution until the test opens the gate: the
+  // stopped job must not report quiet before that execution has returned.
+  auto entered = std::make_shared<test_util::Gate>();
+  auto release = std::make_shared<test_util::Gate>();
+  auto returned = std::make_shared<std::atomic<bool>>(false);
+  Runtime rt(1, {.worker_threads = 2, .io_threads = 1});
+  StreamGraph g("held", small_buffers());
+  g.add_source("src", [] { return std::make_unique<BytesSource>(0, 50); });  // infinite
+  g.add_processor("sink", [=]() -> std::unique_ptr<StreamProcessor> {
+    struct Held : StreamProcessor {
+      std::shared_ptr<test_util::Gate> entered, release;
+      std::shared_ptr<std::atomic<bool>> returned;
+      bool held = false;
+      void process(StreamPacket&, Emitter&) override {
+        if (held) return;
+        held = true;
+        entered->open();
+        release->wait();
+        returned->store(true);
+      }
+    };
+    auto h = std::make_unique<Held>();
+    h->entered = entered;
+    h->release = release;
+    h->returned = returned;
+    return h;
+  });
+  g.connect("src", "sink");
+
+  auto job = rt.submit(g);
+  job->start();
+  entered->wait();  // the sink is inside its execution
+  job->stop();
+  EXPECT_FALSE(job->wait_idle(0ns)) << "an execution is still in flight";
+  release->open();
+  EXPECT_TRUE(job->wait_idle(30s));
+  EXPECT_TRUE(returned->load()) << "wait_idle returned before the execution did";
+  EXPECT_TRUE(job->wait(30s));
 }
 
 TEST(RuntimeIntegration, SinkLatencyIsRecorded) {

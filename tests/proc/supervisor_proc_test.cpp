@@ -64,7 +64,7 @@ struct ProcTest : ::testing::Test {
 
 TEST_F(ProcTest, CleanMultiProcessRunMatchesGolden) {
   SupervisorOptions opts = base_options("etl_taxi");
-  opts.checkpoint_interval_ms = 30;  // the fault-free run lasts ~100 ms
+  opts.checkpoint_interval_ns = 30'000'000;  // the fault-free run lasts ~100 ms
   SupervisorReport report = ResourceSupervisor(std::move(opts)).run();
   ASSERT_TRUE(report.completed) << report.failure;
   expect_golden(report, "etl_taxi");
@@ -78,7 +78,7 @@ TEST_F(ProcTest, SigkillTwoResourcesRecoversByteIdentical) {
   // mid-stream; the deployment must roll back to the last committed epoch
   // each time and still produce byte-identical golden output.
   SupervisorOptions opts = base_options("etl_taxi");
-  opts.checkpoint_interval_ms = 30;
+  opts.checkpoint_interval_ns = 30'000'000;
   opts.incident_dir = work_dir + "/incidents";
   opts.chaos = ChaosPlan::from_json(JsonValue::parse(R"({"actions": [
     {"action": "kill", "resource": 1, "at_events": 15000},
@@ -107,7 +107,7 @@ TEST_F(ProcTest, SigstopGrayFailureEscalatesWithinBudget) {
   // heartbeat silence can catch it. Budget: detection is bounded by
   // heartbeat_timeout_ms, and the rollback itself must be quick.
   SupervisorOptions opts = base_options("etl_taxi");
-  opts.checkpoint_interval_ms = 30;
+  opts.checkpoint_interval_ns = 30'000'000;
   opts.heartbeat_timeout_ms = 400;
   opts.chaos = ChaosPlan::from_json(
       JsonValue::parse(
@@ -129,7 +129,7 @@ TEST_F(ProcTest, SigcontResumedWorkerDeliversNoDuplicates) {
   // may happen, and the kernel-buffered frames it flushes on resume must
   // not double-deliver (per-edge seq dedup + digest equality prove it).
   SupervisorOptions opts = base_options("etl_taxi");
-  opts.checkpoint_interval_ms = 30;
+  opts.checkpoint_interval_ns = 30'000'000;
   opts.heartbeat_timeout_ms = 10'000;
   opts.chaos = ChaosPlan::from_json(
       JsonValue::parse(
@@ -182,7 +182,7 @@ TEST_F(ProcTest, ChaosMatrixAllScenarios) {
     fs::create_directories(dir);
     SupervisorOptions opts = base_options(scenario);
     opts.work_dir = dir.string();
-    opts.checkpoint_interval_ms = 30;
+    opts.checkpoint_interval_ns = 30'000'000;
     opts.chaos = ChaosPlan::from_json(JsonValue::parse(R"({"actions": [
       {"action": "kill", "resource": 1, "at_events": 15000},
       {"action": "kill", "resource": 0, "at_events": 45000}

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "testkit/invariants.hpp"
 #include "testkit/workloads.hpp"
@@ -20,11 +22,13 @@ namespace {
 
 constexpr uint64_t kTotal = 6000;
 
-/// src(2) --fields-hash--> relay(2) --shuffle--> sink(1). The fields-hash
-/// link keeps per-instance relay state deterministic across recovery (a
-/// shuffle cursor would resume mid-rotation after redeploy, which is the
-/// real runtime's resubmit behaviour but makes per-instance counts diverge
-/// from the reference run).
+/// src(2) --fields-hash--> relay(2) --shuffle--> sink(1), pinned to
+/// resources 0, 1 and 2, so DstJob's EpochController has three parts and
+/// an epoch commits only once all three acked it. The fields-hash link
+/// keeps per-instance relay state deterministic across recovery (a shuffle
+/// cursor would resume mid-rotation after redeploy, which is the real
+/// runtime's resubmit behaviour but makes per-instance counts diverge from
+/// the reference run).
 StreamGraph recovery_graph(std::shared_ptr<Collected> bin) {
   GraphConfig cfg;
   cfg.buffer.capacity_bytes = 512;
@@ -32,9 +36,9 @@ StreamGraph recovery_graph(std::shared_ptr<Collected> bin) {
   cfg.source_batch_budget = 32;
   StreamGraph g("dst-recovery", cfg);
   g.add_source("src", [] { return std::make_unique<SeqSource>(kTotal, /*payload_bytes=*/16); },
-               2);
-  g.add_processor("relay", [] { return std::make_unique<EveryNthProcessor>(1); }, 2);
-  g.add_processor("sink", [bin] { return std::make_unique<CollectorSink>(bin); }, 1);
+               2, 0);
+  g.add_processor("relay", [] { return std::make_unique<EveryNthProcessor>(1); }, 2, 1);
+  g.add_processor("sink", [bin] { return std::make_unique<CollectorSink>(bin); }, 1, 2);
   g.connect("src", "relay", std::make_shared<FieldsHashPartitioning>(0));
   g.connect("relay", "sink");
   return g;
@@ -49,17 +53,18 @@ JobSnapshot reference_state(uint64_t seed) {
   return job.state_snapshot();
 }
 
-/// Steps at which checkpoint `epoch` began and committed in a crash-free
-/// run (0 when the trace has no such line), and the run's total steps.
-std::tuple<uint64_t, uint64_t, uint64_t> epoch_window(uint64_t seed, int64_t interval_ns,
-                                                      uint64_t epoch) {
+/// Steps at which checkpoints 1..`epochs` began and committed in a
+/// crash-free run (0 when the trace has no such line), and the run's total
+/// steps.
+std::tuple<std::vector<uint64_t>, std::vector<uint64_t>, uint64_t> epoch_steps(
+    uint64_t seed, int64_t interval_ns, uint64_t epochs) {
   DstOptions opts;
   opts.seed = seed;
   opts.checkpoint_interval_ns = interval_ns;
   DstJob job(recovery_graph(std::make_shared<Collected>()), opts);
   DstReport r = job.run();
   EXPECT_TRUE(r.ok()) << r.summary();
-  auto step_of = [&](const std::string& what) -> uint64_t {
+  auto step_of = [&](const std::string& what, uint64_t epoch) -> uint64_t {
     const std::string key = "checkpoint " + what + " epoch=" + std::to_string(epoch) + " step=";
     for (const std::string& line : r.trace) {
       size_t at = line.find(key);
@@ -67,7 +72,17 @@ std::tuple<uint64_t, uint64_t, uint64_t> epoch_window(uint64_t seed, int64_t int
     }
     return 0;
   };
-  return {step_of("begin"), step_of("committed"), r.steps};
+  std::vector<uint64_t> begins, commits;
+  for (uint64_t e = 1; e <= epochs; ++e) {
+    begins.push_back(step_of("begin", e));
+    commits.push_back(step_of("committed", e));
+    const std::string ack = "checkpoint acked epoch=" + std::to_string(e) + " part=";
+    EXPECT_EQ(std::count_if(r.trace.begin(), r.trace.end(),
+                            [&](const std::string& l) { return l.find(ack) != std::string::npos; }),
+              3)
+        << "epoch " << e << " should commit on one ack per resource pin";
+  }
+  return {begins, commits, r.steps};
 }
 
 TEST(DstRecovery, PeriodicBarrierCheckpointsCommit) {
@@ -104,18 +119,20 @@ TEST(DstRecovery, CrashesAtManyVirtualTimesConvergeToExactlyOnceState) {
 }
 
 TEST(DstRecovery, CrashAtEveryStepOfABarrierEpochConverges) {
-  // Crash after each step from barrier injection to commit of epoch 1.
-  // Before the commit the epoch dies with the crash and the job replays
-  // from scratch; from the commit step on it rolls back to epoch 1. Either
-  // way it must reach exactly the crash-free final state.
+  // Three epochs over the graph's three parts: crash after each step from
+  // epoch 1's Begin to epoch 3's Commit. Before epoch 1 commits the job
+  // replays from scratch; from then on it rolls back to the last committed
+  // epoch. Either way it must reach exactly the crash-free final state.
   const uint64_t seed = 21;
   const int64_t interval_ns = 300'000;
   JobSnapshot expected = reference_state(seed);
-  auto [begin, commit, steps] = epoch_window(seed, interval_ns, 1);
-  ASSERT_GT(begin, 0u);
-  ASSERT_GT(commit, begin + 4) << "the barriers should take several steps to travel";
-  ASSERT_LT(commit, steps / 2) << "the epoch must commit mid-run, not when the job ends";
-  for (uint64_t step = begin; step <= commit; ++step) {
+  auto [begins, commits, steps] = epoch_steps(seed, interval_ns, 3);
+  for (size_t e = 0; e < 3; ++e) {
+    ASSERT_GT(begins[e], 0u) << "epoch " << e + 1;
+    ASSERT_GT(commits[e], begins[e] + 4) << "the barriers should take several steps to travel";
+  }
+  ASSERT_LT(commits[2], steps) << "the third epoch must commit before the job ends";
+  for (uint64_t step = begins[0]; step <= commits[2]; ++step) {
     DstOptions opts;
     opts.seed = seed;
     opts.checkpoint_interval_ns = interval_ns;
@@ -126,7 +143,7 @@ TEST(DstRecovery, CrashAtEveryStepOfABarrierEpochConverges) {
     DstReport r = job.run();
     ASSERT_TRUE(r.ok()) << "crash after step " << step << ":\n" << r.summary();
     ASSERT_EQ(r.recoveries, 1u) << "crash after step " << step;
-    const std::string rollback = step < commit ? " from scratch" : " from checkpoint";
+    const std::string rollback = step < commits[0] ? " from scratch" : " from checkpoint";
     bool found = false;
     for (const std::string& line : r.trace)
       found |= line.find("recovered epoch=1" + rollback) != std::string::npos;

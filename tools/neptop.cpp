@@ -169,7 +169,7 @@ void draw(const std::string& endpoint, double dt_s, const std::vector<Sample>& s
   // move rarely and the absolute numbers are what matter).
   struct JobFaults {
     double dl_entries = -1, dl_dropped = 0;
-    double checkpoints = -1, recoveries = 0, snapshots = 0, recovery_s = 0;
+    double checkpoints = -1, recoveries = 0, recovery_s = 0;
   };
   std::map<std::string, JobFaults> jobs;
   for (const auto& s : samples) {
@@ -180,20 +180,19 @@ void draw(const std::string& endpoint, double dt_s, const std::vector<Sample>& s
     else if (s.name == "neptune_dead_letter_dropped_total") f.dl_dropped += s.value;
     else if (s.name == "neptune_checkpoints_total") f.checkpoints = std::max(f.checkpoints, 0.0) + s.value;
     else if (s.name == "neptune_recoveries_total") f.recoveries += s.value;
-    else if (s.name == "neptune_snapshots_persisted_total") f.snapshots += s.value;
     else if (s.name == "neptune_recovery_seconds_total") f.recovery_s += s.value;
   }
   bool job_header = false;
   for (const auto& [job, f] : jobs) {
     if (f.dl_entries < 0 && f.checkpoints < 0) continue;  // job has neither subsystem
     if (!job_header) {
-      std::printf("\n%-24s %8s %8s %8s %8s %8s %10s\n", "JOB FAULTS", "dlq", "dropped",
-                  "ckpts", "recov", "snaps", "recov-ms");
+      std::printf("\n%-24s %8s %8s %8s %8s %10s\n", "JOB FAULTS", "dlq", "dropped", "ckpts",
+                  "recov", "recov-ms");
       job_header = true;
     }
-    std::printf("%-24s %8.0f %8.0f %8.0f %8.0f %8.0f %10.1f\n", job.c_str(),
+    std::printf("%-24s %8.0f %8.0f %8.0f %8.0f %10.1f\n", job.c_str(),
                 std::max(f.dl_entries, 0.0), f.dl_dropped, std::max(f.checkpoints, 0.0),
-                f.recoveries, f.snapshots, f.recovery_s * 1e3);
+                f.recoveries, f.recovery_s * 1e3);
   }
 
   // Edge in-flight bytes: where backpressure is queueing right now.

@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
     } else if (a == "--chaos") {
       chaos_path = next();
     } else if (a == "--checkpoint-ms") {
-      sopts.checkpoint_interval_ms = std::stoll(next());
+      sopts.checkpoint_interval_ns = std::stoll(next()) * 1'000'000;
     } else if (a == "--timeout-ms") {
       sopts.timeout_ms = std::stoll(next());
     } else if (a == "--incident-dir") {
