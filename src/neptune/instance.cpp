@@ -106,14 +106,12 @@ EmitStatus InstanceRuntime::emit(size_t link, StreamPacket&& packet) {
     for (auto& buf : out.dst) {
       if (current_trace_.active()) buf->note_trace(current_trace_);
       if (!buf->add(packet)) output_blocked_.store(true, std::memory_order_relaxed);
-      packets_emitted_.fetch_add(1, std::memory_order_relaxed);
       metrics_.packets_out.fetch_add(1, std::memory_order_relaxed);
     }
   } else {
     StreamBuffer& buf = *out.dst[pick % n];
     if (current_trace_.active()) buf.note_trace(current_trace_);
     if (!buf.add(packet)) output_blocked_.store(true, std::memory_order_relaxed);
-    packets_emitted_.fetch_add(1, std::memory_order_relaxed);
     metrics_.packets_out.fetch_add(1, std::memory_order_relaxed);
   }
   return output_blocked_.load(std::memory_order_relaxed) ? EmitStatus::kBackpressured
@@ -136,14 +134,12 @@ EmitStatus InstanceRuntime::emit(size_t link, const PacketView& view) {
     for (auto& buf : out.dst) {
       if (current_trace_.active()) buf->note_trace(current_trace_);
       if (!buf->add_raw(raw)) output_blocked_.store(true, std::memory_order_relaxed);
-      packets_emitted_.fetch_add(1, std::memory_order_relaxed);
       metrics_.packets_out.fetch_add(1, std::memory_order_relaxed);
     }
   } else {
     StreamBuffer& buf = *out.dst[pick % n];
     if (current_trace_.active()) buf.note_trace(current_trace_);
     if (!buf.add_raw(raw)) output_blocked_.store(true, std::memory_order_relaxed);
-    packets_emitted_.fetch_add(1, std::memory_order_relaxed);
     metrics_.packets_out.fetch_add(1, std::memory_order_relaxed);
   }
   return output_blocked_.load(std::memory_order_relaxed) ? EmitStatus::kBackpressured

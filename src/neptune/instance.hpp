@@ -216,7 +216,7 @@ class InstanceRuntime final : public granules::ComputationalTask, public Emitter
   size_t output_link_count() const override { return outputs.size(); }
   uint32_t instance() const override { return instance_; }
   uint64_t packets_emitted() const override {
-    return packets_emitted_.load(std::memory_order_relaxed);
+    return metrics_.packets_out.load(std::memory_order_relaxed);
   }
 
   // --- granules::ComputationalTask ---------------------------------------------
@@ -266,7 +266,6 @@ class InstanceRuntime final : public granules::ComputationalTask, public Emitter
   const std::function<void()> wake_;
 
   OperatorMetrics metrics_;
-  std::atomic<uint64_t> packets_emitted_{0};
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> done_{false};
   std::atomic<uint64_t> barrier_request_{0};  // sources: epoch to inject, 0 = none

@@ -257,39 +257,68 @@ void register_tcp_transport_telemetry() {
   (void)once;
 }
 
+// Cross-process edges need a pre-agreed port; a missing entry means the
+// slice plan and the topology drifted apart — fail before any task runs.
+uint16_t slice_edge_port(const SliceOptions& slice, const fault::EdgeId& edge) {
+  auto it = slice.edge_ports.find({edge.link_id, edge.src_instance, edge.dst_instance});
+  if (it == slice.edge_ports.end())
+    throw GraphError("submit_slice: no port assigned for cross-process edge link=" +
+                     std::to_string(edge.link_id) + " src=" + std::to_string(edge.src_instance) +
+                     " dst=" + std::to_string(edge.dst_instance) +
+                     " — was the port plan built from the same topology?");
+  return it->second;
+}
+
 }  // namespace
 
-Runtime::EdgeChannel Runtime::make_edge_channel(granules::Resource* src, granules::Resource* dst,
-                                                const ChannelConfig& config,
-                                                const fault::EdgeId& edge,
-                                                OperatorMetrics* src_metrics,
-                                                OperatorMetrics* dst_metrics,
+/// An instance as this runtime places it: the granules resource it runs on
+/// and the task id it is deployed under. The wake hook reads the id, which
+/// stays 0 until deploy: a remote slice may send before this one finished
+/// wiring, and that early wake is a no-op (Job::start kicks every task).
+struct Runtime::Placed {
+  std::shared_ptr<detail::InstanceRuntime> rt;
+  granules::Resource* resource = nullptr;
+  std::shared_ptr<std::atomic<uint64_t>> task_id;
+};
+
+Runtime::EdgeChannel Runtime::make_edge_channel(const ChannelConfig& config,
+                                                const fault::EdgeId& edge, Placed* src,
+                                                Placed* dst, uint16_t port,
                                                 const std::shared_ptr<Job>& job) {
   fault::FaultInjector* injector = options_.fault_injector.get();
-  if (src == dst || options_.cross_resource_transport == EdgeTransport::kInproc) {
+  if (src && dst &&
+      (src->resource == dst->resource ||
+       options_.cross_resource_transport == EdgeTransport::kInproc)) {
     // SPSC ring: each edge has exactly one producing StreamBuffer
     // (serialized by its mutex, including timer-thread flushes) and one
     // consuming task — with or without fault decorators on top.
     InprocPipe pipe = make_inproc_pipe(config);
-    return {fault::wrap_sender(injector, edge, pipe.sender, src->io_loop(0)),
-            fault::wrap_receiver(injector, edge, pipe.receiver, dst->io_loop(0))};
+    return {fault::wrap_sender(injector, edge, pipe.sender, src->resource->io_loop(0)),
+            fault::wrap_receiver(injector, edge, pipe.receiver, dst->resource->io_loop(0))};
   }
   // Self-healing TCP edge: the receiver keeps a persistent listener so the
   // sender can reconnect after any failure; the injector (if any) is
   // applied *inside* the supervision, per connection incarnation.
   register_tcp_transport_telemetry();
-  auto receiver = std::make_shared<fault::SupervisedTcpReceiver>(
-      dst->io_loop(0), config, options_.supervisor, edge, injector,
-      dst_metrics ? &dst_metrics->corrupt_frames_dropped : nullptr);
-  auto sender = std::make_shared<fault::SupervisedTcpSender>(
-      src->io_loop(0), receiver->port(), config, options_.supervisor, edge, injector,
-      src_metrics ? &src_metrics->reconnects : nullptr,
-      // Weak: channels can outlive the Job (resources hold task refs), and
-      // a late budget-exhaustion report must not touch a freed Job.
-      [weak_job = std::weak_ptr<Job>(job)](const std::string& what) {
-        if (auto j = weak_job.lock()) j->report_failure(what);
-      });
-  return {sender, receiver};
+  EdgeChannel channel;
+  if (dst) {
+    auto receiver = std::make_shared<fault::SupervisedTcpReceiver>(
+        dst->resource->io_loop(0), config, options_.supervisor, edge, injector,
+        &dst->rt->metrics().corrupt_frames_dropped, port);
+    port = receiver->port();
+    channel.receiver = std::move(receiver);
+  }
+  if (src) {
+    channel.sender = std::make_shared<fault::SupervisedTcpSender>(
+        src->resource->io_loop(0), port, config, options_.supervisor, edge, injector,
+        &src->rt->metrics().reconnects,
+        // Weak: channels can outlive the Job (resources hold task refs), and
+        // a late budget-exhaustion report must not touch a freed Job.
+        [weak_job = std::weak_ptr<Job>(job)](const std::string& what) {
+          if (auto j = weak_job.lock()) j->report_failure(what);
+        });
+  }
+  return channel;
 }
 
 // Topology descriptor for incident bundles: flightdump joins flush events
@@ -319,18 +348,33 @@ void Runtime::note_topology_for_incidents(const StreamGraph& graph) {
   reporter->note_topology(JsonValue(std::move(topo)));
 }
 
-/// An instance as this runtime places it: the granules resource it runs on
-/// and the task id it is deployed under. The wake hook reads the id, which
-/// stays 0 until deploy: a remote slice may send before this one finished
-/// wiring, and that early wake is a no-op (Job::start kicks every task).
-struct Runtime::Placed {
-  std::shared_ptr<detail::InstanceRuntime> rt;
-  granules::Resource* resource = nullptr;
-  std::shared_ptr<std::atomic<uint64_t>> task_id;
-};
-
 std::shared_ptr<Job> Runtime::submit(const StreamGraph& graph) {
   graph.validate();
+  return deploy(graph, nullptr);
+}
+
+std::shared_ptr<Job> Runtime::submit_slice(const StreamGraph& graph, const SliceOptions& slice) {
+  graph.validate();
+  if (resources_.size() != 1)
+    throw GraphError("submit_slice: the worker Runtime must own exactly one resource "
+                     "(one OS process per resource)");
+  if (slice.total_resources == 0 || slice.local_resource >= slice.total_resources)
+    throw GraphError("submit_slice: local_resource " + std::to_string(slice.local_resource) +
+                     " out of range for " + std::to_string(slice.total_resources) + " resources");
+  // Multi-process placement must be explicit: round-robin placement would
+  // need every worker to agree on a cursor, which is exactly the kind of
+  // implicit coordination that breaks under recovery. topology_lint
+  // --slices N checks this statically.
+  for (const OperatorDecl& op : graph.operators()) {
+    if (op.resource < 0 || static_cast<size_t>(op.resource) >= slice.total_resources)
+      throw GraphError("submit_slice: operator '" + op.id +
+                       "' needs an explicit resource pin in [0, " +
+                       std::to_string(slice.total_resources) + ")");
+  }
+  return deploy(graph, &slice);
+}
+
+std::shared_ptr<Job> Runtime::deploy(const StreamGraph& graph, const SliceOptions* slice) {
   const GraphConfig& cfg = graph.config();
 
   note_topology_for_incidents(graph);
@@ -340,12 +384,15 @@ std::shared_ptr<Job> Runtime::submit(const StreamGraph& graph) {
   if (options_.quarantine.enabled)
     job->dead_letters_ = std::make_shared<fault::DeadLetterQueue>(options_.quarantine.dead_letter);
 
-  // 1. Instantiate operator instances. Placement: explicit resource pin, or
-  //    round-robin over resources.
+  // 1. Placement: the operator's pin, or round robin over the resources.
+  //    A slice is the one filter: only the operators pinned to its local
+  //    resource are placed (all on resources_[0], the slice Runtime's only
+  //    resource); remote operators keep empty slots so wiring can index by op.
   OpInstances op_instances(graph.operators().size());
   size_t placement_cursor = 0;
   for (size_t oi = 0; oi < graph.operators().size(); ++oi) {
     const OperatorDecl& op = graph.operators()[oi];
+    if (slice && static_cast<size_t>(op.resource) != slice->local_resource) continue;
     for (uint32_t inst = 0; inst < op.parallelism; ++inst) {
       size_t res_index = op.resource >= 0 ? static_cast<size_t>(op.resource) % resources_.size()
                                           : placement_cursor++ % resources_.size();
@@ -353,12 +400,47 @@ std::shared_ptr<Job> Runtime::submit(const StreamGraph& graph) {
     }
   }
 
-  // 2. Wire links: one channel + StreamBuffer per (src-instance, dst-instance).
+  // 2. Wire links: one channel + StreamBuffer per (src instance, dst
+  //    instance), so each output holds its buffers in dst-instance order
+  //    (partitioning indexes by it) and each input its edges in src order.
+  //    An edge with a remote end is the local half of a cross-process TCP
+  //    edge on the slice's pre-agreed port.
   for (const LinkDecl& link : graph.links()) {
     auto& srcs = op_instances[link.from_op];
-    link.partitioning->prepare(static_cast<uint32_t>(srcs.size()));
-    for (Placed& src : srcs) {
-      for (Placed& dst : op_instances[link.to_op]) wire_local_edge(link, cfg, src, dst, job);
+    auto& dsts = op_instances[link.to_op];
+    if (srcs.empty() && dsts.empty()) continue;
+    if (!srcs.empty()) link.partitioning->prepare(static_cast<uint32_t>(srcs.size()));
+    const uint32_t src_count = graph.operators()[link.from_op].parallelism;
+    const uint32_t dst_count = graph.operators()[link.to_op].parallelism;
+    for (uint32_t si = 0; si < src_count; ++si) {
+      Placed* src = srcs.empty() ? nullptr : &srcs[si];
+      for (uint32_t di = 0; di < dst_count; ++di) {
+        Placed* dst = dsts.empty() ? nullptr : &dsts[di];
+        const fault::EdgeId edge{link.link_id, si, di};
+        const uint16_t port = src && dst ? 0 : slice_edge_port(*slice, edge);
+        EdgeChannel channel = make_edge_channel(cfg.channel, edge, src, dst, port, job);
+        // Backpressure wiring (paper §III-B4): the sender is woken when the
+        // edge drains below its low watermark, the receiver when data lands.
+        if (src) src->rt->add_output(link, channel.sender);
+        if (dst) dst->rt->add_input(link, si, channel.receiver);
+        if (!src || !dst) continue;
+        // In-flight gauge for an edge with both ends here: bytes accepted by
+        // the sender that the receiver has not yet pulled — the
+        // backpressure-visible lag.
+        job->telemetry_.push_back(obs::TelemetryRegistry::global().register_series(
+            {"neptune_edge_inflight_bytes",
+             {{"job", job->name_},
+              {"link", std::to_string(link.link_id)},
+              {"src", std::to_string(si)},
+              {"dst", std::to_string(di)}},
+             obs::SeriesKind::kGauge,
+             "Bytes in flight on the edge (sent minus received)"},
+            [tx = channel.sender, rx = channel.receiver] {
+              uint64_t sent = tx->bytes_sent();
+              uint64_t recv = rx->bytes_received();
+              return sent > recv ? static_cast<double>(sent - recv) : 0.0;
+            }));
+      }
     }
   }
 
@@ -393,34 +475,6 @@ Runtime::Placed Runtime::make_instance(const OperatorDecl& op, uint32_t inst,
   rt->executing = job->executing_;
   rt->packet_deadline_ns = options_.quarantine.packet_deadline_ns;
   return Placed{std::move(rt), resource, std::move(task_id)};
-}
-
-void Runtime::wire_local_edge(const LinkDecl& link, const GraphConfig& cfg, Placed& src,
-                              Placed& dst, const std::shared_ptr<Job>& job) {
-  uint32_t si = src.rt->instance_index();
-  uint32_t di = dst.rt->instance_index();
-  EdgeChannel pipe = make_edge_channel(src.resource, dst.resource, cfg.channel,
-                                       fault::EdgeId{link.link_id, si, di}, &src.rt->metrics(),
-                                       &dst.rt->metrics(), job);
-  // Backpressure wiring (paper §III-B4): the sender is woken when the edge
-  // drains below its low watermark, the receiver when data lands.
-  src.rt->add_output(link, pipe.sender);
-  dst.rt->add_input(link, si, pipe.receiver);
-  // In-flight gauge for this edge: bytes accepted by the sender that the
-  // receiver has not yet pulled — the backpressure-visible lag.
-  job->telemetry_.push_back(obs::TelemetryRegistry::global().register_series(
-      {"neptune_edge_inflight_bytes",
-       {{"job", job->name_},
-        {"link", std::to_string(link.link_id)},
-        {"src", std::to_string(si)},
-        {"dst", std::to_string(di)}},
-       obs::SeriesKind::kGauge,
-       "Bytes in flight on the edge (sent minus received)"},
-      [tx = pipe.sender, rx = pipe.receiver] {
-        uint64_t sent = tx->bytes_sent();
-        uint64_t recv = rx->bytes_received();
-        return sent > recv ? static_cast<double>(sent - recv) : 0.0;
-      }));
 }
 
 // One periodic flush timer per instance that has a timed output buffer, on
@@ -561,125 +615,6 @@ void Runtime::register_job_telemetry(const std::shared_ptr<Job>& job) {
           [dlq = job->dead_letters_] { return static_cast<double>(dlq->dropped()); }));
     }
   }
-}
-
-namespace {
-
-// Cross-process edges need a pre-agreed port; a missing entry means the
-// slice plan and the topology drifted apart — fail before any task runs.
-uint16_t slice_edge_port(const SliceOptions& slice, const fault::EdgeId& edge) {
-  auto it = slice.edge_ports.find({edge.link_id, edge.src_instance, edge.dst_instance});
-  if (it == slice.edge_ports.end())
-    throw GraphError("submit_slice: no port assigned for cross-process edge link=" +
-                     std::to_string(edge.link_id) + " src=" + std::to_string(edge.src_instance) +
-                     " dst=" + std::to_string(edge.dst_instance) +
-                     " — was the port plan built from the same topology?");
-  return it->second;
-}
-
-}  // namespace
-
-std::shared_ptr<Job> Runtime::submit_slice(const StreamGraph& graph, const SliceOptions& slice) {
-  graph.validate();
-  const GraphConfig& cfg = graph.config();
-  if (resources_.size() != 1)
-    throw GraphError("submit_slice: the worker Runtime must own exactly one resource "
-                     "(one OS process per resource)");
-  if (slice.total_resources == 0 || slice.local_resource >= slice.total_resources)
-    throw GraphError("submit_slice: local_resource " + std::to_string(slice.local_resource) +
-                     " out of range for " + std::to_string(slice.total_resources) + " resources");
-  // Multi-process placement must be explicit: round-robin placement would
-  // need every worker to agree on a cursor, which is exactly the kind of
-  // implicit coordination that breaks under recovery. topology_lint
-  // --slices N checks this statically.
-  for (const OperatorDecl& op : graph.operators()) {
-    if (op.resource < 0 || static_cast<size_t>(op.resource) >= slice.total_resources)
-      throw GraphError("submit_slice: operator '" + op.id +
-                       "' needs an explicit resource pin in [0, " +
-                       std::to_string(slice.total_resources) + ")");
-  }
-
-  note_topology_for_incidents(graph);
-
-  auto job = std::shared_ptr<Job>(new Job());
-  job->name_ = graph.name();
-  granules::Resource* local = resources_[0].get();
-  if (options_.quarantine.enabled)
-    job->dead_letters_ = std::make_shared<fault::DeadLetterQueue>(options_.quarantine.dead_letter);
-
-  // 1. Instantiate only the local operators' instances; remote operators
-  //    keep empty slots so link wiring can index by op.
-  OpInstances op_instances(graph.operators().size());
-  for (size_t oi = 0; oi < graph.operators().size(); ++oi) {
-    const OperatorDecl& op = graph.operators()[oi];
-    if (static_cast<size_t>(op.resource) != slice.local_resource) continue;
-    for (uint32_t inst = 0; inst < op.parallelism; ++inst)
-      op_instances[oi].push_back(make_instance(op, inst, cfg, local, job));
-  }
-
-  // 2. Wire links. Three cases per link: both endpoints local (the in-process
-  //    channel, exactly as submit()), local sender -> remote receiver (a
-  //    supervised TCP sender connecting to the peer's pre-agreed port), and
-  //    remote sender -> local receiver (a supervised TCP receiver bound to
-  //    that port). Cross-process edges are always supervised: recovery
-  //    depends on their reconnect + exactly-once retransmission protocol.
-  fault::FaultInjector* injector = options_.fault_injector.get();
-  for (const LinkDecl& link : graph.links()) {
-    const OperatorDecl& from = graph.operators()[link.from_op];
-    const OperatorDecl& to = graph.operators()[link.to_op];
-    const bool src_local = static_cast<size_t>(from.resource) == slice.local_resource;
-    const bool dst_local = static_cast<size_t>(to.resource) == slice.local_resource;
-    if (!src_local && !dst_local) continue;
-
-    if (src_local) {
-      auto& srcs = op_instances[link.from_op];
-      link.partitioning->prepare(static_cast<uint32_t>(srcs.size()));
-      for (Placed& src : srcs) {
-        if (dst_local) {
-          for (Placed& dst : op_instances[link.to_op]) wire_local_edge(link, cfg, src, dst, job);
-          continue;
-        }
-        // The outputs must hold exactly `to.parallelism` buffers in
-        // destination-instance order — partitioning indexes by dst instance.
-        register_tcp_transport_telemetry();
-        for (uint32_t di = 0; di < to.parallelism; ++di) {
-          fault::EdgeId edge_id{link.link_id, src.rt->instance_index(), di};
-          src.rt->add_output(
-              link, std::make_shared<fault::SupervisedTcpSender>(
-                        local->io_loop(0), slice_edge_port(slice, edge_id), cfg.channel,
-                        options_.supervisor, edge_id, injector, &src.rt->metrics().reconnects,
-                        [weak_job = std::weak_ptr<Job>(job)](const std::string& what) {
-                          if (auto j = weak_job.lock()) j->report_failure(what);
-                        }));
-        }
-      }
-    } else {
-      // Remote sender, local receiver(s): bind the pre-agreed port and wait
-      // for the peer process to connect. One receiver per (remote src
-      // instance, local dst instance) pair, mirroring the sender side.
-      register_tcp_transport_telemetry();
-      for (uint32_t si = 0; si < from.parallelism; ++si) {
-        for (Placed& dst : op_instances[link.to_op]) {
-          fault::EdgeId edge_id{link.link_id, si, dst.rt->instance_index()};
-          dst.rt->add_input(link, si,
-                            std::make_shared<fault::SupervisedTcpReceiver>(
-                                local->io_loop(0), cfg.channel, options_.supervisor, edge_id,
-                                injector, &dst.rt->metrics().corrupt_frames_dropped,
-                                slice_edge_port(slice, edge_id)));
-        }
-      }
-    }
-  }
-
-  // 3./4. Deploy local tasks, flush timers and telemetry as in submit().
-  deploy_instances(job, op_instances);
-  register_job_telemetry(job);
-
-  {
-    std::lock_guard lk(jobs_mu_);
-    jobs_.push_back(job);
-  }
-  return job;
 }
 
 }  // namespace neptune

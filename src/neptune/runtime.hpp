@@ -228,16 +228,20 @@ class Runtime {
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  /// Validate, deploy and return the job (not yet started).
+  /// Validate, deploy and return the job (not yet started). Each operator
+  /// instance goes on its pinned resource (pin % resource count) or, when
+  /// unpinned, round robin over the resources.
   std::shared_ptr<Job> submit(const StreamGraph& graph);
 
-  /// Deploy one resource's slice of `graph` into this Runtime (which must
-  /// own exactly one resource — the local one). Every operator needs an
-  /// explicit `resource` pin in [0, slice.total_resources); operators pinned
-  /// elsewhere are not instantiated, and the edges to/from them become
-  /// supervised TCP endpoints on the ports in `slice.edge_ports`. The
-  /// returned Job completes when all *local* instances drain — end-of-stream
-  /// propagates across processes via the supervised channels' EOF frames.
+  /// submit() filtered to one resource of a multi-process deployment: this
+  /// Runtime (which must own exactly one resource) deploys only the
+  /// operators pinned to `slice.local_resource`. Every operator needs an
+  /// explicit `resource` pin in [0, slice.total_resources). Edges with both
+  /// ends local are wired exactly as submit() wires them; an edge to or
+  /// from a remote operator becomes the local half of a supervised TCP
+  /// edge on its port in `slice.edge_ports`. The returned Job completes
+  /// when all *local* instances drain — end-of-stream propagates across
+  /// processes via the supervised channels' EOF frames.
   std::shared_ptr<Job> submit_slice(const StreamGraph& graph, const SliceOptions& slice);
 
   granules::Resource* resource(size_t i) { return resources_.at(i).get(); }
@@ -257,23 +261,25 @@ class Runtime {
     std::shared_ptr<ChannelSender> sender;
     std::shared_ptr<ChannelReceiver> receiver;
   };
-  /// Create the channel for one edge; TCP when the endpoints live on
-  /// different resources and the runtime is configured for it. `edge`
-  /// identifies the edge to the fault injector; the metrics pointers
-  /// receive robustness counters; `job` receives permanent-failure reports.
-  EdgeChannel make_edge_channel(granules::Resource* src, granules::Resource* dst,
-                                const ChannelConfig& config, const fault::EdgeId& edge,
-                                OperatorMetrics* src_metrics, OperatorMetrics* dst_metrics,
-                                const std::shared_ptr<Job>& job);
-
-  // Steps shared by submit() and submit_slice().
   struct Placed;  // one instance, its resource and its task id (runtime.cpp)
   using OpInstances = std::vector<std::vector<Placed>>;  // [op index][instance]
+
+  /// The one deploy behind submit() and submit_slice() (a null `slice`
+  /// places every operator in this process). The caller validated `graph`.
+  std::shared_ptr<Job> deploy(const StreamGraph& graph, const SliceOptions* slice);
   Placed make_instance(const OperatorDecl& op, uint32_t inst, const GraphConfig& cfg,
                        granules::Resource* resource, const std::shared_ptr<Job>& job);
-  /// Wire one edge whose two endpoints live in this process.
-  void wire_local_edge(const LinkDecl& link, const GraphConfig& cfg, Placed& src, Placed& dst,
-                       const std::shared_ptr<Job>& job);
+  /// Build the channel for one edge; a null end lives in another process.
+  /// Both ends here: an inproc pipe, or a supervised TCP pair when they are
+  /// on different resources and the runtime is configured for TCP. One end
+  /// here: that end of a supervised TCP edge — a receiver bound to `port`
+  /// (0: an ephemeral one), a sender connecting to `port` (or to the
+  /// receiver built alongside it). `edge` identifies the edge to the fault
+  /// injector; robustness counters go to the instances' metrics, permanent
+  /// failures to `job`.
+  EdgeChannel make_edge_channel(const ChannelConfig& config, const fault::EdgeId& edge,
+                                Placed* src, Placed* dst, uint16_t port,
+                                const std::shared_ptr<Job>& job);
   /// Deploy every instance as a data-driven task with its flush timer.
   static void deploy_instances(const std::shared_ptr<Job>& job, OpInstances& op_instances);
   static void note_topology_for_incidents(const StreamGraph& graph);

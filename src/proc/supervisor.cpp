@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <optional>
 #include <thread>
 
@@ -112,7 +111,6 @@ struct ResourceSupervisor::Impl {
   std::vector<PendingCont> pending_conts;
   std::vector<obs::TelemetryRegistry::Handle> telemetry;
 
-  std::string manifest_path() const { return opts.work_dir + "/MANIFEST.json"; }
   std::string snapshot_dir_of(size_t r) const { return opts.work_dir + "/r" + std::to_string(r); }
 
   void register_telemetry() {
@@ -131,25 +129,11 @@ struct ResourceSupervisor::Impl {
             "Workers declared dead on heartbeat silence (process still had a pid)",
             &report.gray_failures);
     counter("neptune_supervisor_checkpoints_total",
-            "Coordinated epochs committed to the manifest", &report.checkpoints);
+            "Coordinated epochs committed (every worker saved its slice)",
+            &report.checkpoints);
     counter("neptune_supervisor_quiesce_timeouts_total",
             "Coordinated checkpoint epochs abandoned past the checkpoint timeout",
             &report.quiesce_timeouts);
-  }
-
-  bool write_manifest(uint64_t epoch) {
-    std::string tmp = manifest_path() + ".tmp";
-    JsonObject m;
-    m["epoch"] = JsonValue(static_cast<int64_t>(epoch));
-    m["generation"] = JsonValue(static_cast<int64_t>(generation));
-    std::string body = JsonValue(std::move(m)).dump();
-    FILE* f = std::fopen(tmp.c_str(), "w");
-    if (!f) return false;
-    bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    if (ok) ok = std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
-    std::fclose(f);
-    if (!ok) return false;
-    return ::rename(tmp.c_str(), manifest_path().c_str()) == 0;
   }
 
   void spawn_worker(size_t r, int64_t restore_epoch) {
@@ -302,20 +286,18 @@ struct ResourceSupervisor::Impl {
     }
   }
 
-  /// Carry out a Begin, Commit or Abandon, and mirror the counters.
+  /// Carry out a Begin or Abandon, and mirror the counters. A Commit needs
+  /// no action: the workers' snapshots are already on disk, and the
+  /// controller keeps the epoch a rollback restores.
   void apply(const EpochAction& a) {
-    const std::string epoch = "epoch " + std::to_string(a.epoch);
     if (a.kind == EpochAction::Kind::kBegin) {
       JsonValue msg = control_message("checkpoint");
       msg.as_object()["epoch"] = JsonValue(static_cast<int64_t>(a.epoch));
       broadcast(msg);
-    } else if (a.kind == EpochAction::Kind::kCommit) {
-      if (!write_manifest(a.epoch))
-        obs::IncidentReporter::trigger_global("checkpoint-failed",
-                                              epoch + " committed; manifest not written");
     } else if (a.kind == EpochAction::Kind::kAbandon) {
       obs::IncidentReporter::trigger_global(
-          "checkpoint-timeout", epoch + " abandoned: acks missing at the timeout, or not ok");
+          "checkpoint-timeout", "epoch " + std::to_string(a.epoch) +
+                                    " abandoned: acks missing at the timeout, or not ok");
     }
     report.checkpoints = epochs->committed();
     report.quiesce_timeouts = epochs->abandoned();

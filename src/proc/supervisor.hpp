@@ -16,10 +16,10 @@
 //
 // Checkpoint protocol (in-band barriers; nothing pauses): checkpoint{e} to
 // all -> barriers travel with the data, across processes over the
-// supervised TCP edges -> each worker saves its slice and acks -> once
-// every worker acked ok the epoch commits and the supervisor records it in
-// the manifest (tmp + rename). A crash mid-checkpoint therefore always
-// rolls back to a complete, consistent cut.
+// supervised TCP edges -> each worker saves its slice (fsynced) and acks
+// -> once every worker acked ok the epoch commits in the controller. A
+// rollback restores the controller's last committed epoch, so a crash
+// mid-checkpoint always rolls back to a complete, consistent cut.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,7 @@ struct SupervisorOptions : fault::EpochOptions {
   std::string neptuned_path;
   std::string scenario_path;
   uint64_t events_override = 0;
-  /// Manifest + per-resource snapshot dirs live here (created if missing).
+  /// Per-resource snapshot dirs live here (created if missing).
   std::string work_dir;
   /// Heartbeat silence from a live pid beyond this = gray failure.
   int64_t heartbeat_timeout_ms = 1500;

@@ -149,9 +149,9 @@ TEST_F(SnapshotFuzzTest, BothGenerationsCorruptLoadsNothingNotGarbage) {
 
 TEST_F(SnapshotFuzzTest, TaggedEpochCorruptionIsIsolated) {
   // The coordinated-checkpoint commit protocol relies on this: a torn
-  // epoch-N file must read as "missing" (so the supervisor's manifest —
-  // committed only after every worker acked — points at an older epoch
-  // that still validates), and must not damage neighbouring epochs.
+  // epoch-N file must read as "missing" (so the last committed epoch —
+  // committed only after every worker acked — is an older one that still
+  // validates), and must not damage neighbouring epochs.
   Xoshiro256 rng(99);
   for (int round = 0; round < 100; ++round) {
     fs::remove_all(dir);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -13,6 +14,8 @@
 #include "fault/watchdog.hpp"
 #include "neptune/runtime.hpp"
 #include "neptune/workload.hpp"
+#include "../support/gate.hpp"
+#include "../support/poll.hpp"
 
 namespace neptune {
 namespace {
@@ -43,23 +46,22 @@ ProcessorFactory forward_to(std::shared_ptr<CountingSink> sink) {
   };
 }
 
-/// Sleeps far past the watchdog's stall timeout on the first packet it sees
-/// (bounded, so stop()/join still work), then behaves normally.
+/// Runs `hold` inside its dispatch of the first packet it sees (the test
+/// decides how long the operator stays stuck; it must return so that
+/// stop()/join still work), then behaves normally.
 class StallOnce : public StreamProcessor {
  public:
-  explicit StallOnce(std::shared_ptr<std::atomic<bool>> armed, int64_t stall_ns)
-      : armed_(std::move(armed)), stall_ns_(stall_ns) {}
+  StallOnce(std::shared_ptr<std::atomic<bool>> armed, std::function<void()> hold)
+      : armed_(std::move(armed)), hold_(std::move(hold)) {}
   void process(StreamPacket& p, Emitter& out) override {
-    if (armed_->exchange(false)) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(stall_ns_));
-    }
+    if (armed_->exchange(false)) hold_();
     StreamPacket copy = p;
     out.emit(std::move(copy));
   }
 
  private:
   std::shared_ptr<std::atomic<bool>> armed_;
-  const int64_t stall_ns_;
+  const std::function<void()> hold_;
 };
 
 TEST(Watchdog, DetectsDispatchStuckInsideAnOperator) {
@@ -67,11 +69,13 @@ TEST(Watchdog, DetectsDispatchStuckInsideAnOperator) {
   static constexpr uint64_t kTotal = 500;
   auto sink = std::make_shared<CountingSink>();
   auto armed = std::make_shared<std::atomic<bool>>(true);
+  auto gate = std::make_shared<test_util::Gate>();
 
   StreamGraph g("stall", small_batches());
   g.add_source("src", [] { return std::make_unique<BytesSource>(kTotal, 64); });
-  g.add_processor("proc",
-                  [armed] { return std::make_unique<StallOnce>(armed, 900'000'000); });
+  g.add_processor("proc", [armed, gate] {
+    return std::make_unique<StallOnce>(armed, [gate] { gate->wait(); });
+  });
   g.add_processor("sink", forward_to(sink));
   g.connect("src", "proc");
   g.connect("proc", "sink");
@@ -81,7 +85,7 @@ TEST(Watchdog, DetectsDispatchStuckInsideAnOperator) {
   std::mutex mu;
   std::vector<std::string> reports;
   WatchdogOptions opt;
-  opt.stall_timeout_ns = 200'000'000;  // 200 ms, well under the 900 ms stall
+  opt.stall_timeout_ns = 200'000'000;  // 200 ms
   opt.poll_interval_ns = 50'000'000;
   OperatorWatchdog dog(job, opt, [&](const std::string& what) {
     std::lock_guard lk(mu);
@@ -89,6 +93,17 @@ TEST(Watchdog, DetectsDispatchStuckInsideAnOperator) {
   });
 
   job->start();
+  // The operator stays inside its dispatch until the watchdog has reported
+  // (or a generous bound has passed), so detection does not hang on how far
+  // a fixed sleep outlasts the poll.
+  const bool reported = test_util::wait_until(
+      [&] {
+        std::lock_guard lk(mu);
+        return !reports.empty();
+      },
+      30s);
+  gate->open();
+  ASSERT_TRUE(reported) << "no stall reported within 30 s";
   ASSERT_TRUE(job->wait(60s));
   dog.stop();
 
@@ -138,7 +153,10 @@ TEST(Watchdog, EscalatesThroughRecoveryCoordinator) {
   StreamGraph g("stuck-recovery", small_batches());
   g.add_source("src", [] { return std::make_unique<BytesSource>(kTotal, 64); });
   g.add_processor("proc",
-                  [armed] { return std::make_unique<StallOnce>(armed, 2'000'000'000); });
+                  [armed] {
+                    return std::make_unique<StallOnce>(
+                        armed, [] { std::this_thread::sleep_for(2s); });
+                  });
   g.add_processor("sink", forward_to(sink));
   g.connect("src", "proc");
   g.connect("proc", "sink");

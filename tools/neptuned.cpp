@@ -35,7 +35,7 @@ void usage() {
                "       neptuned --worker --scenario FILE --resource K --resources N [options]\n"
                "\n"
                "supervise options:\n"
-               "  --work-dir DIR        manifest + snapshots (default /tmp/neptuned-<pid>)\n"
+               "  --work-dir DIR        per-worker snapshots (default /tmp/neptuned-<pid>)\n"
                "  --events N            override the trace's event count\n"
                "  --chaos FILE          JSON chaos plan to execute against the workers\n"
                "  --checkpoint-ms N     coordinated checkpoint cadence (default 200)\n"
