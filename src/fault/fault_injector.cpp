@@ -152,7 +152,8 @@ namespace {
 /// Decorating sender: applies scheduled faults to frames on their way into
 /// the wrapped channel. One instance per (edge, connection incarnation);
 /// schedule state lives in the injector so it spans reconnects.
-class FaultingSender final : public ChannelSender {
+class FaultingSender final : public ChannelSender,
+                             public std::enable_shared_from_this<FaultingSender> {
  public:
   FaultingSender(FaultInjector* injector, EdgeId edge, std::shared_ptr<ChannelSender> inner,
                  EventLoop* loop)
@@ -205,7 +206,11 @@ class FaultingSender final : public ChannelSender {
           stall_until_ns_ = now_ns() + a.delay_ns;
           cb = writable_cb_;
         }
-        if (loop_ && cb) loop_->run_after(a.delay_ns, cb);
+        // Weak: a sender that relinked or was destroyed is not called back.
+        if (loop_ && cb)
+          loop_->run_after(a.delay_ns, [weak = weak_from_this(), cb] {
+            if (auto self = weak.lock()) cb();
+          });
         return SendStatus::kBlocked;
       }
     }

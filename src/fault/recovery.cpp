@@ -38,7 +38,7 @@ RecoveryCoordinator::RecoveryCoordinator(Runtime& runtime, StreamGraph graph,
 RecoveryCoordinator::~RecoveryCoordinator() { stop(); }
 
 void RecoveryCoordinator::attach(const std::shared_ptr<Job>& job) {
-  // The handler may fire from a supervisor thread long after this
+  // The handler may fire from an IO loop thread long after this
   // coordinator is gone (old jobs and their channels are kept alive by the
   // runtime), so it owns the flag it touches and nothing else. The monitor
   // polls the flag every poll_interval.
@@ -233,7 +233,7 @@ void RecoveryCoordinator::recover(const std::shared_ptr<Job>& old) {
 
   // Tear the wreck down (best effort — dead resources never run the stop
   // notifications, which is fine; the runtime keeps the old job's carcass
-  // alive so late supervisor callbacks stay safe), then wait until none of
+  // alive so late edge-failure callbacks stay safe), then wait until none of
   // its executions is in flight: workers on live resources may still be
   // draining a batch into operators shared with the next incarnation.
   old->stop();

@@ -62,19 +62,19 @@ SupervisedTcpSender::SupervisedTcpSender(EventLoop* loop, uint16_t port,
       jitter_rng_(config.jitter_seed != 0
                       ? config.jitter_seed
                       : 0x9E3779B9u ^ (static_cast<uint64_t>(port) << 32) ^ edge.link_id) {
-  supervisor_ = std::thread([this] { supervise(); });
+  std::lock_guard lk(mu_);
+  schedule_connect_locked();
+  tick_timer_ = loop_->run_every(config_.heartbeat_interval_ns, [this] { tick(); });
 }
 
 SupervisedTcpSender::~SupervisedTcpSender() {
+  // shutdown_ stops new timers; the barrier waits out one already running.
   std::shared_ptr<TcpConnection> conn;
   {
     std::lock_guard lk(mu_);
     shutdown_ = true;
-  }
-  cv_.notify_all();
-  if (supervisor_.joinable()) supervisor_.join();
-  {
-    std::lock_guard lk(mu_);
+    loop_->cancel_timer(tick_timer_);
+    loop_->cancel_timer(connect_timer_);  // 0 (none pending) names no timer
     conn = std::move(conn_);
     data_path_.reset();
   }
@@ -122,7 +122,6 @@ void SupervisedTcpSender::close() {
     eof_enqueued_ = true;
   }
   pump();
-  cv_.notify_all();
 }
 
 bool SupervisedTcpSender::delivery_complete() const {
@@ -135,82 +134,60 @@ bool SupervisedTcpSender::failed() const {
   return hard_failed_;
 }
 
-void SupervisedTcpSender::supervise() {
-  std::unique_lock lk(mu_);
-  while (!shutdown_ && !done_ && !hard_failed_) {
-    if (link_state_ == LinkState::kDisconnected) {
-      // attempts_ counts consecutive failures to reach a *working* link
-      // (connect failures, and connections that died before the hello ack
-      // arrived) — it resets only once the hello is received.
-      if (attempts_ > config_.max_reconnect_attempts) {
-        hard_failed_ = true;
-        std::string what = "edge " + edge_.to_string() + ": reconnect budget exhausted (" +
-                           std::to_string(config_.max_reconnect_attempts) + " attempts)";
-        NEPTUNE_LOG_ERROR("%s", what.c_str());
-        EdgeFailureHandler handler = on_failure_;
-        std::function<void()> wake = writable_cb_;
-        lk.unlock();
-        if (wake) wake();  // blocked upstream observes kClosed
-        if (handler) handler(what);
-        lk.lock();
-        break;
-      }
-      if (attempts_ > 0 || had_connection_) {
-        auto wait = std::chrono::nanoseconds(
-            compute_reconnect_backoff_ns(config_, std::max(attempts_, 1u), jitter_rng_));
-        cv_.wait_for(lk, wait, [&] { return shutdown_; });
-        if (shutdown_) break;
-        if (link_state_ != LinkState::kDisconnected) continue;
-      }
-      lk.unlock();
-      bool ok = attempt_connect();
-      lk.lock();
-      if (shutdown_) break;
-      if (!ok) ++attempts_;
-      continue;
-    }
-
-    cv_.wait_for(lk, std::chrono::nanoseconds(config_.heartbeat_interval_ns),
-                 [&] { return shutdown_ || done_; });
-    if (shutdown_ || done_) break;
-    if (link_state_ == LinkState::kDisconnected) continue;
-    if (!conn_ || conn_->closed()) {
-      auto old = link_dead_locked("connection closed");
-      lk.unlock();
-      detach_connection(old);
-      lk.lock();
-      continue;
-    }
-    if (now_ns() - last_inbound_ns_ > config_.peer_timeout_ns) {
-      auto old = link_dead_locked("peer timeout");
-      lk.unlock();
-      detach_connection(old);
-      lk.lock();
-      continue;
-    }
-    lk.unlock();
-    send_heartbeat();
-    lk.lock();
-  }
+void SupervisedTcpSender::schedule_connect_locked() {
+  if (shutdown_ || done_ || hard_failed_) return;
+  // The first connect, and the report of an exhausted budget, go at once.
+  int64_t delay = 0;
+  if ((attempts_ > 0 || had_connection_) && attempts_ <= config_.max_reconnect_attempts)
+    delay = compute_reconnect_backoff_ns(config_, std::max(attempts_, 1u), jitter_rng_);
+  connect_timer_ = loop_->run_after(delay, [this] { connect(); });
 }
 
-bool SupervisedTcpSender::attempt_connect() {
-  int fd = tcp_connect_blocking(port_, config_.connect_timeout_ms);
-  if (fd < 0) return false;
+void SupervisedTcpSender::connect() {
+  {
+    std::unique_lock lk(mu_);
+    connect_timer_ = 0;
+    if (shutdown_ || done_ || hard_failed_ || link_state_ != LinkState::kDisconnected) return;
+    // attempts_ counts consecutive failures to reach a *working* link
+    // (refused connects, and connections that died before the hello ack
+    // arrived) — it resets only once the hello is received.
+    if (attempts_ > config_.max_reconnect_attempts) {
+      hard_failed_ = true;
+      std::string what = "edge " + edge_.to_string() + ": reconnect budget exhausted (" +
+                         std::to_string(config_.max_reconnect_attempts) + " attempts)";
+      EdgeFailureHandler handler = on_failure_;
+      std::function<void()> wake = writable_cb_;
+      lk.unlock();
+      NEPTUNE_LOG_ERROR("%s", what.c_str());
+      if (wake) wake();  // blocked upstream observes kClosed
+      if (handler) handler(what);
+      return;
+    }
+  }
+  // A refused handshake closes the connection (EPOLLERR); one that never
+  // completes delivers no hello within peer_timeout.
+  int fd = tcp_connect_nonblocking(port_);
+  if (fd < 0) {
+    std::lock_guard lk(mu_);
+    ++attempts_;
+    schedule_connect_locked();
+    return;
+  }
   auto conn = TcpConnection::create(loop_, fd, channel_config_);
   conn->start();
   uint64_t inc;
   bool was_reconnect;
+  std::shared_ptr<ChannelSender> path;
   {
     std::lock_guard lk(mu_);
     if (shutdown_) {
       conn->close();
-      return true;
+      return;
     }
     ++incarnation_;
     inc = incarnation_;
     conn_ = conn;
-    data_path_ = wrap_sender(injector_, edge_, conn, loop_);
+    path = data_path_ = wrap_sender(injector_, edge_, conn, loop_);
     link_state_ = LinkState::kAwaitHello;
     last_inbound_ns_ = now_ns();
     was_reconnect = had_connection_;
@@ -228,15 +205,32 @@ bool SupervisedTcpSender::attempt_connect() {
   // Set via the (possibly fault-wrapped) data path so a stall decorator can
   // re-fire the callback when its stall expires; it forwards to the
   // connection as well.
-  std::shared_ptr<ChannelSender> path;
-  {
-    std::lock_guard lk(mu_);
-    path = data_path_;
-  }
-  if (path) path->set_writable_callback([this] { pump(); });
+  path->set_writable_callback([this] { pump(); });
   conn->set_data_callback([this, inc] { drain_acks(inc); });
   drain_acks(inc);  // the hello ack may have landed before the callback
-  return true;
+}
+
+void SupervisedTcpSender::tick() {
+  std::shared_ptr<TcpConnection> conn, old;
+  {
+    std::lock_guard lk(mu_);
+    if (shutdown_ || done_ || hard_failed_ || link_state_ == LinkState::kDisconnected) return;
+    const char* why = conn_->closed()                                          ? "connection closed"
+                      : now_ns() - last_inbound_ns_ > config_.peer_timeout_ns ? "peer timeout"
+                                                                              : nullptr;
+    if (why) old = link_dead_locked(why);
+    else conn = conn_;
+  }
+  detach_connection(old);  // no-op on a healthy link
+  if (!conn) return;
+  // A heartbeat takes the pump's turn, so it can never land inside a frame
+  // that pump() is still writing (a torn write is prefix-then-close). When
+  // a pump is running, the link is busy and this probe is skipped.
+  if (pumping_.exchange(true, std::memory_order_acquire)) return;
+  // Best effort; a dead link is caught by the timeout.
+  conn->try_send(encode_signal_frame(FrameHeader::kFlagHeartbeat, edge_.link_id, {}));
+  pumping_.store(false, std::memory_order_release);
+  pump();  // frames enqueued while the heartbeat held the turn
 }
 
 void SupervisedTcpSender::pump() {
@@ -322,6 +316,15 @@ void SupervisedTcpSender::drain_acks(uint64_t incarnation) {
     if ((f->header.flags & FrameHeader::kFlagAck) != 0 && f->payload.size() >= 8)
       handle_ack(ByteReader(f->payload).read_u64(), incarnation);
   }
+  // Closing wakes this callback too (refused connect, reset): count it now.
+  if (conn->closed()) {
+    std::shared_ptr<TcpConnection> old;
+    {
+      std::lock_guard lk(mu_);
+      if (incarnation == incarnation_ && !done_) old = link_dead_locked("connection closed");
+    }
+    detach_connection(old);
+  }
 }
 
 void SupervisedTcpSender::handle_ack(uint64_t consumed, uint64_t incarnation) {
@@ -349,10 +352,7 @@ void SupervisedTcpSender::handle_ack(uint64_t consumed, uint64_t incarnation) {
       blocked_ = false;
       fire_writable = writable_cb_;
     }
-    if (eof_enqueued_ && trimmed_ == total_enqueued_ && !done_) {
-      done_ = true;
-      cv_.notify_all();
-    }
+    if (eof_enqueued_ && trimmed_ == total_enqueued_) done_ = true;
     if (sent_through_ < total_enqueued_) do_pump = true;
   }
   if (fire_writable) fire_writable();
@@ -365,28 +365,11 @@ std::shared_ptr<TcpConnection> SupervisedTcpSender::link_dead_locked(const char*
                    edge_.to_string().c_str(), why);
   if (link_state_ == LinkState::kAwaitHello) ++attempts_;  // never worked: burn budget
   std::shared_ptr<TcpConnection> old = std::move(conn_);
-  conn_.reset();
   data_path_.reset();
   ++incarnation_;
   link_state_ = LinkState::kDisconnected;
-  cv_.notify_all();
+  schedule_connect_locked();
   return old;
-}
-
-void SupervisedTcpSender::send_heartbeat() {
-  // A heartbeat takes the pump's turn, so it can never land inside a frame
-  // that pump() is still writing (a torn write is prefix-then-close). When
-  // a pump is running, the link is busy and this probe is skipped.
-  if (pumping_.exchange(true, std::memory_order_acquire)) return;
-  std::shared_ptr<TcpConnection> conn;
-  {
-    std::lock_guard lk(mu_);
-    if (link_state_ != LinkState::kDisconnected) conn = conn_;
-  }
-  // Best effort; a dead link is caught by the timeout.
-  if (conn) conn->try_send(encode_signal_frame(FrameHeader::kFlagHeartbeat, edge_.link_id, {}));
-  pumping_.store(false, std::memory_order_release);
-  pump();  // frames enqueued while the heartbeat held the turn
 }
 
 // --- SupervisedTcpReceiver ------------------------------------------------------
@@ -404,7 +387,7 @@ SupervisedTcpReceiver::SupervisedTcpReceiver(EventLoop* loop, const ChannelConfi
       corrupt_counter_(corrupt_counter) {
   last_inbound_ns_ = now_ns();
   listener_ = std::make_unique<TcpListener>(loop, listen_port, [this](int fd) { on_accept(fd); });
-  supervisor_ = std::thread([this] { supervise(); });
+  tick_timer_ = loop_->run_every(config_.heartbeat_interval_ns, [this] { tick(); });
 }
 
 SupervisedTcpReceiver::~SupervisedTcpReceiver() {
@@ -412,14 +395,10 @@ SupervisedTcpReceiver::~SupervisedTcpReceiver() {
   {
     std::lock_guard lk(mu_);
     shutdown_ = true;
-  }
-  cv_.notify_all();
-  if (supervisor_.joinable()) supervisor_.join();
-  {
-    std::lock_guard lk(mu_);
     conn = std::move(conn_);
     rx_path_.reset();
   }
+  loop_->cancel_timer(tick_timer_);
   detach_connection(conn);
   listener_.reset();
   loop_barrier(loop_);
@@ -446,7 +425,6 @@ void SupervisedTcpReceiver::on_accept(int fd) {
     inc = incarnation_;
     last_inbound_ns_ = now_ns();
   }
-  accepts_.fetch_add(1, std::memory_order_relaxed);
   detach_connection(old);
   conn->set_data_callback([this, inc] { drain(inc); });
   send_ack();  // hello: tell the sender where to resume
@@ -558,25 +536,20 @@ void SupervisedTcpReceiver::send_ack() {
   conn->try_send(frame);  // best effort; acks are cumulative
 }
 
-void SupervisedTcpReceiver::supervise() {
-  std::unique_lock lk(mu_);
-  while (!shutdown_) {
-    cv_.wait_for(lk, std::chrono::nanoseconds(config_.heartbeat_interval_ns),
-                 [&] { return shutdown_; });
-    if (shutdown_) break;
-    if (!conn_ || eof_consumed_) continue;
-    if (conn_->closed()) continue;  // awaiting the sender's reconnect
-    if (now_ns() - last_inbound_ns_ > config_.peer_timeout_ns) {
-      NEPTUNE_LOG_INFO("supervised edge %s: no inbound for %lld ms, dropping connection",
-                       edge_.to_string().c_str(),
-                       static_cast<long long>(config_.peer_timeout_ns / 1'000'000));
-      std::shared_ptr<TcpConnection> dead = conn_;
-      last_inbound_ns_ = now_ns();  // avoid re-firing every tick
-      lk.unlock();
-      detach_connection(dead);
-      lk.lock();
-    }
+void SupervisedTcpReceiver::tick() {
+  std::shared_ptr<TcpConnection> dead;
+  {
+    std::lock_guard lk(mu_);
+    // A closed connection is awaiting the sender's reconnect.
+    if (shutdown_ || !conn_ || eof_consumed_ || conn_->closed()) return;
+    if (now_ns() - last_inbound_ns_ <= config_.peer_timeout_ns) return;
+    NEPTUNE_LOG_INFO("supervised edge %s: no inbound for %lld ms, dropping connection",
+                     edge_.to_string().c_str(),
+                     static_cast<long long>(config_.peer_timeout_ns / 1'000'000));
+    dead = conn_;
+    last_inbound_ns_ = now_ns();  // avoid re-firing every tick
   }
+  detach_connection(dead);
 }
 
 }  // namespace neptune::fault

@@ -33,16 +33,17 @@
 // * Reconnects use exponential backoff with jitter and a bounded attempt
 //   budget; exhausting the budget reports a hard edge failure upward
 //   (where the RecoveryCoordinator takes over).
+// * Supervision owns no thread: a periodic tick (heartbeat, liveness) and the
+//   sender's non-blocking connect are timers on the endpoint's IO loop. No hello
+//   within peer_timeout kills a connection, pending handshake or silent peer.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "common/rng.hpp"
 #include "fault/fault_injector.hpp"
@@ -58,7 +59,6 @@ struct SupervisorConfig {
   int64_t reconnect_backoff_max_ns = 500'000'000;
   double reconnect_jitter = 0.2;                 ///< +/- fraction of the backoff
   uint32_t max_reconnect_attempts = 10;          ///< per outage, then hard failure
-  int connect_timeout_ms = 250;                  ///< per connect() attempt
   /// Jitter RNG seed; 0 derives one from the edge (port ^ link), which
   /// decorrelates edges but is not reproducible across port assignments.
   /// Set non-zero for deterministic backoff schedules in tests.
@@ -75,7 +75,7 @@ struct SupervisorConfig {
 int64_t compute_reconnect_backoff_ns(const SupervisorConfig& config, uint32_t attempts,
                                      Xoshiro256& rng);
 
-/// Called (from a supervisor thread) when an edge fails permanently.
+/// Called once, on the sender's IO loop thread, when an edge fails permanently.
 using EdgeFailureHandler = std::function<void(const std::string& what)>;
 
 /// Sending endpoint of a supervised TCP edge. Owns the connect side: it
@@ -113,15 +113,15 @@ class SupervisedTcpSender final : public ChannelSender {
     bool control = false;  ///< EOF: bypasses the fault decorator
   };
 
-  void supervise();                               // supervisor thread body
-  bool attempt_connect();                         // supervisor thread
+  void connect();                                 // loop thread (connect timer)
+  void schedule_connect_locked();                 // arms the connect timer
+  void tick();                                    // loop thread: heartbeat, liveness
   void pump();                                    // any thread; self-serializing
   void drain_acks(uint64_t incarnation);          // loop thread
   void handle_ack(uint64_t consumed, uint64_t incarnation);
   /// Mark the current connection dead; returns it for the caller to detach
   /// *after* releasing mu_ (closing can fire callbacks inline).
   std::shared_ptr<TcpConnection> link_dead_locked(const char* why);
-  void send_heartbeat();
 
   EventLoop* loop_;
   const uint16_t port_;
@@ -133,7 +133,6 @@ class SupervisedTcpSender final : public ChannelSender {
   EdgeFailureHandler on_failure_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<RetainedFrame> retained_;            // unacked frames, oldest first
   size_t retained_bytes_ = 0;
   uint64_t total_enqueued_ = 0;                   // frames ever appended (incl. EOF)
@@ -153,10 +152,11 @@ class SupervisedTcpSender final : public ChannelSender {
   bool blocked_ = false;
   std::function<void()> writable_cb_;
   Xoshiro256 jitter_rng_;
+  EventLoop::TimerId connect_timer_ = 0;          // pending connect, 0 = none
+  EventLoop::TimerId tick_timer_ = 0;             // set once in the constructor
 
   std::atomic<bool> pumping_{false};
   std::atomic<uint64_t> bytes_sent_{0};
-  std::thread supervisor_;
 };
 
 /// Receiving endpoint of a supervised TCP edge. Owns a persistent listener
@@ -187,9 +187,6 @@ class SupervisedTcpReceiver final : public ChannelReceiver {
     return bytes_received_.load(std::memory_order_relaxed);
   }
 
-  /// Connections accepted (1 + number of reconnects observed).
-  uint64_t accepts() const { return accepts_.load(std::memory_order_relaxed); }
-
  private:
   struct QueuedFrame {
     FrameBufRef frame;  ///< validated wire frame view (null for EOF)
@@ -199,7 +196,7 @@ class SupervisedTcpReceiver final : public ChannelReceiver {
   void on_accept(int fd);                         // loop thread
   void drain(uint64_t incarnation);               // loop thread
   void send_ack();                                // any thread
-  void supervise();                               // supervisor thread body
+  void tick();                                    // loop thread (periodic)
 
   EventLoop* loop_;
   const ChannelConfig channel_config_;
@@ -209,7 +206,6 @@ class SupervisedTcpReceiver final : public ChannelReceiver {
   std::atomic<uint64_t>* corrupt_counter_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::unique_ptr<TcpListener> listener_;
   std::shared_ptr<TcpConnection> conn_;
   std::shared_ptr<ChannelReceiver> rx_path_;      // conn_ or fault-wrapped conn_
@@ -221,9 +217,9 @@ class SupervisedTcpReceiver final : public ChannelReceiver {
   int64_t last_inbound_ns_ = 0;
   std::function<void()> data_cb_;
 
+  EventLoop::TimerId tick_timer_ = 0;             // set once in the constructor
+
   std::atomic<uint64_t> bytes_received_{0};
-  std::atomic<uint64_t> accepts_{0};
-  std::thread supervisor_;
 };
 
 }  // namespace neptune::fault

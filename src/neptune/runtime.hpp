@@ -79,7 +79,7 @@ class Job : private detail::InstanceHost {
 
   // --- failure reporting (fault-tolerance subsystem) ----------------------
 
-  /// Invoked (from a supervisor or worker thread) on the first permanent
+  /// Invoked (from an IO loop or worker thread) on the first permanent
   /// failure — e.g. a supervised edge exhausting its reconnect budget or a
   /// corrupt frame on an unsupervised edge. Set it before start().
   void set_failure_handler(std::function<void(const std::string&)> handler);
@@ -112,7 +112,7 @@ class Job : private detail::InstanceHost {
 
   std::string name_;
   // Failure state is declared before instances_ so it outlives the edge
-  // teardown in ~Job (supervisor threads may report until they are joined).
+  // teardown in ~Job (an edge may report until its endpoint is destroyed).
   mutable std::mutex failure_mu_;
   std::function<void(const std::string&)> failure_handler_;
   std::string failure_reason_;
@@ -186,10 +186,9 @@ struct RuntimeOptions {
   ObsOptions obs;
 
   // --- fault tolerance ------------------------------------------------------
-  /// TCP edges are always carried by the supervised channel: per-edge
-  /// heartbeats, dead-peer detection, reconnect with exponential backoff,
-  /// and exactly-once retransmission of unacked frames. These are its
-  /// heartbeat / timeout / backoff knobs.
+  /// TCP edges are always carried by the supervised channel: heartbeats,
+  /// dead-peer detection, backoff reconnects and exactly-once retransmission,
+  /// run as timers on the resource's IO loop. These are its knobs.
   fault::SupervisorConfig supervisor;
   /// Optional fault-injection schedule applied to every edge (inproc and
   /// TCP). Shared so tests/benches can inspect injector stats afterwards.

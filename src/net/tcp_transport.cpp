@@ -30,6 +30,14 @@ void set_nodelay(int fd) {
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
+sockaddr_in loopback_addr(uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  return addr;
+}
+
 /// Pool for receive chunks, separate from FrameBufPool::global() so the
 /// large (kRxChunkBytes) socket-read buffers don't crowd the frame pool's
 /// free list. Leaky for the same reason as the global pool: views may be
@@ -430,10 +438,7 @@ TcpListener::TcpListener(EventLoop* loop, uint16_t port, AcceptCallback on_accep
   if (fd_ < 0) throw std::runtime_error("socket() failed");
   int one = 1;
   setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
+  sockaddr_in addr = loopback_addr(port);
   if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
     ::close(fd_);
     throw std::runtime_error("bind() failed");
@@ -469,10 +474,7 @@ TcpListener::~TcpListener() {
 int tcp_connect_blocking(uint16_t port, int timeout_ms) {
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
+  sockaddr_in addr = loopback_addr(port);
   // Simple bounded retry: the listener may still be registering.
   int waited = 0;
   while (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
@@ -487,6 +489,18 @@ int tcp_connect_blocking(uint16_t port, int timeout_ms) {
   }
   set_nonblocking(fd);
   return fd;
+}
+
+int tcp_connect_nonblocking(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr = loopback_addr(port);
+  // EINTR, like EINPROGRESS, leaves the handshake running.
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 ||
+      errno == EINPROGRESS || errno == EINTR)
+    return fd;
+  ::close(fd);
+  return -1;
 }
 
 }  // namespace neptune

@@ -160,4 +160,9 @@ class TcpListener {
 /// fd, or -1 on failure.
 int tcp_connect_blocking(uint16_t port, int timeout_ms = 5000);
 
+/// Non-blocking connect to 127.0.0.1:`port`. Returns a non-blocking fd that
+/// is connected or still completing its handshake (a refusal then surfaces
+/// as EPOLLERR/EPOLLHUP on the loop), or -1 when connect() fails at once.
+int tcp_connect_nonblocking(uint16_t port);
+
 }  // namespace neptune

@@ -8,6 +8,8 @@
 
 #include <unistd.h>
 
+#include <condition_variable>
+#include <future>
 #include <mutex>
 #include <thread>
 
@@ -228,20 +230,96 @@ TEST(SupervisedTcp, ExhaustedReconnectBudgetReportsHardFailure) {
   cfg.reconnect_backoff_ns = 1'000'000;
   cfg.reconnect_backoff_max_ns = 4'000'000;
   cfg.max_reconnect_attempts = 3;
-  cfg.connect_timeout_ms = 50;
 
   std::atomic<int> failures{0};
+  std::promise<void> reported;
+  std::future<void> report = reported.get_future();
   {
     fault::SupervisedTcpSender sender(&loop, /*port=*/1, ChannelConfig{}, cfg, fault::EdgeId{},
-                                      nullptr, nullptr,
-                                      [&](const std::string&) { failures.fetch_add(1); });
-    for (int i = 0; i < 500 && !sender.failed(); ++i) std::this_thread::sleep_for(5ms);
+                                      nullptr, nullptr, [&](const std::string&) {
+                                        if (failures.fetch_add(1) == 0) reported.set_value();
+                                      });
+    EXPECT_EQ(report.wait_for(10s), std::future_status::ready);
     EXPECT_TRUE(sender.failed());
     FrameBufRef frame = FrameBufPool::global().acquire();
     frame->buffer().write_u8(1);
     EXPECT_EQ(sender.try_send(frame), SendStatus::kClosed);
   }
   EXPECT_EQ(failures.load(), 1);
+  loop.stop();
+  loop_thread.join();
+}
+
+TEST(SupervisedTcp, SilentPeerBurnsTheBudget) {
+  // A peer that accepts every connection and never sends the hello. Each
+  // connection is dead once peer_timeout passes without a hello — the same
+  // rule that bounds a handshake still pending — and burns one attempt, so
+  // the sender connects exactly max_reconnect_attempts + 1 times and then
+  // reports one hard failure.
+  EventLoop loop;
+  std::thread loop_thread([&] { loop.run(); });
+  fault::SupervisorConfig cfg;
+  cfg.heartbeat_interval_ns = 5'000'000;
+  cfg.peer_timeout_ns = 20'000'000;
+  cfg.reconnect_backoff_ns = 1'000'000;
+  cfg.reconnect_backoff_max_ns = 4'000'000;
+  cfg.max_reconnect_attempts = 2;
+
+  std::mutex accepted_mu;
+  std::vector<int> accepted;  // held open and never written
+  std::atomic<int> failures{0};
+  std::promise<void> reported;
+  std::future<void> report = reported.get_future();
+  {
+    TcpListener silent(&loop, 0, [&](int fd) {
+      std::lock_guard lk(accepted_mu);
+      accepted.push_back(fd);
+    });
+    fault::SupervisedTcpSender sender(&loop, silent.port(), ChannelConfig{}, cfg,
+                                      fault::EdgeId{}, nullptr, nullptr,
+                                      [&](const std::string&) {
+                                        if (failures.fetch_add(1) == 0) reported.set_value();
+                                      });
+    EXPECT_EQ(report.wait_for(10s), std::future_status::ready);
+    EXPECT_TRUE(sender.failed());
+  }
+  EXPECT_EQ(failures.load(), 1);
+  {
+    std::lock_guard lk(accepted_mu);
+    EXPECT_EQ(accepted.size(), cfg.max_reconnect_attempts + 1);
+    for (int fd : accepted) ::close(fd);
+  }
+  loop.stop();
+  loop_thread.join();
+}
+
+TEST(SupervisedTcp, StallTimerNeverRunsOnADestroyedSender) {
+  // A stall decorator re-fires the sender's writable callback from a loop
+  // timer when the stall expires. Destroying the sender inside the stall
+  // must leave nothing behind that calls into it (under AddressSanitizer a
+  // late call is a use-after-scope report).
+  auto injector = std::make_shared<FaultInjector>();
+  injector->add_rule({.any_edge = true, .at_frame = 0,
+                      .action = {FaultKind::kStall, /*delay_ns=*/50'000'000}});
+  EventLoop loop;
+  std::thread loop_thread([&] { loop.run(); });
+  fault::SupervisorConfig cfg;
+  {
+    fault::SupervisedTcpReceiver rx(&loop, ChannelConfig{}, cfg, fault::EdgeId{},
+                                    injector.get(), nullptr);
+    {
+      fault::SupervisedTcpSender tx(&loop, rx.port(), ChannelConfig{}, cfg, fault::EdgeId{},
+                                    injector.get(), nullptr, nullptr);
+      FrameBufRef frame = FrameBufPool::global().acquire();
+      encode_frame(FrameHeader{}, std::vector<uint8_t>(16, 7), frame->buffer());
+      EXPECT_EQ(tx.try_send(frame), SendStatus::kOk);
+      EXPECT_TRUE(test_util::wait_until([&] { return injector->stats().stalls >= 1; }, 5s));
+    }
+    // Let the stall's timer come due on the live loop.
+    std::promise<void> later;
+    loop.run_after(100'000'000, [&] { later.set_value(); });
+    later.get_future().wait();
+  }
   loop.stop();
   loop_thread.join();
 }
@@ -286,17 +364,36 @@ TEST(SupervisedTcp, RetransmitsPinnedFramesAfterReconnect) {
 
   std::atomic<uint64_t> reconnects{0};
   std::atomic<int> failures{0};
+  // Writable-callback generations: a blocked try_send waits for the next.
+  std::mutex writable_mu;
+  std::condition_variable writable_cv;
+  uint64_t writable_gen = 0;
   {
     fault::SupervisedTcpReceiver rx(&loop, ChannelConfig{}, cfg, fault::EdgeId{}, nullptr,
                                     nullptr);
     fault::SupervisedTcpSender tx(&loop, rx.port(), ChannelConfig{}, cfg, fault::EdgeId{},
                                   nullptr, &reconnects,
                                   [&](const std::string&) { failures.fetch_add(1); });
+    tx.set_writable_callback([&] {
+      {
+        std::lock_guard lk(writable_mu);
+        ++writable_gen;
+      }
+      writable_cv.notify_all();
+    });
 
     constexpr uint32_t kFrames = 50;
     for (uint32_t i = 0; i < kFrames; ++i) {
       FrameBufRef frame = make_frame(i);
-      while (tx.try_send(frame) == SendStatus::kBlocked) std::this_thread::sleep_for(1ms);
+      for (;;) {
+        std::unique_lock lk(writable_mu);
+        const uint64_t gen = writable_gen;
+        lk.unlock();
+        if (tx.try_send(frame) != SendStatus::kBlocked) break;
+        lk.lock();
+        ASSERT_TRUE(writable_cv.wait_for(lk, 5s, [&] { return writable_gen != gen; }))
+            << "blocked at frame " << i << " and never woken";
+      }
     }
     // Consume a prefix so the ack window has a non-trivial consumed mark:
     // the retransmit must resume from frame 10, not from 0.
@@ -318,11 +415,12 @@ TEST(SupervisedTcp, RetransmitsPinnedFramesAfterReconnect) {
     }
 
     tx.close();  // EOF rides the same pinned path
-    for (int i = 0; i < 1000 && !tx.delivery_complete(); ++i) {
-      rx.try_receive_buf();  // consume the EOF so its ack flows
-      std::this_thread::sleep_for(5ms);
-    }
-    EXPECT_TRUE(tx.delivery_complete());
+    EXPECT_TRUE(test_util::wait_until(
+        [&] {
+          rx.try_receive_buf();  // consume the EOF so its ack flows
+          return tx.delivery_complete();
+        },
+        5s));
     EXPECT_GE(reconnects.load(), 1u);
     EXPECT_EQ(failures.load(), 0);
     ::close(rogue);

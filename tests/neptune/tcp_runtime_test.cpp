@@ -4,8 +4,12 @@
 // carried by genuine TCP flow control.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
 #include <mutex>
 
+#include "../support/gate.hpp"
+#include "../support/poll.hpp"
 #include "neptune/runtime.hpp"
 #include "neptune/workload.hpp"
 
@@ -166,6 +170,51 @@ TEST(TcpRuntime, CompressionOverTcp) {
   auto ids = sink->ids();
   ASSERT_EQ(ids.size(), kTotal);
   for (size_t i = 0; i < ids.size(); ++i) ASSERT_EQ(ids[i], static_cast<int64_t>(i));
+}
+
+/// Threads of this process that are alive now.
+size_t live_threads() {
+  namespace fs = std::filesystem;
+  return static_cast<size_t>(std::distance(fs::directory_iterator("/proc/self/task"),
+                                           fs::directory_iterator()));
+}
+
+TEST(TcpRuntime, ThreadsDoNotGrowWithEdges) {
+  // The paper's two-tier thread model: a resource runs one worker pool and
+  // one IO pool, and nothing else. Link supervision runs as timers on the
+  // IO loop, so the 2 x 3 supervised TCP edges below add no thread.
+  const size_t before = live_threads();
+  auto gate = std::make_shared<test_util::Gate>();
+  auto entered = std::make_shared<std::atomic<uint64_t>>(0);
+  Runtime rt(2, {.worker_threads = 2, .io_threads = 1}, tcp_options());
+  StreamGraph g("tcp-threads", tcp_config());
+  static constexpr uint64_t kTotal = 2000;
+  g.add_source("src", [] { return std::make_unique<BytesSource>(kTotal, 64); }, 2, 0);
+  g.add_processor("sink", [gate, entered]() -> std::unique_ptr<StreamProcessor> {
+    struct Held : StreamProcessor {
+      std::shared_ptr<test_util::Gate> gate;
+      std::shared_ptr<std::atomic<uint64_t>> entered;
+      void process(StreamPacket&, Emitter&) override {
+        entered->fetch_add(1);
+        gate->wait();
+      }
+    };
+    auto held = std::make_unique<Held>();
+    held->gate = gate;
+    held->entered = entered;
+    return held;
+  }, 3, 1);
+  g.connect("src", "sink");
+  auto job = rt.submit(g);
+  job->start();
+  // Held inside the sink: every edge is built and data has crossed one.
+  const bool held = test_util::wait_until([&] { return entered->load() > 0; }, 30s);
+  const size_t during = live_threads();
+  gate->open();
+  EXPECT_TRUE(held);
+  EXPECT_EQ(during, before + 2 * (2 + 1));
+  ASSERT_TRUE(job->wait(120s));
+  EXPECT_EQ(entered->load(), kTotal);
 }
 
 }  // namespace
