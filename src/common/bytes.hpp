@@ -7,9 +7,11 @@
 // integers use LEB128 with zig-zag for signed values.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <type_traits>
 #include <span>
 #include <stdexcept>
@@ -28,41 +30,74 @@ class BufferUnderflow : public std::runtime_error {
 class ByteBuffer {
  public:
   ByteBuffer() = default;
-  explicit ByteBuffer(size_t initial_capacity) { data_.reserve(initial_capacity); }
+  explicit ByteBuffer(size_t initial_capacity) { reserve(initial_capacity); }
+  ByteBuffer(const ByteBuffer& o) { *this = o; }
+  ByteBuffer& operator=(const ByteBuffer& o) {
+    if (this != &o) {
+      clear();
+      if (o.size_ != 0) std::memcpy(grow(o.size_), o.data(), o.size_);
+      read_pos_ = o.read_pos_;
+    }
+    return *this;
+  }
+  ByteBuffer(ByteBuffer&& o) noexcept
+      : buf_(std::move(o.buf_)), size_(o.size_), cap_(o.cap_), read_pos_(o.read_pos_) {
+    o.size_ = o.cap_ = o.read_pos_ = 0;
+  }
+  ByteBuffer& operator=(ByteBuffer&& o) noexcept {
+    buf_ = std::move(o.buf_);
+    size_ = o.size_;
+    cap_ = o.cap_;
+    read_pos_ = o.read_pos_;
+    o.size_ = o.cap_ = o.read_pos_ = 0;
+    return *this;
+  }
 
   // --- geometry -----------------------------------------------------------
 
   /// Bytes written so far (the readable region is [0, size())).
-  size_t size() const noexcept { return data_.size(); }
-  bool empty() const noexcept { return data_.empty(); }
-  size_t capacity() const noexcept { return data_.capacity(); }
+  size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+  size_t capacity() const noexcept { return cap_; }
   /// Bytes still readable from the current read cursor.
-  size_t remaining() const noexcept { return data_.size() - read_pos_; }
+  size_t remaining() const noexcept { return size_ - read_pos_; }
   size_t read_position() const noexcept { return read_pos_; }
 
-  const uint8_t* data() const noexcept { return data_.data(); }
-  uint8_t* data() noexcept { return data_.data(); }
+  const uint8_t* data() const noexcept { return buf_.get(); }
+  uint8_t* data() noexcept { return buf_.get(); }
   std::span<const uint8_t> readable() const noexcept {
-    return {data_.data() + read_pos_, data_.size() - read_pos_};
+    return {data() + read_pos_, size_ - read_pos_};
   }
-  std::span<const uint8_t> contents() const noexcept { return {data_.data(), data_.size()}; }
+  std::span<const uint8_t> contents() const noexcept { return {data(), size_}; }
 
   /// Drop all content but keep the allocation — the reuse primitive.
   void clear() noexcept {
-    data_.clear();
+    size_ = 0;
     read_pos_ = 0;
   }
-  /// Surrender the backing vector (leaves this buffer empty).
-  std::vector<uint8_t> take() noexcept {
-    std::vector<uint8_t> v = std::move(data_);
-    data_.clear();
-    read_pos_ = 0;
-    return v;
+  void reserve(size_t n) {
+    if (n > cap_) reallocate(n);
   }
-  void reserve(size_t n) { data_.reserve(n); }
   /// Grow/shrink the written region in place (new bytes zeroed). Lets
   /// decoders decompress directly into a pooled buffer via data().
-  void resize(size_t n) { data_.resize(n); }
+  void resize(size_t n) {
+    if (n > size_) {
+      std::memset(grow(n - size_), 0, n - size_);
+    } else {
+      size_ = n;
+      if (read_pos_ > n) read_pos_ = n;
+    }
+  }
+  /// Append `n` bytes the caller writes through the returned pointer before
+  /// reading them. Unlike resize() nothing is zeroed, so an encoder that
+  /// sizes its output once writes each byte exactly once. The pointer is
+  /// valid until the next write.
+  uint8_t* grow(size_t n) {
+    if (n > cap_ - size_) reallocate(size_ + n);
+    uint8_t* p = buf_.get() + size_;
+    size_ += n;
+    return p;
+  }
   void rewind() noexcept { read_pos_ = 0; }
   void skip(size_t n) {
     check_readable(n, "skip");
@@ -71,7 +106,7 @@ class ByteBuffer {
 
   // --- fixed-width writes ---------------------------------------------------
 
-  void write_u8(uint8_t v) { data_.push_back(v); }
+  void write_u8(uint8_t v) { *grow(1) = v; }
   void write_u16(uint16_t v) { write_le(v); }
   void write_u32(uint32_t v) { write_le(v); }
   void write_u64(uint64_t v) { write_le(v); }
@@ -95,11 +130,14 @@ class ByteBuffer {
 
   /// Unsigned LEB128; 1 byte for values < 128, at most 10 bytes.
   void write_varint(uint64_t v) {
+    uint8_t tmp[10];
+    size_t n = 0;
     while (v >= 0x80) {
-      data_.push_back(static_cast<uint8_t>(v) | 0x80);
+      tmp[n++] = static_cast<uint8_t>(v) | 0x80;
       v >>= 7;
     }
-    data_.push_back(static_cast<uint8_t>(v));
+    tmp[n++] = static_cast<uint8_t>(v);
+    std::memcpy(grow(n), tmp, n);
   }
   /// Zig-zag-encoded signed LEB128.
   void write_svarint(int64_t v) {
@@ -108,9 +146,9 @@ class ByteBuffer {
 
   // --- blocks ---------------------------------------------------------------
 
+  /// `p` must not point into this buffer (growing may move it).
   void write_bytes(const void* p, size_t n) {
-    const auto* b = static_cast<const uint8_t*>(p);
-    data_.insert(data_.end(), b, b + n);
+    if (n != 0) std::memcpy(grow(n), p, n);
   }
   void write_bytes(std::span<const uint8_t> s) { write_bytes(s.data(), s.size()); }
   /// Length-prefixed (varint) byte block.
@@ -126,14 +164,14 @@ class ByteBuffer {
 
   /// Overwrite previously written bytes in place (for length back-patching).
   void patch_u32(size_t offset, uint32_t v) {
-    if (offset + 4 > data_.size()) throw std::out_of_range("ByteBuffer::patch_u32 out of range");
+    if (offset + 4 > size_) throw std::out_of_range("ByteBuffer::patch_u32 out of range");
     uint32_t le = to_le(v);
-    std::memcpy(data_.data() + offset, &le, 4);
+    std::memcpy(data() + offset, &le, 4);
   }
   void patch_u64(size_t offset, uint64_t v) {
-    if (offset + 8 > data_.size()) throw std::out_of_range("ByteBuffer::patch_u64 out of range");
+    if (offset + 8 > size_) throw std::out_of_range("ByteBuffer::patch_u64 out of range");
     uint64_t le = to_le(v);
-    std::memcpy(data_.data() + offset, &le, 8);
+    std::memcpy(data() + offset, &le, 8);
   }
   void patch_i64(size_t offset, int64_t v) { patch_u64(offset, static_cast<uint64_t>(v)); }
 
@@ -141,7 +179,7 @@ class ByteBuffer {
 
   uint8_t read_u8() {
     check_readable(1, "u8");
-    return data_[read_pos_++];
+    return data()[read_pos_++];
   }
   uint16_t read_u16() { return read_le<uint16_t>(); }
   uint32_t read_u32() { return read_le<uint32_t>(); }
@@ -168,13 +206,13 @@ class ByteBuffer {
     // Fast path for the dominant 1- and 2-byte encodings (field counts,
     // tags, small scalars): one bounds check, constant shifts. Longer
     // varints fall through to the general checked loop.
-    if (data_.size() - read_pos_ >= 2) {
-      uint8_t b0 = (data_.data() + read_pos_)[0];
+    if (size_ - read_pos_ >= 2) {
+      uint8_t b0 = (data() + read_pos_)[0];
       if ((b0 & 0x80) == 0) {
         read_pos_ += 1;
         return b0;
       }
-      uint8_t b1 = (data_.data() + read_pos_)[1];
+      uint8_t b1 = (data() + read_pos_)[1];
       if ((b1 & 0x80) == 0) {
         read_pos_ += 2;
         return (static_cast<uint64_t>(b1) << 7) | (b0 & 0x7F);
@@ -197,14 +235,14 @@ class ByteBuffer {
 
   void read_bytes(void* out, size_t n) {
     check_readable(n, "bytes");
-    std::memcpy(out, data_.data() + read_pos_, n);
+    std::memcpy(out, data() + read_pos_, n);
     read_pos_ += n;
   }
   /// Zero-copy view of the next length-prefixed block; valid until mutation.
   std::span<const uint8_t> read_block() {
     size_t n = read_varint();
     check_readable(n, "block");
-    std::span<const uint8_t> s{data_.data() + read_pos_, n};
+    std::span<const uint8_t> s{data() + read_pos_, n};
     read_pos_ += n;
     return s;
   }
@@ -214,6 +252,19 @@ class ByteBuffer {
   }
 
  private:
+  /// Move to a block of at least `need` bytes: twice the bytes held when
+  /// that is more, so appends stay amortized O(1), and exactly `need` from
+  /// empty, so a reused buffer sized once does not overshoot (std::vector's
+  /// policy). The new block is left uninitialized: pages beyond what gets
+  /// written are never touched.
+  void reallocate(size_t need) {
+    size_t cap = std::max(need, size_ * 2);
+    auto fresh = std::make_unique_for_overwrite<uint8_t[]>(cap);
+    if (size_ != 0) std::memcpy(fresh.get(), buf_.get(), size_);
+    buf_ = std::move(fresh);
+    cap_ = cap;
+  }
+
   template <typename T>
   static T to_le(T v) {
     static_assert(std::is_unsigned_v<T>);
@@ -234,16 +285,18 @@ class ByteBuffer {
   T read_le() {
     check_readable(sizeof(T), "fixed");
     T le;
-    std::memcpy(&le, data_.data() + read_pos_, sizeof le);
+    std::memcpy(&le, data() + read_pos_, sizeof le);
     read_pos_ += sizeof(T);
     return to_le(le);
   }
   void check_readable(size_t n, const char* what) const {
-    if (read_pos_ + n > data_.size())
+    if (read_pos_ + n > size_)
       throw BufferUnderflow(std::string("ByteBuffer underflow reading ") + what);
   }
 
-  std::vector<uint8_t> data_;
+  std::unique_ptr<uint8_t[]> buf_;
+  size_t size_ = 0;
+  size_t cap_ = 0;
   size_t read_pos_ = 0;
 };
 

@@ -58,6 +58,24 @@ void LatencyHistogram::record_n(uint64_t value, uint64_t count) {
   }
 }
 
+void LatencyHistogram::record_owned(uint64_t value) {
+  auto add = [](std::atomic<uint64_t>& c, uint64_t n) {
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  };
+  size_t idx = bucket_index(value);
+  if (idx >= num_buckets_) {
+    idx = num_buckets_ - 1;
+    add(saturated_, 1);
+  }
+  add(counts_[idx], 1);
+  add(total_, 1);
+  add(sum_, value);
+  if (value > max_seen_.load(std::memory_order_relaxed))
+    max_seen_.store(value, std::memory_order_relaxed);
+  if (value < min_seen_.load(std::memory_order_relaxed))
+    min_seen_.store(value, std::memory_order_relaxed);
+}
+
 uint64_t LatencyHistogram::min() const {
   uint64_t m = min_seen_.load(std::memory_order_relaxed);
   return m == ~0ULL ? 0 : m;

@@ -26,6 +26,10 @@ class LatencyHistogram {
   void record(uint64_t value);
   /// Record `count` occurrences of the same value.
   void record_n(uint64_t value, uint64_t count);
+  /// record() for a histogram only one thread writes at a time: relaxed
+  /// loads and stores, no locked read-modify-write. Concurrent readers are
+  /// fine; a concurrent record() or merge() is not.
+  void record_owned(uint64_t value);
 
   uint64_t count() const { return total_.load(std::memory_order_relaxed); }
   /// Samples that exceeded max_trackable (or the bucket range) and were

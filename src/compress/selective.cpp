@@ -15,21 +15,23 @@ bool SelectiveCodec::should_compress(std::span<const uint8_t> src) const {
   return false;
 }
 
-bool SelectiveCodec::encode(std::span<const uint8_t> src, std::vector<uint8_t>& out) {
+bool SelectiveCodec::encode(std::span<const uint8_t> src, ByteBuffer& out) {
   bytes_in_.fetch_add(src.size(), std::memory_order_relaxed);
   if (should_compress(src)) {
-    lz4::compress(src, out);
+    const size_t base = out.size();
+    const size_t n = lz4::compress(src, out.grow(lz4::max_compressed_size(src.size())));
     // Selective mode also backs off when LZ4 failed to shrink the payload
     // (entropy is a heuristic; this is the ground truth).
-    if (policy_.mode == CompressionMode::kAlways || out.size() < src.size()) {
+    if (policy_.mode == CompressionMode::kAlways || n < src.size()) {
+      out.resize(base + n);
       compressed_.fetch_add(1, std::memory_order_relaxed);
-      bytes_out_.fetch_add(out.size(), std::memory_order_relaxed);
+      bytes_out_.fetch_add(n, std::memory_order_relaxed);
       return true;
     }
+    out.resize(base);
   }
-  out.assign(src.begin(), src.end());
   raw_.fetch_add(1, std::memory_order_relaxed);
-  bytes_out_.fetch_add(out.size(), std::memory_order_relaxed);
+  bytes_out_.fetch_add(src.size(), std::memory_order_relaxed);
   return false;
 }
 

@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "compress/entropy.hpp"
 #include "compress/lz4.hpp"
 
@@ -47,9 +48,11 @@ class SelectiveCodec {
   const CompressionPolicy& policy() const { return policy_; }
   void set_policy(const CompressionPolicy& p) { policy_ = p; }
 
-  /// Encode `src` into `out` (cleared first). Returns true if `out` holds
-  /// LZ4 data, false if `out` holds the raw bytes.
-  bool encode(std::span<const uint8_t> src, std::vector<uint8_t>& out);
+  /// Decide how `src` goes on the wire and count it. When the policy
+  /// compresses it, the LZ4 block is appended to `out` and the result is
+  /// true. Otherwise `out` is left as it was and the result is false: the
+  /// caller sends `src` itself, so raw payloads are never copied.
+  bool encode(std::span<const uint8_t> src, ByteBuffer& out);
 
   /// Decode an encoded payload produced by encode(). `compressed` is the
   /// flag returned by encode (carried in the frame header);

@@ -186,6 +186,8 @@ class SupervisedTcpReceiver final : public ChannelReceiver {
   uint64_t bytes_received() const override {
     return bytes_received_.load(std::memory_order_relaxed);
   }
+  /// drain() CRC-checks each frame before queueing it.
+  bool verifies_frames() const override { return true; }
 
  private:
   struct QueuedFrame {

@@ -45,6 +45,7 @@ void InstanceRuntime::add_input(const LinkDecl& link, uint32_t src_instance,
                                 std::shared_ptr<ChannelReceiver> rx) {
   rx->set_data_callback([this] { wake(); });
   InEdge edge;
+  edge.verified = rx->verifies_frames();
   edge.rx = std::move(rx);
   edge.link_id = link.link_id;
   edge.src_instance = src_instance;
@@ -98,6 +99,7 @@ void InstanceRuntime::request_barrier(uint64_t epoch) {
 EmitStatus InstanceRuntime::emit(size_t link, StreamPacket&& packet) {
   if (link >= outputs.size())
     throw GraphError(task_name_ + ": emit on unknown output link " + std::to_string(link));
+  serve_flush_request();
   if (packet.event_time_ns() == 0) packet.set_event_time_ns(clock_->now_ns());
   OutLink& out = outputs[link];
   uint32_t n = static_cast<uint32_t>(out.dst.size());
@@ -106,13 +108,13 @@ EmitStatus InstanceRuntime::emit(size_t link, StreamPacket&& packet) {
     for (auto& buf : out.dst) {
       if (current_trace_.active()) buf->note_trace(current_trace_);
       if (!buf->add(packet)) output_blocked_.store(true, std::memory_order_relaxed);
-      metrics_.packets_out.fetch_add(1, std::memory_order_relaxed);
     }
+    owner_add(metrics_.packets_out, n);
   } else {
     StreamBuffer& buf = *out.dst[pick % n];
     if (current_trace_.active()) buf.note_trace(current_trace_);
     if (!buf.add(packet)) output_blocked_.store(true, std::memory_order_relaxed);
-    metrics_.packets_out.fetch_add(1, std::memory_order_relaxed);
+    owner_add(metrics_.packets_out);
   }
   return output_blocked_.load(std::memory_order_relaxed) ? EmitStatus::kBackpressured
                                                          : EmitStatus::kOk;
@@ -126,6 +128,7 @@ EmitStatus InstanceRuntime::emit(size_t link, const PacketView& view) {
     view.materialize(p);
     return emit(link, std::move(p));
   }
+  serve_flush_request();
   OutLink& out = outputs[link];
   uint32_t n = static_cast<uint32_t>(out.dst.size());
   uint32_t pick = out.partitioning->select_view(view, instance_, n);
@@ -134,13 +137,13 @@ EmitStatus InstanceRuntime::emit(size_t link, const PacketView& view) {
     for (auto& buf : out.dst) {
       if (current_trace_.active()) buf->note_trace(current_trace_);
       if (!buf->add_raw(raw)) output_blocked_.store(true, std::memory_order_relaxed);
-      metrics_.packets_out.fetch_add(1, std::memory_order_relaxed);
     }
+    owner_add(metrics_.packets_out, n);
   } else {
     StreamBuffer& buf = *out.dst[pick % n];
     if (current_trace_.active()) buf.note_trace(current_trace_);
     if (!buf.add_raw(raw)) output_blocked_.store(true, std::memory_order_relaxed);
-    metrics_.packets_out.fetch_add(1, std::memory_order_relaxed);
+    owner_add(metrics_.packets_out);
   }
   return output_blocked_.load(std::memory_order_relaxed) ? EmitStatus::kBackpressured
                                                          : EmitStatus::kOk;
@@ -158,7 +161,7 @@ void InstanceRuntime::initialize(granules::TaskContext&) {
 }
 
 void InstanceRuntime::execute(granules::TaskContext& ctx) {
-  metrics_.executions.fetch_add(1, std::memory_order_relaxed);
+  owner_add(metrics_.executions);
   // Watchdog gauge: non-zero while inside this execution. A dispatch that
   // never returns leaves it set, which is exactly the stuck signal.
   metrics_.exec_begin_ns.store(clock_->now_ns(), std::memory_order_relaxed);
@@ -185,6 +188,7 @@ void InstanceRuntime::execute(granules::TaskContext& ctx) {
   // case from writing a shared cache line on every execution.
   if (barrier_request_.load(std::memory_order_relaxed) != 0)
     emit_barrier(barrier_request_.exchange(0, std::memory_order_acq_rel));
+  serve_flush_request();
   if (!retry_blocked_outputs()) return;  // writable callback will re-notify
   if (kind_ == OperatorKind::kSource) {
     run_source(ctx);
@@ -194,14 +198,28 @@ void InstanceRuntime::execute(granules::TaskContext& ctx) {
 }
 
 void InstanceRuntime::on_flush_timer() {
-  bool was_blocked = output_blocked_.load(std::memory_order_relaxed);
-  for (auto& out : outputs) {
-    for (auto& buf : out.dst) buf->on_timer();
+  // IO side: read each buffer's mirrors only. The owner does the flushing,
+  // at its next packet boundary or at the execution this wake starts. A
+  // finished instance never runs again, whatever a discarded batch says.
+  if (done()) return;
+  const int64_t now = clock_->now_ns();
+  for (const auto& out : outputs) {
+    for (const auto& buf : out.dst) {
+      if (buf->flush_due(now)) {
+        flush_requested_.store(true, std::memory_order_relaxed);
+        wake();
+        return;
+      }
+    }
   }
-  if (was_blocked) {
-    // A parked frame may have been sent by the timer retry; let the task
-    // re-check (cheap no-op when still blocked).
-    wake();
+}
+
+void InstanceRuntime::flush_due_buffers() {
+  flush_requested_.store(false, std::memory_order_relaxed);
+  for (auto& out : outputs) {
+    for (auto& buf : out.dst) {
+      if (!buf->on_timer()) output_blocked_.store(true, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -285,9 +303,9 @@ bool InstanceRuntime::fetch_some_frames() {
       continue;
     }
     next_edge_ = (next_edge_ + step + 1) % n;
-    metrics_.bytes_in.fetch_add(frame->size(), std::memory_order_relaxed);
+    owner_add(metrics_.bytes_in, frame->size());
     FrameDecodeStatus s = FrameDecodeStatus::kFrame;
-    if (auto f = decode_whole_frame(frame->contents(), &s)) {
+    if (auto f = decode_whole_frame(frame->contents(), &s, /*check_crc=*/!e.verified)) {
       ingest_frame(e, f->header, f->payload, *frame);
     } else {
       report_corrupt_frame(e, s);
@@ -333,7 +351,7 @@ void InstanceRuntime::ingest_frame(InEdge& e, const FrameHeader& h,
     ptrdiff_t dn = lz4::decompress(payload, dst.data(), h.raw_size);
     if (dn < 0 || static_cast<uint32_t>(dn) != h.raw_size) {
       NEPTUNE_LOG_ERROR("%s: LZ4 decode failure on link %u", task_name_.c_str(), e.link_id);
-      metrics_.seq_violations.fetch_add(1, std::memory_order_relaxed);
+      owner_add(metrics_.seq_violations);
       return;
     }
     raw = keep.contents();
@@ -351,13 +369,13 @@ void InstanceRuntime::ingest_frame(InEdge& e, const FrameHeader& h,
   if (h.link_id != e.link_id || src_inst != e.src_instance) {
     NEPTUNE_LOG_ERROR("%s: misrouted frame: link %u src %u on edge link %u src %u",
                       task_name_.c_str(), h.link_id, src_inst, e.link_id, e.src_instance);
-    metrics_.seq_violations.fetch_add(1, std::memory_order_relaxed);
+    owner_add(metrics_.seq_violations);
     return;
   }
   if (base_seq + h.batch_count <= e.expected_seq) {
     // Entirely replayed content (e.g. a retransmission overlapping an ack
     // in flight, or source replay after recovery): dedupe, don't re-apply.
-    metrics_.dup_frames_dropped.fetch_add(1, std::memory_order_relaxed);
+    owner_add(metrics_.dup_frames_dropped);
     return;
   }
   if (base_seq > e.expected_seq) {
@@ -366,7 +384,7 @@ void InstanceRuntime::ingest_frame(InEdge& e, const FrameHeader& h,
       // packets under overload. Account and resync, no contract breach.
       uint64_t gap = base_seq - e.expected_seq;
       e.shed_gap_packets += gap;
-      metrics_.shed_gaps.fetch_add(gap, std::memory_order_relaxed);
+      owner_add(metrics_.shed_gaps, gap);
     } else {
       // A gap means lost packets — a genuine contract breach. Record it and
       // resync so one fault is counted once, not once per frame after.
@@ -374,13 +392,13 @@ void InstanceRuntime::ingest_frame(InEdge& e, const FrameHeader& h,
                         task_name_.c_str(), e.link_id, src_inst,
                         static_cast<unsigned long long>(base_seq),
                         static_cast<unsigned long long>(e.expected_seq));
-      metrics_.seq_violations.fetch_add(1, std::memory_order_relaxed);
+      owner_add(metrics_.seq_violations);
     }
   }
   // Partial overlap: skip the leading packets we already processed.
   uint32_t skip = base_seq < e.expected_seq ? static_cast<uint32_t>(e.expected_seq - base_seq)
                                             : 0;
-  if (skip > 0) metrics_.dup_frames_dropped.fetch_add(1, std::memory_order_relaxed);
+  if (skip > 0) owner_add(metrics_.dup_frames_dropped);
   e.expected_seq = base_seq + h.batch_count;
 
   auto batch = batch_pool_->acquire();
@@ -417,7 +435,7 @@ void InstanceRuntime::ingest_frame(InEdge& e, const FrameHeader& h,
     batch->recv_ns = clock_->now_ns();
     batch->trace_bytes = static_cast<uint32_t>(raw.size());
   }
-  metrics_.batches_in.fetch_add(1, std::memory_order_relaxed);
+  owner_add(metrics_.batches_in);
   ready_.push_back(std::move(batch));
   metrics_.inbound_ready_batches.store(static_cast<int64_t>(ready_.size()),
                                        std::memory_order_relaxed);
@@ -450,7 +468,7 @@ void InstanceRuntime::quarantine_span(const Batch& b, size_t byte_begin, size_t 
   auto span = b.packets.subspan(byte_begin, byte_end - byte_begin);
   entry.packet_bytes.assign(span.begin(), span.end());
   dlq->quarantine(std::move(entry));
-  metrics_.packets_quarantined.fetch_add(count, std::memory_order_relaxed);
+  owner_add(metrics_.packets_quarantined, count);
   obs::FlightRecorder::record(flight_actor_, obs::FlightEventType::kQuarantine, count,
                               b.trace_link);
   NEPTUNE_LOG_WARN("%s: quarantined %u packet(s) from link %u to the dead-letter queue: %s",
@@ -480,6 +498,7 @@ void InstanceRuntime::handle_malformed(Batch& b, const PacketFormatError& ex) {
 bool InstanceRuntime::drain_ready_batches() {
   bool is_sink = outputs.empty();
   while (!ready_.empty()) {
+    serve_flush_request();  // the latency bound holds inside a long execution
     Batch& b = *ready_.front();
     if (b.trace_id != 0) {
       if (b.exec_start_ns == 0) b.exec_start_ns = clock_->now_ns();
@@ -496,12 +515,13 @@ bool InstanceRuntime::drain_ready_batches() {
       } else {
         uint64_t alloc = 0;
         while (b.cursor < b.count) {
+          serve_flush_request();
           size_t pkt_start = b.byte_off;
           ByteReader r(b.packets.data() + b.byte_off, b.packets.size() - b.byte_off);
           scratch_pkt_.deserialize(r, &alloc);  // reuses packet storage
           b.byte_off += r.position();
           ++b.cursor;
-          metrics_.packets_in.fetch_add(1, std::memory_order_relaxed);
+          owner_add(metrics_.packets_in);
           int64_t dispatch_ns = packet_deadline_ns > 0 ? clock_->now_ns() : 0;
           bool poisoned = false;
           try {
@@ -518,19 +538,19 @@ bool InstanceRuntime::drain_ready_batches() {
             poisoned = true;
           }
           if (dispatch_ns != 0 && clock_->now_ns() - dispatch_ns > packet_deadline_ns)
-            metrics_.deadline_overruns.fetch_add(1, std::memory_order_relaxed);
+            owner_add(metrics_.deadline_overruns);
           if (!poisoned && is_sink && scratch_pkt_.event_time_ns() > 0) {
             int64_t lat = clock_->now_ns() - scratch_pkt_.event_time_ns();
-            if (lat > 0) metrics_.sink_latency.record(static_cast<uint64_t>(lat));
+            if (lat > 0) metrics_.sink_latency.record_owned(static_cast<uint64_t>(lat));
           }
           if (output_blocked_.load(std::memory_order_relaxed)) {
             // Partial progress kept; resume from the cursor next run.
-            metrics_.serde_alloc_bytes.fetch_add(alloc, std::memory_order_relaxed);
+            owner_add(metrics_.serde_alloc_bytes, alloc);
             current_trace_ = {};
             return false;
           }
         }
-        metrics_.serde_alloc_bytes.fetch_add(alloc, std::memory_order_relaxed);
+        owner_add(metrics_.serde_alloc_bytes, alloc);
       }
     } catch (const PacketFormatError& ex) {
       handle_malformed(b, ex);
@@ -557,8 +577,8 @@ bool InstanceRuntime::dispatch_batch(Batch& b, bool is_sink) {
   if (b.cursor < b.count) {
     batch_view_.reset(b.packets.subspan(b.byte_off), static_cast<uint32_t>(b.count - b.cursor),
                       &arena_);
-    metrics_.batch_dispatches.fetch_add(1, std::memory_order_relaxed);
-    metrics_.packets_in.fetch_add(b.count - b.cursor, std::memory_order_relaxed);
+    owner_add(metrics_.batch_dispatches);
+    owner_add(metrics_.packets_in, b.count - b.cursor);
     int64_t dispatch_ns = packet_deadline_ns > 0 ? clock_->now_ns() : 0;
     try {
       processor->on_batch(batch_view_, *this);
@@ -574,14 +594,14 @@ bool InstanceRuntime::dispatch_batch(Batch& b, bool is_sink) {
                       std::string("operator threw: ") + ex.what());
     }
     if (dispatch_ns != 0 && clock_->now_ns() - dispatch_ns > packet_deadline_ns)
-      metrics_.deadline_overruns.fetch_add(1, std::memory_order_relaxed);
+      owner_add(metrics_.deadline_overruns);
     b.cursor = b.count;
     b.byte_off = b.packets.size();
     if (is_sink && batch_view_.last_event_time_ns() > 0) {
       // Sink latency is sampled once per batch on this path (the batch's
       // newest packet); per-packet recording lives on the legacy path.
       int64_t lat = clock_->now_ns() - batch_view_.last_event_time_ns();
-      if (lat > 0) metrics_.sink_latency.record(static_cast<uint64_t>(lat));
+      if (lat > 0) metrics_.sink_latency.record_owned(static_cast<uint64_t>(lat));
     }
   }
   return !output_blocked_.load(std::memory_order_relaxed);

@@ -128,6 +128,9 @@ struct Batch {
 /// instance.
 struct InEdge {
   std::shared_ptr<ChannelReceiver> rx;
+  /// The receiver CRC-checks every frame it hands over (a supervised TCP
+  /// edge), so ingest parses the header without checking it again.
+  bool verified = false;
   uint64_t expected_seq = 0;
   uint32_t link_id = 0;
   uint32_t src_instance = 0;
@@ -226,6 +229,10 @@ class InstanceRuntime final : public granules::ComputationalTask, public Emitter
 
   /// Flush timer hook (paper §III-B1 latency bound), called every
   /// flush_timer_period_ns() — from an IO thread in the threaded runtime.
+  /// It flushes nothing itself: when a buffer's mirrors say a flush is due
+  /// it raises the flush flag and wakes the task. The owner flushes at its
+  /// next packet boundary (emit, or between packets and batches while it
+  /// drains), or at the start of the execution the wake brings.
   void on_flush_timer();
 
  private:
@@ -252,6 +259,11 @@ class InstanceRuntime final : public granules::ComputationalTask, public Emitter
   bool complete_barrier();
   void emit_barrier(uint64_t epoch);
   bool retry_blocked_outputs();
+  /// Owner side of the flush flag: on_timer() every output buffer.
+  void flush_due_buffers();
+  void serve_flush_request() {
+    if (flush_requested_.load(std::memory_order_relaxed)) flush_due_buffers();
+  }
   void finalize(granules::TaskContext& ctx, bool discard);
 
   const std::string op_id_;
@@ -270,9 +282,12 @@ class InstanceRuntime final : public granules::ComputationalTask, public Emitter
   std::atomic<bool> done_{false};
   std::atomic<uint64_t> barrier_request_{0};  // sources: epoch to inject, 0 = none
 
-  // Mutated only on the worker thread, but the IO-thread flush timer peeks at
-  // it to decide whether to re-notify the task — hence atomic, relaxed.
+  // Mutated only on the worker thread; atomic (relaxed) so DST and tests can
+  // read it from outside an execution.
   std::atomic<bool> output_blocked_{false};
+  // Raised by the IO-thread flush timer, cleared by the owner when it
+  // flushes what is due.
+  std::atomic<bool> flush_requested_{false};
 
   // Worker-thread-only state (one thread at a time by the task contract).
   obs::TraceContext current_trace_;  // set while executing a traced batch

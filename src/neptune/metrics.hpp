@@ -13,8 +13,19 @@
 
 namespace neptune {
 
+/// Add `n` to a counter that only one thread writes at a time: a relaxed
+/// load and store, no locked read-modify-write on the data path. Readers
+/// on other threads may see the sum one update late, never a torn value.
+inline void owner_add(std::atomic<uint64_t>& counter, uint64_t n = 1) {
+  counter.store(counter.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
 /// Live counters for one operator instance. All relaxed atomics: metrics
-/// must never serialize the hot path.
+/// must never serialize the hot path. Counters are single-writer unless
+/// marked otherwise: the worker running the instance (one execution at a
+/// time, by the task contract) owns them and adds with owner_add(); other
+/// threads only read. The three marked shared are also written from an IO
+/// loop or the watchdog and keep fetch_add.
 struct OperatorMetrics {
   std::atomic<uint64_t> packets_in{0};
   std::atomic<uint64_t> packets_out{0};
@@ -38,8 +49,8 @@ struct OperatorMetrics {
   std::atomic<int64_t> inbound_ready_batches{0};    ///< parsed batches awaiting execution
 
   // --- robustness counters (fault-tolerance subsystem) -----------------------
-  std::atomic<uint64_t> reconnects{0};             ///< supervised-edge TCP re-establishments
-  std::atomic<uint64_t> corrupt_frames_dropped{0}; ///< frames rejected by CRC/format checks
+  std::atomic<uint64_t> reconnects{0};             ///< supervised-edge TCP re-establishments (shared: sender IO loop)
+  std::atomic<uint64_t> corrupt_frames_dropped{0}; ///< frames rejected by CRC/format checks (shared: receiver IO loop)
   std::atomic<uint64_t> dup_frames_dropped{0};     ///< replayed frames deduped by edge seq
 
   // --- overload-resilience counters ------------------------------------------
@@ -49,14 +60,15 @@ struct OperatorMetrics {
   std::atomic<uint64_t> shed_gaps{0};      ///< packets a receiver observed missing on a lossy edge
   std::atomic<uint64_t> packets_quarantined{0};  ///< poison packets/batch remainders sent to the DLQ
   std::atomic<uint64_t> deadline_overruns{0};    ///< dispatches that exceeded the per-packet deadline
-  std::atomic<uint64_t> watchdog_stalls{0};      ///< watchdog stall detections for this instance
+  std::atomic<uint64_t> watchdog_stalls{0};      ///< watchdog stall detections for this instance (shared: watchdog)
 
   // --- watchdog gauge: wall-clock ns when the current execution entered the
   //     operator, 0 while idle. Lets the watchdog spot a dispatch that never
   //     returns (infinite loop inside execute/on_batch). ----------------------
   std::atomic<int64_t> exec_begin_ns{0};
 
-  /// End-to-end latency, recorded at sink operators (no output links).
+  /// End-to-end latency, recorded at sink operators (no output links) by
+  /// the owner with record_owned().
   LatencyHistogram sink_latency;
 };
 

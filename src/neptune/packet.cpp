@@ -1,5 +1,7 @@
 #include "neptune/packet.hpp"
 
+#include <cstring>
+
 namespace neptune {
 
 const char* field_type_name(FieldType t) {
@@ -73,22 +75,61 @@ size_t StreamPacket::serialized_size() const {
   return n;
 }
 
+namespace {
+
+inline uint8_t* put_varint(uint8_t* p, uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<uint8_t>(v);
+  return p;
+}
+
+inline uint8_t* put_svarint(uint8_t* p, int64_t v) {
+  return put_varint(p, (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63));
+}
+
+/// Little-endian store of a float's bits, as ByteBuffer::write_f32/f64 do.
+template <typename Bits, typename F>
+inline uint8_t* put_float(uint8_t* p, F v) {
+  Bits bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  for (size_t i = 0; i < sizeof bits; ++i) p[i] = static_cast<uint8_t>(bits >> (8 * i));
+  return p + sizeof bits;
+}
+
+inline uint8_t* put_block(uint8_t* p, const void* data, size_t n) {
+  p = put_varint(p, n);
+  if (n != 0) std::memcpy(p, data, n);
+  return p + n;
+}
+
+}  // namespace
+
+// Sized once, then written through one pointer: no per-byte capacity check
+// and no zero-fill ahead of the copy.
 void StreamPacket::serialize(ByteBuffer& out) const {
-  out.write_svarint(event_time_ns_);
-  out.write_varint(fields_.size());
+  uint8_t* p = out.grow(serialized_size());
+  p = put_svarint(p, event_time_ns_);
+  p = put_varint(p, fields_.size());
   for (const auto& v : fields_) {
     FieldType t = value_type(v);
-    out.write_u8(static_cast<uint8_t>(t));
+    *p++ = static_cast<uint8_t>(t);
     switch (t) {
-      case FieldType::kI32: out.write_svarint(std::get<int32_t>(v)); break;
-      case FieldType::kI64: out.write_svarint(std::get<int64_t>(v)); break;
-      case FieldType::kF32: out.write_f32(std::get<float>(v)); break;
-      case FieldType::kF64: out.write_f64(std::get<double>(v)); break;
-      case FieldType::kBool: out.write_bool(std::get<bool>(v)); break;
-      case FieldType::kString: out.write_string(std::get<std::string>(v)); break;
+      case FieldType::kI32: p = put_svarint(p, std::get<int32_t>(v)); break;
+      case FieldType::kI64: p = put_svarint(p, std::get<int64_t>(v)); break;
+      case FieldType::kF32: p = put_float<uint32_t>(p, std::get<float>(v)); break;
+      case FieldType::kF64: p = put_float<uint64_t>(p, std::get<double>(v)); break;
+      case FieldType::kBool: *p++ = std::get<bool>(v) ? 1 : 0; break;
+      case FieldType::kString: {
+        const auto& s = std::get<std::string>(v);
+        p = put_block(p, s.data(), s.size());
+        break;
+      }
       case FieldType::kBytes: {
         const auto& b = std::get<std::vector<uint8_t>>(v);
-        out.write_block(b);
+        p = put_block(p, b.data(), b.size());
         break;
       }
     }

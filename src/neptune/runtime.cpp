@@ -289,9 +289,10 @@ Runtime::EdgeChannel Runtime::make_edge_channel(const ChannelConfig& config,
   if (src && dst &&
       (src->resource == dst->resource ||
        options_.cross_resource_transport == EdgeTransport::kInproc)) {
-    // SPSC ring: each edge has exactly one producing StreamBuffer
-    // (serialized by its mutex, including timer-thread flushes) and one
-    // consuming task — with or without fault decorators on top.
+    // SPSC ring: each edge's one producer is the worker running its
+    // StreamBuffer's instance (the flush timer only signals it), and its one
+    // consumer is the receiving task — with or without fault decorators on
+    // top.
     InprocPipe pipe = make_inproc_pipe(config);
     return {fault::wrap_sender(injector, edge, pipe.sender, src->resource->io_loop(0)),
             fault::wrap_receiver(injector, edge, pipe.receiver, dst->resource->io_loop(0))};
@@ -569,8 +570,9 @@ void Runtime::register_job_telemetry(const std::shared_ptr<Job>& job) {
             return static_cast<double>(
                        inst->metrics().blocked_ns.load(std::memory_order_relaxed)) * 1e-9;
           }));
-      // Occupancy gauge: walks the instance's stream buffers (brief per-buffer
-      // locks) and refreshes the OperatorMetrics mirror as a side effect.
+      // Occupancy gauge: sums the atomic mirrors the instance's stream
+      // buffers keep (no lock, nothing the owner waits on) and refreshes the
+      // OperatorMetrics gauge as a side effect.
       job->telemetry_.push_back(reg.register_series(
           {"neptune_outbound_buffered_bytes", labels(inst), obs::SeriesKind::kGauge,
            "Bytes parked in the instance's outbound stream buffers"},

@@ -14,17 +14,27 @@
 //    descheduled until the channel's writable callback fires (§III-B4).
 //  * A checkpoint barrier follows everything buffered before it and is
 //    never shed.
+//
+// One writer: only the worker running the owning instance touches a
+// StreamBuffer, so it takes no lock. Each batch opens inside a pooled frame
+// with FrameHeader::kSize bytes of room; an uncompressed flush writes the
+// header and CRC in place and hands that same buffer to the channel. Other
+// threads read only the relaxed mirrors behind buffered_bytes() and
+// flush_due(): the IO-loop timer asks flush_due() and, when it says yes,
+// has the owner flush (InstanceRuntime's flush flag).
 #pragma once
 
+#include <atomic>
 #include <deque>
+#include <limits>
 #include <memory>
-#include <mutex>
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "compress/selective.hpp"
 #include "net/channel.hpp"
+#include "net/frame.hpp"
 #include "neptune/metrics.hpp"
 #include "neptune/packet.hpp"
 #include "obs/trace.hpp"
@@ -99,6 +109,15 @@ struct BatchHeader {
 };
 
 class StreamBuffer {
+  /// A framed batch (or barrier) awaiting (re)send, in a pooled refcounted
+  /// buffer: an in-process channel takes its own ref instead of copying,
+  /// so the flush -> receive path moves zero payload bytes.
+  struct Parked {
+    FrameBufRef frame;
+    uint32_t count = 0;    // packets inside; 0 for a barrier
+    int64_t since_ns = 0;  // when it was parked (queue-wait signal)
+  };
+
  public:
   StreamBuffer(uint32_t link_id, uint32_t src_instance, std::shared_ptr<ChannelSender> sender,
                std::shared_ptr<SelectiveCodec> codec, StreamBufferConfig config,
@@ -125,9 +144,16 @@ class StreamBuffer {
   /// parked if need be. Returns false when the edge is flow-controlled.
   bool add_barrier(uint64_t epoch);
 
-  /// Timer hook: flush if the oldest buffered packet has waited past the
-  /// interval. Called from the IO thread.
-  void on_timer();
+  /// Owner side of the flush timer: retry parked frames (shedding an
+  /// overstayed one on a drop-oldest edge), then flush the batch if its
+  /// oldest packet has waited the flush interval. Returns false when the
+  /// edge is flow-controlled.
+  bool on_timer();
+
+  /// Any thread: true when on_timer() has work — a parked frame to retry,
+  /// or a batch whose oldest packet is `now` - flush interval or older.
+  /// Reads two relaxed mirrors; never touches the batch.
+  bool flush_due(int64_t now) const;
 
   /// Retry a parked frame and/or flush remaining content. `force` flushes
   /// even below capacity (used at end-of-stream). Returns true when
@@ -135,7 +161,7 @@ class StreamBuffer {
   bool drain(bool force);
 
   /// True when the edge would currently accept a flush.
-  bool blocked() const;
+  bool blocked() const { return blocked_; }
 
   void close_channel();
 
@@ -145,47 +171,55 @@ class StreamBuffer {
   /// no-op for inactive contexts or when this batch is already traced.
   void note_trace(const obs::TraceContext& ctx);
 
-  /// Bytes currently parked in the buffer (accumulating + flow-controlled
-  /// frame). Telemetry gauge; takes the buffer lock briefly.
-  size_t buffered_bytes() const;
+  /// Any thread: bytes in the buffer (the open batch + parked frames), from
+  /// relaxed mirrors the owner stores. Telemetry gauge.
+  size_t buffered_bytes() const {
+    return open_bytes_.load(std::memory_order_relaxed) +
+           parked_bytes_.load(std::memory_order_relaxed);
+  }
 
   uint32_t link_id() const { return link_id_; }
   uint32_t src_instance() const { return src_instance_; }
   int64_t flush_interval_ns() const { return config_.flush_interval_ns; }
-  uint64_t next_seq() const;
+  uint64_t next_seq() const { return next_seq_; }
 
-  // --- shedding ----------------------------------------------------------------
+  // --- shedding (owner thread, or a quiescent buffer) ---------------------------
   const ShedConfig& shed_config() const { return shed_; }
   /// True when this edge may drop packets (receivers treat seq gaps as
   /// sheds, not contract violations).
   bool lossy() const { return shed_.policy != ShedPolicy::kNone; }
-  uint64_t shed_packets() const;
-  uint64_t shed_batches() const;
-  uint64_t shed_bytes_total() const;
+  uint64_t shed_packets() const { return shed_packets_; }
+  uint64_t shed_batches() const { return shed_batches_; }
+  uint64_t shed_bytes_total() const { return shed_bytes_; }
 
  private:
-  /// Batch-start bookkeeping shared by add()/add_raw(). Pre: lock held.
-  void prepare_batch_locked();
-  /// Post-append bookkeeping: seq/count, threshold flush. Pre: lock held.
-  bool finish_add_locked();
-  /// Frame the accumulation buffer and send it (or park it behind parked
-  /// frames). Pre: lock held, accum non-empty.
-  bool flush_locked();
-  /// Send parked frames, oldest first. True when none is left. Pre: lock held.
-  bool retry_pending_locked();
+  /// Open a batch in a pooled frame if none is open (shared by
+  /// add()/add_raw()).
+  void prepare_batch();
+  /// Post-append bookkeeping: seq/count, threshold flush.
+  bool finish_add();
+  /// Batch bytes in the open frame (BatchHeader + packets), 0 when none.
+  size_t batch_bytes() const { return open_ ? open_->size() - FrameHeader::kSize : 0; }
+  /// Seal the open frame (or its LZ4 form) and send it, or park it behind
+  /// parked frames. Pre: a batch is open.
+  bool flush();
+  /// Send parked frames, oldest first. True when none is left.
+  bool retry_pending();
+  void park(Parked p);
+  void unpark_front();
   /// Clear the blocked flag, folding the completed stall into blocked_ns.
-  void settle_blocked_locked();
+  void settle_blocked();
   /// Admission decision for one incoming packet of `packet_bytes` wire
   /// bytes. Returns true when the packet must be dropped (already counted).
   /// For kDropOldest this never drops the incoming packet but may release
-  /// an overstayed parked frame to make room. Pre: lock held.
-  bool admission_shed_locked(size_t packet_bytes);
+  /// an overstayed parked frame to make room.
+  bool admission_shed(size_t packet_bytes);
   /// Release the oldest parked frame back to the pool without sending
-  /// (zero-copy shed) and count it; a parked barrier is kept. Pre: lock held.
-  void shed_pending_locked();
-  void count_admission_shed_locked(size_t packet_bytes);
+  /// (zero-copy shed) and count it; a parked barrier is kept.
+  void shed_pending();
+  void count_admission_shed(size_t packet_bytes);
   /// True when the oldest parked frame has waited past the queue-wait bound.
-  bool pending_overstayed_locked(int64_t now) const;
+  bool pending_overstayed(int64_t now) const;
 
   const uint32_t link_id_;
   const uint32_t src_instance_;
@@ -196,30 +230,35 @@ class StreamBuffer {
   OperatorMetrics* metrics_;
   const Clock* clock_;
 
-  mutable std::mutex mu_;
-  ByteBuffer accum_;          // batch header + serialized packets
-  uint32_t accum_count_ = 0;  // packets in accum_
+  // --- owner-only state --------------------------------------------------------
+  /// The open batch: [FrameHeader room][BatchHeader][packets...] in a pooled
+  /// frame, null between batches. The pool's buffers keep their capacity,
+  /// so a steady stream reuses the same allocations.
+  FrameBufRef open_;
+  /// Frame the LZ4 form of a batch is written to; after a compressed flush
+  /// the raw frame takes its place.
+  FrameBufRef lz4_;
+  size_t last_batch_bytes_ = 0;  // packet bytes of the last flush: the next batch's size hint
+  uint32_t accum_count_ = 0;      // packets in the open batch
   uint64_t next_seq_ = 0;     // seq of the next packet added
   int64_t first_packet_ns_ = 0;
-  /// Framed bytes awaiting (re)send, oldest first, in pooled refcounted
-  /// buffers: an in-process channel takes its own ref instead of copying,
-  /// so the flush -> receive path moves zero payload bytes.
-  struct Parked {
-    FrameBufRef frame;
-    uint32_t count = 0;    // packets inside; 0 for a barrier
-    int64_t since_ns = 0;  // when it was parked (queue-wait signal)
-  };
   std::deque<Parked> pending_;
-  std::vector<uint8_t> codec_scratch_;
+  size_t pending_bytes_ = 0;
   bool blocked_ = false;
   int64_t blocked_since_ns_ = 0;   // when blocked_ last became true
   obs::TraceContext batch_trace_;  // trace attached to the accumulating batch
 
   const ShedConfig shed_;
   Xoshiro256 shed_rng_;
-  uint64_t shed_packets_ = 0;  // under mu_; mirrored into metrics_
+  uint64_t shed_packets_ = 0;  // mirrored into metrics_
   uint64_t shed_batches_ = 0;
   uint64_t shed_bytes_ = 0;
+
+  // --- relaxed mirrors the owner stores for other threads ----------------------
+  static constexpr int64_t kNoBatch = std::numeric_limits<int64_t>::max();
+  std::atomic<int64_t> oldest_ns_{kNoBatch};  // first_packet_ns_, kNoBatch when none
+  std::atomic<size_t> open_bytes_{0};         // batch_bytes()
+  std::atomic<size_t> parked_bytes_{0};       // pending_bytes_; non-zero iff parked
 };
 
 }  // namespace neptune

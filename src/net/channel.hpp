@@ -70,6 +70,10 @@ class ChannelReceiver {
   /// True once the channel is closed and every queued frame was received.
   virtual bool closed() const = 0;
   virtual uint64_t bytes_received() const = 0;
+
+  /// True when every frame try_receive_buf() hands over has already passed
+  /// its CRC check here, so the consumer need not checksum it again.
+  virtual bool verifies_frames() const { return false; }
 };
 
 struct ChannelConfig {

@@ -6,15 +6,33 @@
 
 namespace neptune {
 
+namespace {
+
+void store_u32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+/// The FrameHeader::kSize header bytes at `p`, little-endian.
+void store_header(uint8_t* p, const FrameHeader& h, std::span<const uint8_t> payload) {
+  p[0] = static_cast<uint8_t>(FrameHeader::kMagic);
+  p[1] = static_cast<uint8_t>(FrameHeader::kMagic >> 8);
+  p[2] = h.flags;
+  store_u32(p + 3, h.link_id);
+  store_u32(p + 7, h.batch_count);
+  store_u32(p + 11, h.raw_size);
+  store_u32(p + 15, static_cast<uint32_t>(payload.size()));
+  store_u32(p + 19, crc32(payload));
+}
+
+}  // namespace
+
 void encode_frame(const FrameHeader& h, std::span<const uint8_t> payload, ByteBuffer& out) {
-  out.write_u16(FrameHeader::kMagic);
-  out.write_u8(h.flags);
-  out.write_u32(h.link_id);
-  out.write_u32(h.batch_count);
-  out.write_u32(h.raw_size);
-  out.write_u32(static_cast<uint32_t>(payload.size()));
-  out.write_u32(crc32(payload));
+  store_header(out.grow(FrameHeader::kSize), h, payload);
   out.write_bytes(payload);
+}
+
+void seal_frame_in_place(const FrameHeader& h, ByteBuffer& buf) {
+  store_header(buf.data(), h, buf.contents().subspan(FrameHeader::kSize));
 }
 
 FrameBufRef encode_signal_frame(uint8_t flags, uint32_t link_id, std::optional<uint64_t> value) {
@@ -63,7 +81,7 @@ FrameDecodeStatus peek_frame_extent(std::span<const uint8_t> bytes, size_t* exte
 }
 
 std::optional<DecodedFrame> decode_whole_frame(std::span<const uint8_t> bytes,
-                                               FrameDecodeStatus* status) {
+                                               FrameDecodeStatus* status, bool check_crc) {
   auto fail = [&](FrameDecodeStatus s) -> std::optional<DecodedFrame> {
     if (status) *status = s;
     return std::nullopt;
@@ -76,7 +94,8 @@ std::optional<DecodedFrame> decode_whole_frame(std::span<const uint8_t> bytes,
   if (bytes.size() < extent) return fail(FrameDecodeStatus::kNeedMore);
   if (bytes.size() > extent) return fail(FrameDecodeStatus::kBadLength);
   f.payload = bytes.subspan(FrameHeader::kSize, f.header.payload_size);
-  if (crc32(f.payload) != f.header.payload_crc) return fail(FrameDecodeStatus::kBadChecksum);
+  if (check_crc && crc32(f.payload) != f.header.payload_crc)
+    return fail(FrameDecodeStatus::kBadChecksum);
   if (status) *status = FrameDecodeStatus::kFrame;
   return f;
 }

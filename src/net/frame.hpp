@@ -53,6 +53,13 @@ struct FrameHeader {
 /// Append a full frame (header + payload) to `out`. Computes the CRC.
 void encode_frame(const FrameHeader& h, std::span<const uint8_t> payload, ByteBuffer& out);
 
+/// Seal a frame built in place: `buf` holds FrameHeader::kSize bytes of
+/// room followed by the payload. Writes the header there (payload_size and
+/// CRC taken from the payload, other fields from `h`), so a writer that
+/// opened its batch inside the frame hands the same buffer to the channel
+/// with no copy. The bytes equal encode_frame(h, payload) on an empty buffer.
+void seal_frame_in_place(const FrameHeader& h, ByteBuffer& buf);
+
 /// A frame without packets (control or barrier), with `value` as its u64
 /// payload if any, in a pooled buffer — allocation-free once it is warm.
 FrameBufRef encode_signal_frame(uint8_t flags, uint32_t link_id, std::optional<uint64_t> value);
@@ -76,9 +83,11 @@ struct DecodedFrame {
 /// alive and parses packet views straight out of it with zero payload
 /// copies. Anything else is a corrupt frame: nullopt, with the reason in
 /// `status` (kNeedMore for a truncated frame, kBadLength for trailing
-/// bytes).
+/// bytes). `check_crc` false skips only the checksum, for a frame a
+/// receiver below already verified (ChannelReceiver::verifies_frames).
 std::optional<DecodedFrame> decode_whole_frame(std::span<const uint8_t> bytes,
-                                               FrameDecodeStatus* status = nullptr);
+                                               FrameDecodeStatus* status = nullptr,
+                                               bool check_crc = true);
 
 /// Cheap frame-boundary probe for stream carving: when `bytes` starts with
 /// at least a header, set `*extent` to the full wire length (header +

@@ -24,12 +24,16 @@ std::vector<uint8_t> high_entropy_payload(size_t n, uint64_t seed = 1) {
   return v;
 }
 
+std::vector<uint8_t> bytes_of(const ByteBuffer& b) {
+  return std::vector<uint8_t>(b.contents().begin(), b.contents().end());
+}
+
 TEST(SelectiveCodec, OffModeNeverCompresses) {
   SelectiveCodec codec({.mode = CompressionMode::kOff});
   auto payload = low_entropy_payload(4096);
-  std::vector<uint8_t> out;
+  ByteBuffer out;
   EXPECT_FALSE(codec.encode(payload, out));
-  EXPECT_EQ(out, payload);
+  EXPECT_TRUE(out.empty());  // raw: the caller sends `payload` itself, uncopied
   EXPECT_EQ(codec.stats().payloads_compressed, 0u);
   EXPECT_EQ(codec.stats().payloads_raw, 1u);
 }
@@ -37,7 +41,7 @@ TEST(SelectiveCodec, OffModeNeverCompresses) {
 TEST(SelectiveCodec, AlwaysModeCompressesCompressible) {
   SelectiveCodec codec({.mode = CompressionMode::kAlways});
   auto payload = low_entropy_payload(4096);
-  std::vector<uint8_t> out;
+  ByteBuffer out;
   EXPECT_TRUE(codec.encode(payload, out));
   EXPECT_LT(out.size(), payload.size());
   EXPECT_GT(codec.stats().compression_ratio(), 2.0);
@@ -46,16 +50,16 @@ TEST(SelectiveCodec, AlwaysModeCompressesCompressible) {
 TEST(SelectiveCodec, SelectiveSkipsHighEntropy) {
   SelectiveCodec codec({.mode = CompressionMode::kSelective, .entropy_threshold = 6.0});
   auto payload = high_entropy_payload(4096);
-  std::vector<uint8_t> out;
+  ByteBuffer out;
   EXPECT_FALSE(codec.encode(payload, out));
-  EXPECT_EQ(out, payload);
+  EXPECT_TRUE(out.empty());
   EXPECT_EQ(codec.stats().payloads_raw, 1u);
 }
 
 TEST(SelectiveCodec, SelectiveCompressesLowEntropy) {
   SelectiveCodec codec({.mode = CompressionMode::kSelective, .entropy_threshold = 6.0});
   auto payload = low_entropy_payload(4096);
-  std::vector<uint8_t> out;
+  ByteBuffer out;
   EXPECT_TRUE(codec.encode(payload, out));
   EXPECT_LT(out.size(), payload.size());
 }
@@ -64,39 +68,41 @@ TEST(SelectiveCodec, SmallPayloadsAreNeverCompressed) {
   SelectiveCodec codec(
       {.mode = CompressionMode::kAlways, .min_payload_bytes = 64});
   std::vector<uint8_t> tiny(32, 0);
-  std::vector<uint8_t> out;
+  ByteBuffer out;
   EXPECT_FALSE(codec.encode(tiny, out));
-  EXPECT_EQ(out, tiny);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(SelectiveCodec, DecodeRoundTripCompressed) {
   SelectiveCodec codec({.mode = CompressionMode::kSelective});
   auto payload = low_entropy_payload(10000);
-  std::vector<uint8_t> wire;
+  ByteBuffer wire;
   bool compressed = codec.encode(payload, wire);
   ASSERT_TRUE(compressed);
   std::vector<uint8_t> back;
-  ASSERT_TRUE(codec.decode(wire, compressed, payload.size(), back));
+  ASSERT_TRUE(codec.decode(wire.contents(), compressed, payload.size(), back));
   EXPECT_EQ(back, payload);
 }
 
 TEST(SelectiveCodec, DecodeRoundTripRaw) {
   SelectiveCodec codec({.mode = CompressionMode::kOff});
   auto payload = high_entropy_payload(333);
-  std::vector<uint8_t> wire;
+  ByteBuffer wire;
   bool compressed = codec.encode(payload, wire);
   ASSERT_FALSE(compressed);
+  EXPECT_TRUE(wire.empty());  // the raw wire payload is `payload` itself
   std::vector<uint8_t> back;
-  ASSERT_TRUE(codec.decode(wire, compressed, payload.size(), back));
+  ASSERT_TRUE(codec.decode(payload, compressed, payload.size(), back));
   EXPECT_EQ(back, payload);
 }
 
 TEST(SelectiveCodec, DecodeRejectsWrongSize) {
   SelectiveCodec codec({.mode = CompressionMode::kSelective});
   auto payload = low_entropy_payload(2048);
-  std::vector<uint8_t> wire;
-  bool compressed = codec.encode(payload, wire);
+  ByteBuffer out;
+  bool compressed = codec.encode(payload, out);
   ASSERT_TRUE(compressed);
+  auto wire = bytes_of(out);
   std::vector<uint8_t> back;
   EXPECT_FALSE(codec.decode(wire, compressed, payload.size() + 1, back));
   EXPECT_FALSE(codec.decode(wire, compressed, payload.size() - 1, back));
@@ -107,8 +113,9 @@ TEST(SelectiveCodec, DecodeRejectsWrongSize) {
 TEST(SelectiveCodec, DecodeRejectsCorruptedPayload) {
   SelectiveCodec codec({.mode = CompressionMode::kSelective});
   auto payload = low_entropy_payload(2048);
-  std::vector<uint8_t> wire;
-  ASSERT_TRUE(codec.encode(payload, wire));
+  ByteBuffer out;
+  ASSERT_TRUE(codec.encode(payload, out));
+  auto wire = bytes_of(out);
   std::vector<uint8_t> back;
   // Truncation must be detected via size mismatch or decode failure.
   std::vector<uint8_t> truncated(wire.begin(), wire.begin() + static_cast<long>(wire.size() / 2));
@@ -117,7 +124,7 @@ TEST(SelectiveCodec, DecodeRejectsCorruptedPayload) {
 
 TEST(SelectiveCodec, StatsAccumulateAcrossPayloads) {
   SelectiveCodec codec({.mode = CompressionMode::kSelective, .entropy_threshold = 6.0});
-  std::vector<uint8_t> out;
+  ByteBuffer out;
   codec.encode(low_entropy_payload(1000), out);
   codec.encode(high_entropy_payload(1000), out);
   codec.encode(low_entropy_payload(1000), out);
@@ -126,6 +133,8 @@ TEST(SelectiveCodec, StatsAccumulateAcrossPayloads) {
   EXPECT_EQ(s.payloads_raw, 1u);
   EXPECT_EQ(s.bytes_in, 3000u);
   EXPECT_LT(s.bytes_out, s.bytes_in);
+  // Exact: the two LZ4 blocks appended to `out`, plus the raw payload.
+  EXPECT_EQ(s.bytes_out, out.size() + 1000);
 }
 
 TEST(SelectiveCodec, SelectiveBacksOffWhenLz4DoesNotShrink) {
@@ -136,10 +145,17 @@ TEST(SelectiveCodec, SelectiveBacksOffWhenLz4DoesNotShrink) {
   Xoshiro256 rng(8);
   std::vector<uint8_t> tricky(4096);
   for (auto& b : tricky) b = static_cast<uint8_t>(rng.next_below(180));
-  std::vector<uint8_t> out;
+  // `out` already holds a frame header's room: encode appends after it, and
+  // a backed-off attempt leaves it exactly as it was.
+  ByteBuffer out;
+  out.write_bytes(std::vector<uint8_t>(23, 0xEE));
   bool compressed = codec.encode(tricky, out);
-  if (!compressed) EXPECT_EQ(out, tricky);
-  EXPECT_LE(out.size(), tricky.size());
+  if (!compressed) {
+    EXPECT_EQ(bytes_of(out), std::vector<uint8_t>(23, 0xEE));
+    EXPECT_EQ(codec.stats().payloads_raw, 1u);
+    EXPECT_EQ(codec.stats().bytes_out, tricky.size());
+  }
+  EXPECT_LE(out.size(), 23 + tricky.size());
 }
 
 }  // namespace

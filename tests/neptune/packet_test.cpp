@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.hpp"
 
 namespace neptune {
@@ -50,6 +52,59 @@ TEST(StreamPacket, SerializedSizeIsExact) {
   ByteBuffer buf;
   p.serialize(buf);
   EXPECT_EQ(p.serialized_size(), buf.size());
+}
+
+TEST(StreamPacket, WireFormatIsPinned) {
+  // Every FieldType, and varints at the 1-, 2-, 9- and 10-byte boundaries,
+  // against bytes recorded from the push_back serializer this one replaced:
+  // writing through one pre-sized pointer must not change a byte.
+  StreamPacket p;
+  p.set_event_time_ns(std::numeric_limits<int64_t>::min());  // zig-zag 2^64-1: 10 bytes
+  p.add_i32(-1);                                   // zig-zag 1: 1 byte
+  p.add_i32(63);                                   // zig-zag 126: 1 byte
+  p.add_i32(64);                                   // zig-zag 128: 2 bytes
+  p.add_i32(std::numeric_limits<int32_t>::min());  // 5 bytes
+  p.add_i64(int64_t{1} << 55);                     // zig-zag 2^56: 9 bytes
+  p.add_i64((int64_t{1} << 62) - 1);               // zig-zag 2^63-2: 9 bytes
+  p.add_i64(int64_t{1} << 62);                     // zig-zag 2^63: 10 bytes
+  p.add_i64(std::numeric_limits<int64_t>::max());  // 10 bytes
+  p.add_f32(1.5f);
+  p.add_f64(-2.25);
+  p.add_bool(true);
+  p.add_bool(false);
+  p.add_string("");
+  p.add_string("neptune");
+  p.add_bytes(std::vector<uint8_t>(128, 0xAB));    // length 128: 2-byte varint
+  p.add_bytes({0x00, 0x01, 0xFF});
+
+  const std::vector<uint8_t> head = {
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x10, 0x00, 0x01, 0x00, 0x7e,
+      0x00, 0x80, 0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x01, 0x80, 0x80, 0x80, 0x80, 0x80,
+      0x80, 0x80, 0x80, 0x01, 0x01, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x01,
+      0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x01, 0xfe, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x02, 0x00, 0x00, 0xc0, 0x3f, 0x03, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x02, 0xc0, 0x04, 0x01, 0x04, 0x00, 0x05, 0x00, 0x05, 0x07, 0x6e, 0x65,
+      0x70, 0x74, 0x75, 0x6e, 0x65, 0x06, 0x80, 0x01};
+  const std::vector<uint8_t> tail = {0x06, 0x03, 0x00, 0x01, 0xff};
+  std::vector<uint8_t> expected = head;
+  expected.insert(expected.end(), 128, 0xAB);
+  expected.insert(expected.end(), tail.begin(), tail.end());
+  ASSERT_EQ(expected.size(), 231u);
+
+  ByteBuffer buf;
+  buf.write_u8(0x5A);  // serialize appends: what is already there stays
+  p.serialize(buf);
+  ASSERT_EQ(buf.size(), 1 + expected.size());
+  EXPECT_EQ(buf.data()[0], 0x5A);
+  auto got = buf.contents().subspan(1);
+  EXPECT_EQ(std::vector<uint8_t>(got.begin(), got.end()), expected);
+  EXPECT_EQ(p.serialized_size(), expected.size());
+
+  ByteReader r(got);
+  StreamPacket back;
+  back.deserialize(r);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(back, p);
 }
 
 TEST(StreamPacket, EmptyPacketRoundTrip) {

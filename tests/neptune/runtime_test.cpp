@@ -12,6 +12,7 @@
 #include <set>
 
 #include "../support/gate.hpp"
+#include "../support/poll.hpp"
 #include "neptune/workload.hpp"
 
 namespace neptune {
@@ -186,7 +187,10 @@ TEST(RuntimeIntegration, BroadcastDeliversToEveryInstance) {
 }
 
 TEST(RuntimeIntegration, BackpressureThrottlesWithoutLoss) {
-  // Slow sink + tiny channels: the source must be throttled, not drop.
+  // Held sink + tiny channels: the source must be throttled, not drop. The
+  // sink holds its first packet on a gate until the source has blocked, so
+  // the throttling is a fact the test sets up, not a race between the
+  // source's and the sink's speeds (which a slow build, e.g. TSan, loses).
   Runtime rt(1, {.worker_threads = 2, .io_threads = 1});
   GraphConfig cfg = small_buffers();
   cfg.channel.capacity_bytes = 16 * 1024;
@@ -195,18 +199,29 @@ TEST(RuntimeIntegration, BackpressureThrottlesWithoutLoss) {
   static constexpr uint64_t kTotal = 3000;
   g.add_source("src", [] { return std::make_unique<BytesSource>(kTotal, 100); });
   auto sink = std::make_shared<CountingSink>(/*delay_ns=*/20'000);  // 20 us per packet
-  g.add_processor("sink", [sink]() -> std::unique_ptr<StreamProcessor> {
+  auto gate = std::make_shared<test_util::Gate>();
+  g.add_processor("sink", [sink, gate]() -> std::unique_ptr<StreamProcessor> {
     struct Fwd : StreamProcessor {
       std::shared_ptr<CountingSink> inner;
-      explicit Fwd(std::shared_ptr<CountingSink> s) : inner(std::move(s)) {}
-      void process(StreamPacket& p, Emitter& out) override { inner->process(p, out); }
+      std::shared_ptr<test_util::Gate> gate;
+      Fwd(std::shared_ptr<CountingSink> s, std::shared_ptr<test_util::Gate> g)
+          : inner(std::move(s)), gate(std::move(g)) {}
+      void process(StreamPacket& p, Emitter& out) override {
+        gate->wait();
+        inner->process(p, out);
+      }
     };
-    return std::make_unique<Fwd>(sink);
+    return std::make_unique<Fwd>(sink, gate);
   });
   g.connect("src", "sink");
 
   auto job = rt.submit(g);
   job->start();
+  const bool throttled = test_util::wait_until(
+      [&] { return job->metrics().total("src", &OperatorMetricsSnapshot::blocked_sends) > 0; },
+      60s);
+  gate->open();
+  EXPECT_TRUE(throttled);
   ASSERT_TRUE(job->wait(120s));
   EXPECT_EQ(sink->count(), kTotal);
   auto m = job->metrics();

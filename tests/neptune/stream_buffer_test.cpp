@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "net/frame.hpp"
 #include "net/inproc_transport.hpp"
+#include "neptune/instance.hpp"
+#include "neptune/partitioning.hpp"
 #include "obs/trace.hpp"
 
 namespace neptune {
@@ -315,6 +320,78 @@ TEST_F(BufferFixture, CloseChannelPropagates) {
   // Adds after close are dropped at flush without wedging.
   buf->add(packet_of(300, 1));
   EXPECT_FALSE(buf->blocked());
+}
+
+TEST_F(BufferFixture, OwnerEmitsWhileOtherThreadsReadTheMirrors) {
+  // One writer: the owner emits while a telemetry-and-timer thread reads
+  // buffered_bytes() and runs the flush timer (which only raises the flag),
+  // and a consumer drains the channel. Run under TSan this is the check that
+  // nothing but the relaxed mirrors and the flag crosses threads.
+  struct NullHost final : detail::InstanceHost {
+    void report_failure(const std::string&) override {}
+    void on_barrier(const detail::InstanceRuntime&, uint64_t) override {}
+    void on_instance_done(const detail::InstanceRuntime&) override {}
+  } host;
+  constexpr int kPackets = 20'000;
+  pipe = make_inproc_pipe({});
+  GraphConfig cfg;
+  cfg.buffer = StreamBufferConfig{.capacity_bytes = 4096, .flush_interval_ns = 100'000};
+  std::atomic<uint64_t> wakes{0};
+  detail::InstanceRuntime rt("owner", 0, 1, OperatorKind::kProcessor, cfg, &host,
+                             &SteadyClock::instance(),
+                             [&wakes] { wakes.fetch_add(1, std::memory_order_relaxed); });
+  LinkDecl link;
+  link.link_id = 3;
+  link.partitioning = std::make_shared<ShufflePartitioning>();
+  rt.add_output(link, pipe.sender);
+  StreamBuffer& out = *rt.outputs[0].dst[0];
+
+  std::atomic<bool> done{false};
+  std::atomic<bool> abort{false};  // the consumer saw a bad frame: stop everyone
+  std::thread io([&] {
+    size_t bytes = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      bytes += out.buffered_bytes();
+      rt.on_flush_timer();
+      std::this_thread::yield();
+    }
+    (void)bytes;
+  });
+  uint64_t received = 0;
+  uint64_t next_seq = 0;
+  std::thread consumer([&] {
+    while (received < kPackets && !abort.load()) {
+      auto raw = pipe.receiver->try_receive_buf();
+      if (!raw) {
+        std::this_thread::yield();
+        continue;
+      }
+      auto f = decode_whole_frame(raw->contents());
+      if (!f) {
+        ADD_FAILURE() << "a flush must be exactly one valid frame";
+        abort.store(true);
+        break;
+      }
+      ByteReader r(f->payload);
+      r.read_u32();
+      EXPECT_EQ(r.read_u64(), next_seq);  // contiguous, in order
+      next_seq += f->header.batch_count;
+      received += f->header.batch_count;
+    }
+  });
+
+  for (int i = 0; i < kPackets && !abort.load(); ++i) {
+    if (rt.emit(packet_of(16, i)) == EmitStatus::kBackpressured) {
+      while (!out.drain(false) && !abort.load()) std::this_thread::yield();
+    }
+  }
+  while (!out.drain(/*force=*/true) && !abort.load()) std::this_thread::yield();
+  consumer.join();
+  done.store(true, std::memory_order_release);
+  io.join();
+  EXPECT_EQ(received, static_cast<uint64_t>(kPackets));
+  EXPECT_EQ(out.next_seq(), static_cast<uint64_t>(kPackets));
+  EXPECT_EQ(out.buffered_bytes(), 0u);
 }
 
 }  // namespace

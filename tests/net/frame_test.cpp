@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "../support/carve.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 
 namespace neptune {
@@ -39,6 +40,72 @@ TEST(Frame, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->header.batch_count, 42u);
   EXPECT_TRUE(decoded->header.compressed());
   EXPECT_EQ(std::vector<uint8_t>(decoded->payload.begin(), decoded->payload.end()), payload);
+}
+
+TEST(Frame, HeaderBytesArePinned) {
+  // The little-endian layout documented at the top of net/frame.hpp.
+  FrameHeader h;
+  h.flags = FrameHeader::kFlagCompressed;
+  h.link_id = 7;
+  h.batch_count = 3;
+  h.raw_size = 99;
+  const std::vector<uint8_t> payload = {0x10, 0x20, 0x30};
+  ByteBuffer out;
+  encode_frame(h, payload, out);
+  ASSERT_EQ(out.size(), FrameHeader::kSize + payload.size());
+  const std::vector<uint8_t> header = {0x50, 0x4e, 0x01, 0x07, 0x00, 0x00, 0x00, 0x03,
+                                       0x00, 0x00, 0x00, 0x63, 0x00, 0x00, 0x00, 0x03,
+                                       0x00, 0x00, 0x00};
+  auto got = out.contents();
+  EXPECT_EQ(std::vector<uint8_t>(got.begin(), got.begin() + 19), header);
+  auto decoded = decode_whole_frame(got);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->header.payload_crc, crc32(payload));
+}
+
+TEST(Frame, SealInPlaceMatchesEncodeFrame) {
+  // A batch written behind kSize bytes of room and sealed where it lies is
+  // byte-for-byte the frame encode_frame builds from a separate payload.
+  for (size_t n : {size_t{0}, size_t{1}, size_t{100}, size_t{70'000}}) {
+    for (uint8_t flags : {uint8_t{0}, FrameHeader::kFlagCompressed, FrameHeader::kFlagBarrier}) {
+      auto payload = make_payload(n, static_cast<uint8_t>(n));
+      FrameHeader h;
+      h.flags = flags;
+      h.link_id = 0xA1B2C3D4u;
+      h.batch_count = static_cast<uint32_t>(n / 3);
+      h.raw_size = static_cast<uint32_t>(n * 2);
+      ByteBuffer copied;
+      encode_frame(h, payload, copied);
+
+      ByteBuffer in_place;
+      in_place.grow(FrameHeader::kSize);
+      in_place.write_bytes(payload);
+      seal_frame_in_place(h, in_place);
+
+      auto a = copied.contents();
+      auto b = in_place.contents();
+      ASSERT_EQ(std::vector<uint8_t>(a.begin(), a.end()), std::vector<uint8_t>(b.begin(), b.end()))
+          << "payload " << n << " flags " << int(flags);
+      ASSERT_TRUE(decode_whole_frame(b).has_value());
+    }
+  }
+}
+
+TEST(Frame, VerifiedFrameSkipsOnlyTheChecksum) {
+  auto frame = encode_one(9, 2, make_payload(64));
+  frame.data()[FrameHeader::kSize + 5] ^= 0xFF;  // corrupt the payload
+  FrameDecodeStatus s = FrameDecodeStatus::kFrame;
+  EXPECT_FALSE(decode_whole_frame(frame.contents(), &s).has_value());
+  EXPECT_EQ(s, FrameDecodeStatus::kBadChecksum);
+  // A receiver below already checked it: the header still parses, and
+  // framing errors are still caught.
+  auto f = decode_whole_frame(frame.contents(), &s, /*check_crc=*/false);
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->header.link_id, 9u);
+  EXPECT_EQ(f->payload.size(), 64u);
+  frame.write_u8(0);  // a trailing byte is not a frame
+  EXPECT_FALSE(decode_whole_frame(frame.contents(), &s, /*check_crc=*/false).has_value());
+  EXPECT_EQ(s, FrameDecodeStatus::kBadLength);
 }
 
 TEST(Frame, EmptyPayload) {
