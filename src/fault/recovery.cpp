@@ -1,5 +1,8 @@
 #include "fault/recovery.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/clock.hpp"
 #include "common/log.hpp"
 #include "obs/flight_recorder.hpp"
@@ -7,12 +10,22 @@
 
 namespace neptune::fault {
 
+namespace {
+
+void answer(std::vector<std::promise<bool>>& callers, bool ok) {
+  for (std::promise<bool>& c : callers) c.set_value(ok);
+  callers.clear();
+}
+
+}  // namespace
+
 RecoveryCoordinator::RecoveryCoordinator(Runtime& runtime, StreamGraph graph,
                                          RecoveryOptions options)
     : runtime_(runtime),
       graph_(std::move(graph)),
       options_(std::move(options)),
-      epochs_(&SteadyClock::instance(), options_, /*parts=*/1) {
+      epochs_(&SteadyClock::instance(), options_, /*parts=*/1),
+      watchdog_(options_.watchdog) {
   obs::TelemetryRegistry& reg = obs::TelemetryRegistry::global();
   auto counter = [&](const char* name, const char* help, auto read) {
     telemetry_.push_back(reg.register_series(
@@ -41,7 +54,7 @@ void RecoveryCoordinator::attach(const std::shared_ptr<Job>& job) {
   // The handler may fire from an IO loop thread long after this
   // coordinator is gone (old jobs and their channels are kept alive by the
   // runtime), so it owns the flag it touches and nothing else. The monitor
-  // polls the flag every poll_interval.
+  // reads the flag at every step.
   job->set_failure_handler(
       [flag = failure_flag_](const std::string&) { flag->store(true, std::memory_order_release); });
 }
@@ -52,21 +65,12 @@ std::shared_ptr<Job> RecoveryCoordinator::start() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     job_ = job;
+    snapshot_ = job->initial_state();
   }
   start_ns_ = now_ns();
   job->start();
-  if (options_.watchdog.enabled) arm_watchdog(job);
   monitor_ = std::thread([this] { monitor(); });
   return job;
-}
-
-void RecoveryCoordinator::arm_watchdog(const std::shared_ptr<Job>& job) {
-  watchdog_.reset();  // joins the previous incarnation's watch thread
-  watchdog_ = std::make_unique<OperatorWatchdog>(
-      job, options_.watchdog, [this, weak = std::weak_ptr<Job>(job)](const std::string& what) {
-        watchdog_stalls_.fetch_add(1, std::memory_order_relaxed);
-        if (auto j = weak.lock()) j->report_failure(what);
-      });
 }
 
 std::shared_ptr<Job> RecoveryCoordinator::job() const {
@@ -81,17 +85,26 @@ bool RecoveryCoordinator::wait(std::chrono::nanoseconds timeout) {
 }
 
 void RecoveryCoordinator::stop() {
-  stop_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lk(mu_);  // an idle monitor waits on cv_ under it
+    stop_.store(true, std::memory_order_release);
+  }
   cv_.notify_all();
   if (monitor_.joinable()) monitor_.join();
-  watchdog_.reset();  // after the monitor: recover() re-arms it
   std::shared_ptr<Job> job = this->job();
   if (job && !job->completed()) job->stop();
 }
 
 bool RecoveryCoordinator::checkpoint_now() {
-  std::shared_ptr<Job> job = this->job();
-  return job && take_checkpoint(job, /*manual=*/true);
+  std::future<bool> result;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!job_ || done_) return false;  // not started, or the monitor has exited
+    requests_.emplace_back();
+    result = requests_.back().get_future();
+  }
+  cv_.notify_all();
+  return result.get();
 }
 
 JobMetricsSnapshot RecoveryCoordinator::metrics() const {
@@ -103,39 +116,18 @@ JobMetricsSnapshot RecoveryCoordinator::metrics() const {
   return m;
 }
 
-bool RecoveryCoordinator::take_checkpoint(const std::shared_ptr<Job>& job, bool manual) {
-  // A failing job or a dead resource could not complete the barriers.
-  if (job->failed() || job->completed() || any_resource_down()) return false;
-  // The controller keeps one epoch open at a time, so a manual checkpoint
-  // and the monitor's never overlap.
-  std::optional<EpochAction> a;
-  {
-    std::lock_guard<std::mutex> lk(epochs_mu_);
-    a = manual ? epochs_.request() : epochs_.tick();
+void RecoveryCoordinator::apply(Job& job, const EpochAction& action) {
+  if (action.kind == EpochAction::Kind::kBegin) {
+    job.begin_checkpoint(action.epoch);
+    return;
   }
-  if (a && a->kind == EpochAction::Kind::kBegin) {
-    std::optional<JobSnapshot> snap = job->checkpoint(a->epoch, options_.checkpoint_timeout);
-    // A failing job leaves the epoch to the rollback, which drops it.
-    // Otherwise an incomplete epoch still open has run out its timeout:
-    // the tick abandons it.
-    if (!snap && (job->failed() || failure_flag_->load(std::memory_order_acquire))) return false;
-    std::lock_guard<std::mutex> lk(epochs_mu_);
-    if (snap) {
-      a = epochs_.acked(0, a->epoch, true);
-    } else {
-      a = epochs_.open_epoch() == a->epoch ? epochs_.tick() : std::nullopt;
-    }
-    if (a && a->kind == EpochAction::Kind::kCommit) snapshot_ = std::move(*snap);
-  }
-  if (a) report(*a);
-  return a && a->kind == EpochAction::Kind::kCommit;
-}
-
-void RecoveryCoordinator::report(const EpochAction& action) {
-  if (action.kind == EpochAction::Kind::kCommit) {
+  // Only Commit and Abandon reach here: the controller's rollbacks are
+  // carried out by recover().
+  const bool committed = action.kind == EpochAction::Kind::kCommit;
+  if (committed) {
     obs::FlightRecorder::record(obs::FlightRecorder::register_actor("job " + graph_.name()),
                                 obs::FlightEventType::kCheckpoint, checkpoints_taken());
-  } else if (action.kind == EpochAction::Kind::kAbandon) {
+  } else {
     // A barrier that cannot get through within the budget (wedged
     // operator, runaway backlog) is a health signal: surface it.
     std::string what = graph_.name() + ": checkpoint epoch " + std::to_string(action.epoch) +
@@ -145,6 +137,8 @@ void RecoveryCoordinator::report(const EpochAction& action) {
     NEPTUNE_LOG_WARN("%s", what.c_str());
     obs::IncidentReporter::trigger_global("checkpoint-timeout", what);
   }
+  std::lock_guard<std::mutex> lk(mu_);
+  answer(epoch_callers_, committed);
 }
 
 void RecoveryCoordinator::execute_due_kills() {
@@ -170,59 +164,99 @@ bool RecoveryCoordinator::any_resource_down() const {
 
 void RecoveryCoordinator::monitor() {
   while (!stop_.load(std::memory_order_acquire)) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait_for(lk, std::chrono::nanoseconds(options_.poll_interval_ns),
-                   [&] { return stop_.load(std::memory_order_acquire); });
-    }
-    if (stop_.load(std::memory_order_acquire)) break;
-
     std::shared_ptr<Job> job = this->job();
-    if (!job) break;
-
     execute_due_kills();
-
     if (failure_flag_->load(std::memory_order_acquire) || job->failed() || any_resource_down()) {
       recover(job);
       continue;
     }
-
     if (job->completed()) {
-      {
-        std::lock_guard<std::mutex> lk(epochs_mu_);
-        epochs_.all_done();
-      }
       std::lock_guard<std::mutex> lk(mu_);
-      done_ = true;
+      epochs_.all_done();
       completed_ = true;
-      cv_.notify_all();
       break;
     }
-
-    take_checkpoint(job, /*manual=*/false);
+    if (escalate_stalls(*job)) continue;  // the next step rolls back
+    advance_epoch(*job);
   }
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    done_ = true;
+    answer(requests_, false);
+    answer(epoch_callers_, false);
+  }
+  cv_.notify_all();
+}
+
+bool RecoveryCoordinator::escalate_stalls(Job& job) {
+  if (options_.watchdog.stall_timeout_ns <= 0) return false;
+  std::vector<OperatorStall> stalls = watchdog_.check(job.metrics(), now_ns());
+  for (const OperatorStall& s : stalls) {
+    // Stamp the timeline, then snapshot it: the bundle written by the
+    // trigger below contains this very event as its newest entry.
+    obs::FlightRecorder::record(
+        obs::FlightRecorder::register_actor(s.operator_id + "[" + std::to_string(s.instance) +
+                                            "]"),
+        obs::FlightEventType::kWatchdogStall, static_cast<uint64_t>(s.stalled_ms));
+    obs::IncidentReporter::trigger_global("watchdog_stall", s.what);
+    job.note_watchdog_stall(s.operator_id, s.instance);
+    watchdog_stalls_.fetch_add(1, std::memory_order_relaxed);
+    job.report_failure(s.what);
+  }
+  return !stalls.empty();
+}
+
+void RecoveryCoordinator::advance_epoch(Job& job) {
+  std::optional<EpochAction> a;
+  uint64_t open = 0;
+  int64_t wait_ns = options_.poll_interval_ns;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    a = epochs_.tick();
+    if (!a && !requests_.empty()) a = epochs_.request();
+    if (a && a->kind == EpochAction::Kind::kBegin) epoch_callers_ = std::exchange(requests_, {});
+    open = epochs_.open_epoch();
+    if (open != 0)
+      wait_ns = std::clamp(epochs_.next_deadline() - now_ns(), int64_t{0}, wait_ns);
+  }
+  if (a) apply(job, *a);
+
+  if (open == 0) {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait_for(lk, std::chrono::nanoseconds(wait_ns),
+                 [&] { return stop_.load(std::memory_order_acquire) || !requests_.empty(); });
+    return;
+  }
+  // A wait that runs out leaves the epoch open for tick(), which abandons it
+  // at its deadline; a failure drops it at the rollback.
+  std::optional<JobSnapshot> snap = job.await_checkpoint(open, std::chrono::nanoseconds(wait_ns));
+  if (!snap) return;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    a = epochs_.acked(0, open, true);
+    if (a && a->kind == EpochAction::Kind::kCommit) snapshot_ = std::move(*snap);
+  }
+  if (a) apply(job, *a);
 }
 
 void RecoveryCoordinator::recover(const std::shared_ptr<Job>& old) {
   const std::string reason = old->failed() ? old->failure_reason() : "resource down";
   EpochAction rollback;
   {
-    std::lock_guard<std::mutex> lk(epochs_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     rollback = epochs_.part_failed(reason);
+    answer(requests_, false);  // a failure drops the open epoch and every request
+    answer(epoch_callers_, false);
   }
   if (rollback.kind == EpochAction::Kind::kGiveUp) {  // failure() is only written here
     NEPTUNE_LOG_ERROR("recovery: job '%s': %s; giving up", old->name().c_str(),
                       epochs_.failure().c_str());
-    std::lock_guard<std::mutex> lk(mu_);
-    done_ = true;
-    stop_.store(true, std::memory_order_release);
-    cv_.notify_all();
+    stop_.store(true, std::memory_order_release);  // the monitor exits
     return;
   }
 
   const int64_t t0 = now_ns();
   failure_flag_->store(false, std::memory_order_release);
-  watchdog_.reset();  // stop watching the wreck; re-armed on the fresh incarnation
   NEPTUNE_LOG_WARN("recovery: job '%s' failed (%s) — restoring from %s", old->name().c_str(),
                    reason.c_str(),
                    rollback.epoch != 0 ? "latest checkpoint" : "scratch (no checkpoint yet)");
@@ -254,16 +288,13 @@ void RecoveryCoordinator::recover(const std::shared_ptr<Job>& old) {
   // rewind to their recorded replay positions.
   auto fresh = runtime_.submit(graph_);
   attach(fresh);
-  if (rollback.epoch != 0) {
-    std::lock_guard<std::mutex> lk(epochs_mu_);
-    fresh->restore_state(snapshot_);
-  }
   {
     std::lock_guard<std::mutex> lk(mu_);
+    fresh->restore_state(snapshot_);
     job_ = fresh;
   }
+  watchdog_ = OperatorWatchdog(options_.watchdog);  // no timestamps from the wreck
   fresh->start();
-  if (options_.watchdog.enabled) arm_watchdog(fresh);
 
   recovery_ns_.fetch_add(now_ns() - t0, std::memory_order_relaxed);
   NEPTUNE_LOG_INFO("recovery: job '%s' restored in %.1f ms", fresh->name().c_str(),

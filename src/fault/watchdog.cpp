@@ -1,87 +1,40 @@
 #include "fault/watchdog.hpp"
 
-#include <algorithm>
-#include <chrono>
-
-#include "common/clock.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/incident.hpp"
-
 namespace neptune::fault {
 
-OperatorWatchdog::OperatorWatchdog(std::shared_ptr<Job> job, WatchdogOptions options,
-                                   StallHandler on_stall)
-    : job_(std::move(job)), options_(options), on_stall_(std::move(on_stall)) {
-  if (!on_stall_) {
-    on_stall_ = [this](const std::string& what) { job_->report_failure(what); };
-  }
-  thread_ = std::thread([this] { watch(); });
-}
-
-OperatorWatchdog::~OperatorWatchdog() { stop(); }
-
-void OperatorWatchdog::stop() {
-  stop_.store(true, std::memory_order_release);
-  if (thread_.joinable()) thread_.join();
-}
-
-void OperatorWatchdog::watch() {
-  // Coarse sleep granularity keeps stop() responsive without a cv.
-  constexpr int64_t kSliceNs = 10'000'000;  // 10 ms
-  int64_t next_poll = now_ns();
-  while (!stop_.load(std::memory_order_acquire)) {
-    int64_t now = now_ns();
-    if (now < next_poll) {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(std::min(kSliceNs, next_poll - now)));
-      continue;
+std::vector<OperatorStall> OperatorWatchdog::check(const JobMetricsSnapshot& snap,
+                                                   int64_t now_ns) {
+  std::vector<OperatorStall> stalls;
+  for (const auto& op : snap.operators) {
+    std::string key = op.operator_id + "#" + std::to_string(op.instance);
+    auto [it, first_seen] = progress_.try_emplace(key);
+    Progress& p = it->second;
+    if (first_seen || op.executions != p.executions) {
+      p.executions = op.executions;
+      p.last_change_ns = now_ns;
+      p.flagged = false;
+      // Fall through: a dispatch can still be wedged *inside* the
+      // execution that bumped the counter.
     }
-    next_poll = now + options_.poll_interval_ns;
-    if (job_->completed() || job_->failed()) continue;
 
-    JobMetricsSnapshot snap = job_->metrics();
-    for (const auto& op : snap.operators) {
-      std::string key = op.operator_id + "#" + std::to_string(op.instance);
-      Progress& p = progress_[key];
-      if (p.last_change_ns == 0 || op.executions != p.executions) {
-        p.executions = op.executions;
-        p.last_change_ns = now;
-        p.flagged = false;
-        // Fall through: a dispatch can still be wedged *inside* the
-        // execution that bumped the counter.
-      }
-
-      bool stuck = false;
-      int64_t stalled_ms = 0;
-      std::string what;
-      if (op.exec_begin_ns != 0 && now - op.exec_begin_ns > options_.stall_timeout_ns) {
-        stuck = true;
-        stalled_ms = (now - op.exec_begin_ns) / 1'000'000;
-        what = "watchdog: " + key + " stuck inside a dispatch for " +
-               std::to_string(stalled_ms) + " ms";
-      } else if (op.inbound_ready_batches > 0 &&
-                 now - p.last_change_ns > options_.stall_timeout_ns) {
-        stuck = true;
-        stalled_ms = (now - p.last_change_ns) / 1'000'000;
-        what = "watchdog: " + key + " made no progress for " +
-               std::to_string(stalled_ms) + " ms with " +
-               std::to_string(op.inbound_ready_batches) + " batches pending";
-      }
-      if (stuck && !p.flagged) {
-        p.flagged = true;
-        stalls_.fetch_add(1, std::memory_order_relaxed);
-        // Stamp the timeline, then snapshot it: the bundle written by the
-        // trigger below contains this very event as its newest entry.
-        obs::FlightRecorder::record(
-            obs::FlightRecorder::register_actor(op.operator_id + "[" +
-                                                std::to_string(op.instance) + "]"),
-            obs::FlightEventType::kWatchdogStall, static_cast<uint64_t>(stalled_ms));
-        obs::IncidentReporter::trigger_global("watchdog_stall", what);
-        job_->note_watchdog_stall(op.operator_id, op.instance);
-        on_stall_(what);
-      }
+    OperatorStall stall{op.operator_id, op.instance, 0, {}};
+    if (op.exec_begin_ns != 0 && now_ns - op.exec_begin_ns > options_.stall_timeout_ns) {
+      stall.stalled_ms = (now_ns - op.exec_begin_ns) / 1'000'000;
+      stall.what = "watchdog: " + key + " stuck inside a dispatch for " +
+                   std::to_string(stall.stalled_ms) + " ms";
+    } else if (op.inbound_ready_batches > 0 &&
+               now_ns - p.last_change_ns > options_.stall_timeout_ns) {
+      stall.stalled_ms = (now_ns - p.last_change_ns) / 1'000'000;
+      stall.what = "watchdog: " + key + " made no progress for " +
+                   std::to_string(stall.stalled_ms) + " ms with " +
+                   std::to_string(op.inbound_ready_batches) + " batches pending";
+    }
+    if (!stall.what.empty() && !p.flagged) {
+      p.flagged = true;
+      stalls.push_back(std::move(stall));
     }
   }
+  return stalls;
 }
 
 }  // namespace neptune::fault

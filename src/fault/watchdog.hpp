@@ -1,74 +1,63 @@
 // Operator watchdog (overload-resilience subsystem): detects operator
 // instances that are stuck — an execution that entered the operator and
 // never returned, or pending input with no executions for a whole stall
-// window — and escalates instead of letting the topology hang.
+// window — so the topology is restarted instead of left hanging.
 //
-// Detection is metrics-only, from outside the worker threads:
+// A pure, single-threaded detector over metrics snapshots: no thread, no
+// clock, no Job. The RecoveryCoordinator's monitor hands it a snapshot and
+// the time, and escalates what it returns. Its two rules:
 //
-//   * exec_begin_ns: stamped by the runtime when a scheduled execution
-//     enters the instance, cleared on exit. Non-zero for longer than the
-//     stall timeout means a dispatch is wedged inside execute()/on_batch().
-//   * no-progress: inbound_ready_batches > 0 while the executions counter
+//   * stuck inside a dispatch: exec_begin_ns (set while an execution is
+//     inside the instance) is older than the stall timeout.
+//   * no progress: inbound_ready_batches > 0 while the executions counter
 //     has not moved for a stall window. A backpressured instance does not
 //     trip this — its flush-timer re-notifies keep executions moving.
 //
-// Escalation goes through the stall handler (default: Job::report_failure),
-// which the RecoveryCoordinator's failure hook turns into a full stop →
-// restart-resources → resubmit → restore recovery.
+// Each stall is reported once; the instance re-arms when its executions
+// counter moves. The coordinator replaces the detector at each rollback.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
-#include <thread>
+#include <vector>
 
-#include "neptune/runtime.hpp"
+#include "neptune/metrics.hpp"
 
 namespace neptune::fault {
 
 struct WatchdogOptions {
-  /// Used by RecoveryCoordinator: attach a watchdog to each incarnation.
-  bool enabled = false;
   /// How long an instance may sit inside one dispatch, or hold pending
-  /// input without an execution, before it is declared stuck.
-  int64_t stall_timeout_ns = 2'000'000'000;  // 2 s
-  int64_t poll_interval_ns = 100'000'000;    // 100 ms
+  /// input without an execution, before it is declared stuck. 0: no
+  /// watchdog.
+  int64_t stall_timeout_ns = 0;
+};
+
+/// One newly stuck operator instance.
+struct OperatorStall {
+  std::string operator_id;
+  uint32_t instance = 0;
+  int64_t stalled_ms = 0;
+  std::string what;  ///< the failure reason to report
 };
 
 class OperatorWatchdog {
  public:
-  using StallHandler = std::function<void(const std::string& what)>;
+  explicit OperatorWatchdog(WatchdogOptions options = {}) : options_(options) {}
 
-  /// Starts the watch thread. With no handler, a detected stall is reported
-  /// via Job::report_failure (feeding any attached recovery policy).
-  OperatorWatchdog(std::shared_ptr<Job> job, WatchdogOptions options,
-                   StallHandler on_stall = {});
-  ~OperatorWatchdog();
-  OperatorWatchdog(const OperatorWatchdog&) = delete;
-  OperatorWatchdog& operator=(const OperatorWatchdog&) = delete;
-
-  void stop();
-  uint64_t stalls_detected() const { return stalls_.load(std::memory_order_relaxed); }
+  /// The instances of `snap` that are stuck at `now_ns` and were not
+  /// already reported for this stall.
+  std::vector<OperatorStall> check(const JobMetricsSnapshot& snap, int64_t now_ns);
 
  private:
-  void watch();
-
   struct Progress {
     uint64_t executions = 0;
     int64_t last_change_ns = 0;
-    bool flagged = false;  ///< already escalated; re-arm when progress resumes
+    bool flagged = false;  ///< already reported; re-armed when progress resumes
   };
 
-  std::shared_ptr<Job> job_;
-  const WatchdogOptions options_;
-  StallHandler on_stall_;
+  WatchdogOptions options_;
   std::map<std::string, Progress> progress_;
-  std::atomic<uint64_t> stalls_{0};
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
 };
 
 }  // namespace neptune::fault

@@ -116,6 +116,12 @@ void Job::restore_state(const JobSnapshot& snapshot) {
   for (auto& inst : instances_) inst->restore_state(snapshot);
 }
 
+JobSnapshot Job::initial_state() const {
+  JobSnapshot snapshot;
+  for (const auto& inst : instances_) inst->snapshot_into(snapshot);
+  return snapshot;
+}
+
 void Job::note_watchdog_stall(const std::string& op_id, uint32_t instance) {
   for (auto& inst : instances_) {
     if (inst->op_id() == op_id && inst->instance_index() == instance) {

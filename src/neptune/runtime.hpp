@@ -74,6 +74,10 @@ class Job : private detail::InstanceHost {
   /// Restore a snapshot into this (not-yet-started) job's operators.
   /// Entries with no matching (operator id, instance) are ignored.
   void restore_state(const JobSnapshot& snapshot);
+  /// The state of this (not-yet-started) job's operators: what a rollback
+  /// with no committed epoch restores, so state an operator shares across
+  /// incarnations returns to where the job began.
+  JobSnapshot initial_state() const;
 
   bool completed() const;
 

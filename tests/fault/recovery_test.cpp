@@ -13,7 +13,9 @@
 #include <mutex>
 #include <thread>
 
+#include "../support/gate.hpp"
 #include "../support/poll.hpp"
+#include "../support/threads.hpp"
 #include "fault/recovery.hpp"
 #include "fault/supervised_channel.hpp"
 #include "net/frame.hpp"
@@ -117,6 +119,56 @@ void expect_exactly_once_in_order(const std::vector<int64_t>& ids, uint64_t tota
   ASSERT_EQ(ids.size(), total);
   for (size_t i = 0; i < ids.size(); ++i) ASSERT_EQ(ids[i], static_cast<int64_t>(i));
 }
+
+/// A BytesSource that counts its snapshots: one for the initial state a
+/// RecoveryCoordinator keeps at start, then one per epoch whose barrier it
+/// has sent.
+class SnapshotCountingSource : public StreamSource, public Checkpointable {
+ public:
+  SnapshotCountingSource(uint64_t total, std::shared_ptr<std::atomic<uint64_t>> snapshots)
+      : inner_(total, 64), snapshots_(std::move(snapshots)) {}
+  void open(uint32_t instance, uint32_t parallelism) override {
+    inner_.open(instance, parallelism);
+  }
+  bool next(Emitter& out, size_t budget) override { return inner_.next(out, budget); }
+  void snapshot_state(ByteBuffer& out) const override {
+    snapshots_->fetch_add(1);
+    inner_.snapshot_state(out);
+  }
+  void restore_state(ByteReader& in) override { inner_.restore_state(in); }
+
+ private:
+  BytesSource inner_;
+  std::shared_ptr<std::atomic<uint64_t>> snapshots_;
+};
+
+/// An operator that, while `on` is set, holds each packet on `gate` until
+/// the test opens it, so a barrier behind it cannot pass, then forwards it
+/// if it has an output. Counts the packets it held.
+struct Hold {
+  std::shared_ptr<test_util::Gate> gate = std::make_shared<test_util::Gate>();
+  std::shared_ptr<std::atomic<bool>> on = std::make_shared<std::atomic<bool>>(true);
+  std::shared_ptr<std::atomic<uint64_t>> entered = std::make_shared<std::atomic<uint64_t>>(0);
+
+  ProcessorFactory factory() const {
+    return [h = *this]() -> std::unique_ptr<StreamProcessor> {
+      struct Held : StreamProcessor {
+        Hold h;
+        explicit Held(Hold hold) : h(std::move(hold)) {}
+        void process(StreamPacket& p, Emitter& out) override {
+          if (h.on->load()) {
+            h.entered->fetch_add(1);
+            h.gate->wait();
+          }
+          if (out.output_link_count() == 0) return;
+          StreamPacket copy = p;
+          out.emit(std::move(copy));
+        }
+      };
+      return std::make_unique<Held>(h);
+    };
+  }
+};
 
 // --- supervised channel: self-healing link faults ---------------------------
 
@@ -535,10 +587,8 @@ TEST(Recovery, KilledResourceRecoversAutomatically) {
   RecoveryCoordinator coord(rt, std::move(g), fast_recovery());
   coord.start();
 
-  for (int i = 0; i < 1000 && (coord.checkpoints_taken() < 1 || sink->count() < kTotal / 4);
-       ++i)
-    std::this_thread::sleep_for(2ms);
-  ASSERT_GE(coord.checkpoints_taken(), 1u);
+  ASSERT_TRUE(test_util::wait_until(
+      [&] { return coord.checkpoints_taken() >= 1 && sink->count() >= kTotal / 4; }, 60s));
   ASSERT_LT(sink->count(), kTotal);
   injector->schedule_resource_kill(/*resource_index=*/1, /*at_ns_after_start=*/0);
 
@@ -549,6 +599,116 @@ TEST(Recovery, KilledResourceRecoversAutomatically) {
   EXPECT_EQ(coord.metrics().total(&OperatorMetricsSnapshot::seq_violations), 0u);
   EXPECT_FALSE(coord.permanently_failed());
   EXPECT_TRUE(rt.resource(1)->running());  // resource was brought back
+}
+
+TEST(Recovery, CheckpointNowWaitsForAnOpenPeriodicEpoch) {
+  // A periodic epoch is open (the source sent its barrier) and cannot
+  // commit while the sink is held. A checkpoint_now() issued meanwhile
+  // waits for it to close, then runs an epoch of its own.
+  Runtime rt(1, {.worker_threads = 2, .io_threads = 1});
+  auto snapshots = std::make_shared<std::atomic<uint64_t>>(0);
+  Hold hold;
+  StreamGraph g("ckpt-now-overlap", small_batches());
+  g.add_source("src", [snapshots] {
+    return std::make_unique<SnapshotCountingSource>(/*unbounded*/ 0, snapshots);
+  });
+  g.add_processor("sink", hold.factory());
+  g.connect("src", "sink");
+
+  RecoveryOptions opt;
+  opt.checkpoint_interval_ns = 500'000'000;  // one periodic epoch before the request
+  opt.checkpoint_timeout = 1h;
+  opt.poll_interval_ns = 10'000'000;
+  RecoveryCoordinator coord(rt, std::move(g), opt);
+  coord.start();
+  ASSERT_TRUE(test_util::wait_until(
+      [&] { return hold.entered->load() >= 1 && snapshots->load() >= 2; }, 60s));
+
+  std::atomic<bool> returned{false};
+  bool ok = false;
+  std::thread caller([&] {
+    ok = coord.checkpoint_now();
+    returned.store(true);
+  });
+  // The open epoch cannot close while the sink is held, so neither can
+  // the request.
+  EXPECT_FALSE(test_util::wait_until([&] { return returned.load(); }, 200ms));
+  hold.gate->open();
+  caller.join();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(coord.checkpoints_taken(), 2u);
+  EXPECT_EQ(coord.quiesce_timeouts(), 0u);
+  coord.stop();
+}
+
+TEST(Recovery, DetectsFailureWhileAnEpochIsOpen) {
+  // An epoch stays open: its barrier queues behind a relay held on a gate,
+  // and the timeout is an hour. The resource of the recording sink then
+  // dies. Its edge is inproc, so no edge reports the loss: only the
+  // monitor's liveness check can see it, and it must still roll back; the
+  // restored job must still deliver exactly once.
+  Runtime rt(2, {.worker_threads = 2, .io_threads = 1});
+  auto sink = std::make_shared<RecordingSink>(/*delay_ns=*/50'000);
+  auto snapshots = std::make_shared<std::atomic<uint64_t>>(0);
+  Hold hold;
+  hold.on->store(false);
+  static constexpr uint64_t kTotal = 6000;
+  StreamGraph g("failure-in-epoch", small_batches());
+  g.add_source("src", [snapshots] {
+    return std::make_unique<SnapshotCountingSource>(kTotal, snapshots);
+  }, 1, 0);
+  g.add_processor("held", hold.factory(), 1, 0);
+  g.add_processor("sink", forward_to(sink), 1, 1);
+  g.connect("src", "held");
+  g.connect("held", "sink");
+
+  RecoveryOptions opt = fast_recovery();
+  opt.checkpoint_timeout = 1h;
+  RecoveryCoordinator coord(rt, std::move(g), opt);
+  coord.start();
+  // Hold only once an epoch has committed, so the rollback restores it.
+  ASSERT_TRUE(test_util::wait_until([&] { return coord.checkpoints_taken() >= 1; }, 60s));
+  hold.on->store(true);
+  ASSERT_TRUE(test_util::wait_until(
+      [&] {
+        const uint64_t committed = coord.checkpoints_taken();
+        return hold.entered->load() >= 1 && snapshots->load() > committed + 1;
+      },
+      60s));
+  ASSERT_LT(sink->count(), kTotal);
+  rt.resource(1)->stop();
+
+  const bool recovered = test_util::wait_until([&] { return coord.recoveries() >= 1; }, 60s);
+  hold.gate->open();
+  ASSERT_TRUE(recovered) << "no rollback while the epoch was open";
+  ASSERT_TRUE(coord.wait(120s));
+  expect_exactly_once_in_order(sink->ids(), kTotal);
+  EXPECT_EQ(coord.metrics().total(&OperatorMetricsSnapshot::seq_violations), 0u);
+  EXPECT_FALSE(coord.permanently_failed());
+  EXPECT_TRUE(rt.resource(1)->running());
+}
+
+TEST(Recovery, CoordinatorAddsOneThread) {
+  // Next to TcpRuntime.ThreadsDoNotGrowWithEdges: a coordinator with the
+  // watchdog on adds its monitor and no other thread to the resources'
+  // worker and IO pools.
+  const size_t before = test_util::live_threads();
+  Runtime rt(2, {.worker_threads = 2, .io_threads = 1});
+  Hold hold;
+  StreamGraph g("coordinator-threads", small_batches());
+  g.add_source("src", [] { return std::make_unique<BytesSource>(2000, 64); }, 1, 0);
+  g.add_processor("sink", hold.factory(), 1, 1);
+  g.connect("src", "sink");
+  RecoveryOptions opt = fast_recovery();
+  opt.watchdog.stall_timeout_ns = int64_t{3600} * 1'000'000'000;
+  RecoveryCoordinator coord(rt, std::move(g), opt);
+  coord.start();
+  const bool held = test_util::wait_until([&] { return hold.entered->load() >= 1; }, 30s);
+  const size_t during = test_util::live_threads();
+  hold.gate->open();
+  EXPECT_TRUE(held);
+  EXPECT_EQ(during, before + 2 * (2 + 1) + 1);
+  ASSERT_TRUE(coord.wait(120s));
 }
 
 }  // namespace

@@ -5,11 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <mutex>
 
 #include "../support/gate.hpp"
 #include "../support/poll.hpp"
+#include "../support/threads.hpp"
 #include "neptune/runtime.hpp"
 #include "neptune/workload.hpp"
 
@@ -17,6 +17,7 @@ namespace neptune {
 namespace {
 
 using namespace std::chrono_literals;
+using test_util::live_threads;
 using workload::BytesSource;
 using workload::CountingSink;
 using workload::RelayProcessor;
@@ -170,13 +171,6 @@ TEST(TcpRuntime, CompressionOverTcp) {
   auto ids = sink->ids();
   ASSERT_EQ(ids.size(), kTotal);
   for (size_t i = 0; i < ids.size(); ++i) ASSERT_EQ(ids[i], static_cast<int64_t>(i));
-}
-
-/// Threads of this process that are alive now.
-size_t live_threads() {
-  namespace fs = std::filesystem;
-  return static_cast<size_t>(std::distance(fs::directory_iterator("/proc/self/task"),
-                                           fs::directory_iterator()));
 }
 
 TEST(TcpRuntime, ThreadsDoNotGrowWithEdges) {

@@ -1,7 +1,7 @@
 // Flight recorder + incident reporter against the real runtime: the fig4
 // backpressure topology (A -> B -> slow C, small buffers) runs with the
-// recorder enabled, an induced watchdog stall must produce a complete
-// incident bundle, and offline attribution over a real bundle must name the
+// recorder enabled, a watchdog stall escalated by a RecoveryCoordinator must
+// produce a complete incident bundle, and offline attribution over a real bundle must name the
 // slow stage. This suite also doubles as the TSan coverage for the recorder
 // hot path (concurrent worker threads writing rings while bundles merge).
 #include <gtest/gtest.h>
@@ -9,11 +9,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 
-#include "fault/watchdog.hpp"
+#include "../support/gate.hpp"
+#include "../support/poll.hpp"
+#include "fault/recovery.hpp"
 #include "neptune/runtime.hpp"
 #include "neptune/workload.hpp"
 #include "obs/flight_decode.hpp"
@@ -132,26 +134,31 @@ TEST(FlightRuntime, WatchdogStallProducesIncidentBundle) {
       {.dir = dir, .min_interval_ns = 0, .install_crash_handler = false});
   FlightRecorder::set_enabled(true);
 
-  // First packet wedges inside "proc" for 900 ms; the watchdog (200 ms
-  // timeout) must escalate, and escalation fires the incident trigger.
+  // First packet wedges inside "proc" until the watchdog (200 ms timeout)
+  // has escalated; escalation fires the incident trigger, and the recovery
+  // it starts writes a bundle of its own.
   auto armed = std::make_shared<std::atomic<bool>>(true);
+  auto gate = std::make_shared<test_util::Gate>();
   auto sink = std::make_shared<CountingSink>();
   GraphConfig cfg;
   cfg.buffer.capacity_bytes = 2048;
   cfg.buffer.flush_interval_ns = 1'000'000;
   StreamGraph g("stall-flight", cfg);
   g.add_source("src", [] { return std::make_unique<BytesSource>(500, 64); });
-  g.add_processor("proc", [armed]() -> std::unique_ptr<StreamProcessor> {
+  g.add_processor("proc", [armed, gate]() -> std::unique_ptr<StreamProcessor> {
     struct StallOnce : StreamProcessor {
       std::shared_ptr<std::atomic<bool>> armed;
-      explicit StallOnce(std::shared_ptr<std::atomic<bool>> a) : armed(std::move(a)) {}
+      std::shared_ptr<test_util::Gate> gate;
       void process(StreamPacket& p, Emitter& out) override {
-        if (armed->exchange(false)) std::this_thread::sleep_for(900ms);
+        if (armed->exchange(false)) gate->wait();
         StreamPacket copy = p;
         out.emit(std::move(copy));
       }
     };
-    return std::make_unique<StallOnce>(armed);
+    auto stall = std::make_unique<StallOnce>();
+    stall->armed = armed;
+    stall->gate = gate;
+    return stall;
   });
   g.add_processor("sink", [sink]() -> std::unique_ptr<StreamProcessor> {
     struct Fwd : StreamProcessor {
@@ -165,19 +172,24 @@ TEST(FlightRuntime, WatchdogStallProducesIncidentBundle) {
   g.connect("proc", "sink");
 
   Runtime rt(1, {.worker_threads = 1, .io_threads = 1});
-  auto job = rt.submit(g);
-  fault::WatchdogOptions opt;
-  opt.stall_timeout_ns = 200'000'000;
-  opt.poll_interval_ns = 50'000'000;
-  fault::OperatorWatchdog dog(job, opt);
+  fault::RecoveryOptions opt;
+  opt.poll_interval_ns = 10'000'000;
+  opt.watchdog.stall_timeout_ns = 200'000'000;
+  fault::RecoveryCoordinator coord(rt, std::move(g), opt);
+  coord.start();
+  const bool escalated = test_util::wait_until([&] { return coord.watchdog_stalls() >= 1; }, 60s);
+  gate->open();
+  ASSERT_TRUE(escalated) << "no stall escalated within 60 s";
+  ASSERT_TRUE(coord.wait(60s));
 
-  job->start();
-  ASSERT_TRUE(job->wait(60s));
-  dog.stop();
-
-  ASSERT_GE(reporter->bundles_written(), 1u) << "watchdog escalation did not write a bundle";
-  Journal journal = Journal::from_bundle(reporter->last_bundle_path());
-  EXPECT_EQ(journal.header.string_or("trigger", ""), "watchdog_stall");
+  std::string stall_bundle;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    Journal j = Journal::from_bundle(entry.path().string());
+    if (j.header.string_or("trigger", "") == "watchdog_stall") stall_bundle = entry.path();
+  }
+  ASSERT_FALSE(stall_bundle.empty()) << "watchdog escalation did not write a bundle";
+  EXPECT_GE(reporter->bundles_written(), 2u);  // the stall's, then the recovery's
+  Journal journal = Journal::from_bundle(stall_bundle);
 
   // The bundle's timeline contains the stall event, attributed to the
   // wedged operator instance by name.
