@@ -1,6 +1,6 @@
 // Fault-recovery bench: sustained relay throughput over supervised TCP
-// edges while a failure schedule fires (default: one injected failure every
-// 10 s, alternating link resets and whole-resource kills). Reports the
+// edges while a failure schedule fires (default: one kill of resource 1
+// every 10 s; every failure is a whole-resource kill). Reports the
 // per-second throughput timeline (the dip and re-ramp around each failure),
 // checkpoint count, reconnects, and the coordinator's measured recovery
 // latency — the robustness counterpart of the paper's §V throughput runs.

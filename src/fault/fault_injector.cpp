@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <thread>
 
 #include "common/clock.hpp"
 #include "common/log.hpp"
@@ -193,8 +192,9 @@ class FaultingSender final : public ChannelSender,
         size_t cut = frame.size() < 2 ? 0 : std::clamp<size_t>(a.byte_offset, 1, frame.size() - 1);
         NEPTUNE_LOG_INFO("fault: partial write on %s (%zu of %zu bytes)",
                          edge_.to_string().c_str(), cut, frame.size());
+        // The prefix and the close leave in one call: over TCP both run on
+        // the connection's loop, so no other frame can land between them.
         if (cut > 0) inner_->try_send(frame.slice(0, cut));
-        if (a.delay_ns > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(a.delay_ns));
         inner_->close();
         return SendStatus::kClosed;
       }

@@ -54,8 +54,7 @@ const char* to_string(FaultKind kind);
 
 struct FaultAction {
   FaultKind kind = FaultKind::kNone;
-  int64_t delay_ns = 0;   ///< kStall/kDelay duration; kPartialWrite: how long
-                          ///< the torn connection lingers before it closes
+  int64_t delay_ns = 0;   ///< kStall/kDelay duration
   size_t byte_offset = 0; ///< kCorrupt: offset of the flipped byte (clamped);
                           ///< kPartialWrite: bytes delivered before the cut
 };

@@ -1,8 +1,10 @@
 #include "fault/supervised_channel.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstring>
 #include <future>
+#include <utility>
 
 #include "common/clock.hpp"
 #include "common/log.hpp"
@@ -11,9 +13,9 @@
 namespace neptune::fault {
 namespace {
 
-/// Wait until every callback currently in flight on `loop` has finished.
-/// A stopped loop (killed resource) runs no callbacks, so it is skipped;
-/// the wait is bounded in case the loop stops concurrently.
+/// Wait until every task posted to `loop` so far has run. A stopped loop
+/// (killed resource) runs no tasks, so it is skipped; the wait is bounded in
+/// case the loop stops concurrently.
 void loop_barrier(EventLoop* loop) {
   if (!loop->loop_running()) return;
   auto done = std::make_shared<std::promise<void>>();
@@ -22,6 +24,7 @@ void loop_barrier(EventLoop* loop) {
   fut.wait_for(std::chrono::milliseconds(500));
 }
 
+/// Loop thread: silence the connection and close it.
 void detach_connection(const std::shared_ptr<TcpConnection>& conn) {
   if (!conn) return;
   conn->set_data_callback({});
@@ -62,23 +65,20 @@ SupervisedTcpSender::SupervisedTcpSender(EventLoop* loop, uint16_t port,
       jitter_rng_(config.jitter_seed != 0
                       ? config.jitter_seed
                       : 0x9E3779B9u ^ (static_cast<uint64_t>(port) << 32) ^ edge.link_id) {
-  std::lock_guard lk(mu_);
-  schedule_connect_locked();
   tick_timer_ = loop_->run_every(config_.heartbeat_interval_ns, [this] { tick(); });
+  loop_->post([this] { schedule_connect(); });
 }
 
 SupervisedTcpSender::~SupervisedTcpSender() {
-  // shutdown_ stops new timers; the barrier waits out one already running.
-  std::shared_ptr<TcpConnection> conn;
-  {
-    std::lock_guard lk(mu_);
+  // Tasks run in order, so the barrier also waits out a pump, tick or
+  // connect already queued or running.
+  loop_->post([this] {
     shutdown_ = true;
     loop_->cancel_timer(tick_timer_);
     loop_->cancel_timer(connect_timer_);  // 0 (none pending) names no timer
-    conn = std::move(conn_);
     data_path_.reset();
-  }
-  detach_connection(conn);
+    detach_connection(std::exchange(conn_, nullptr));
+  });
   loop_barrier(loop_);
 }
 
@@ -86,7 +86,7 @@ SendStatus SupervisedTcpSender::try_send(const FrameBufRef& frame) {
   size_t size = frame.size();
   {
     std::lock_guard lk(mu_);
-    if (shutdown_ || hard_failed_ || eof_enqueued_) return SendStatus::kClosed;
+    if (hard_failed_ || eof_enqueued_) return SendStatus::kClosed;
     if (!retained_.empty() && retained_bytes_ + size > channel_config_.capacity_bytes) {
       blocked_ = true;
       return SendStatus::kBlocked;
@@ -94,9 +94,9 @@ SendStatus SupervisedTcpSender::try_send(const FrameBufRef& frame) {
     retained_.push_back({frame, false});  // pins the caller's buffer
     retained_bytes_ += size;
     ++total_enqueued_;
-    bytes_sent_.fetch_add(size, std::memory_order_relaxed);
   }
-  pump();
+  bytes_sent_.fetch_add(size, std::memory_order_relaxed);
+  post_pump();
   return SendStatus::kOk;
 }
 
@@ -107,21 +107,21 @@ void SupervisedTcpSender::set_writable_callback(std::function<void()> cb) {
 
 bool SupervisedTcpSender::writable(size_t bytes) const {
   std::lock_guard lk(mu_);
-  if (shutdown_ || hard_failed_ || eof_enqueued_) return false;
+  if (hard_failed_ || eof_enqueued_) return false;
   return retained_.empty() || retained_bytes_ + bytes <= channel_config_.capacity_bytes;
 }
 
 void SupervisedTcpSender::close() {
   {
     std::lock_guard lk(mu_);
-    if (shutdown_ || eof_enqueued_) return;
+    if (eof_enqueued_) return;
     FrameBufRef eof = encode_signal_frame(FrameHeader::kFlagEof, edge_.link_id, {});
     retained_bytes_ += eof.size();
     retained_.push_back({std::move(eof), /*control=*/true});
     ++total_enqueued_;
     eof_enqueued_ = true;
   }
-  pump();
+  post_pump();
 }
 
 bool SupervisedTcpSender::delivery_complete() const {
@@ -134,7 +134,17 @@ bool SupervisedTcpSender::failed() const {
   return hard_failed_;
 }
 
-void SupervisedTcpSender::schedule_connect_locked() {
+void SupervisedTcpSender::post_pump() {
+  // The flag clears before the pump reads retained_, so a frame appended
+  // after that read posts the next pump.
+  if (pump_posted_.exchange(true)) return;
+  loop_->post([this] {
+    pump_posted_.store(false);
+    pump();
+  });
+}
+
+void SupervisedTcpSender::schedule_connect() {
   if (shutdown_ || done_ || hard_failed_) return;
   // The first connect, and the report of an exhausted budget, go at once.
   int64_t delay = 0;
@@ -144,56 +154,39 @@ void SupervisedTcpSender::schedule_connect_locked() {
 }
 
 void SupervisedTcpSender::connect() {
-  {
-    std::unique_lock lk(mu_);
-    connect_timer_ = 0;
-    if (shutdown_ || done_ || hard_failed_ || link_state_ != LinkState::kDisconnected) return;
-    // attempts_ counts consecutive failures to reach a *working* link
-    // (refused connects, and connections that died before the hello ack
-    // arrived) — it resets only once the hello is received.
-    if (attempts_ > config_.max_reconnect_attempts) {
+  connect_timer_ = 0;
+  if (shutdown_ || done_ || hard_failed_ || link_state_ != LinkState::kDisconnected) return;
+  // attempts_ counts consecutive failures to reach a *working* link
+  // (refused connects, and connections that died before the hello ack
+  // arrived) — it resets only once the hello is received.
+  if (attempts_ > config_.max_reconnect_attempts) {
+    std::string what = "edge " + edge_.to_string() + ": reconnect budget exhausted (" +
+                       std::to_string(config_.max_reconnect_attempts) + " attempts)";
+    std::function<void()> wake;
+    {
+      std::lock_guard lk(mu_);
       hard_failed_ = true;
-      std::string what = "edge " + edge_.to_string() + ": reconnect budget exhausted (" +
-                         std::to_string(config_.max_reconnect_attempts) + " attempts)";
-      EdgeFailureHandler handler = on_failure_;
-      std::function<void()> wake = writable_cb_;
-      lk.unlock();
-      NEPTUNE_LOG_ERROR("%s", what.c_str());
-      if (wake) wake();  // blocked upstream observes kClosed
-      if (handler) handler(what);
-      return;
+      wake = writable_cb_;
     }
+    NEPTUNE_LOG_ERROR("%s", what.c_str());
+    if (wake) wake();  // blocked upstream observes kClosed
+    if (on_failure_) on_failure_(what);
+    return;
   }
   // A refused handshake closes the connection (EPOLLERR); one that never
   // completes delivers no hello within peer_timeout.
   int fd = tcp_connect_nonblocking(port_);
   if (fd < 0) {
-    std::lock_guard lk(mu_);
     ++attempts_;
-    schedule_connect_locked();
+    schedule_connect();
     return;
   }
-  auto conn = TcpConnection::create(loop_, fd, channel_config_);
-  conn->start();
-  uint64_t inc;
-  bool was_reconnect;
-  std::shared_ptr<ChannelSender> path;
-  {
-    std::lock_guard lk(mu_);
-    if (shutdown_) {
-      conn->close();
-      return;
-    }
-    ++incarnation_;
-    inc = incarnation_;
-    conn_ = conn;
-    path = data_path_ = wrap_sender(injector_, edge_, conn, loop_);
-    link_state_ = LinkState::kAwaitHello;
-    last_inbound_ns_ = now_ns();
-    was_reconnect = had_connection_;
-    had_connection_ = true;
-  }
-  if (was_reconnect) {
+  conn_ = TcpConnection::create(loop_, fd, channel_config_);
+  data_path_ = wrap_sender(injector_, edge_, conn_, loop_);
+  ++incarnation_;
+  link_state_ = LinkState::kAwaitHello;
+  last_inbound_ns_ = now_ns();
+  if (had_connection_) {
     NEPTUNE_LOG_INFO("supervised edge %s: reconnected", edge_.to_string().c_str());
     if (reconnect_counter_) reconnect_counter_->fetch_add(1, std::memory_order_relaxed);
     obs::FlightRecorder::record(
@@ -202,174 +195,107 @@ void SupervisedTcpSender::connect() {
         reconnect_counter_ ? reconnect_counter_->load(std::memory_order_relaxed) : 0,
         edge_.link_id);
   }
+  had_connection_ = true;
   // Set via the (possibly fault-wrapped) data path so a stall decorator can
   // re-fire the callback when its stall expires; it forwards to the
   // connection as well.
-  path->set_writable_callback([this] { pump(); });
-  conn->set_data_callback([this, inc] { drain_acks(inc); });
-  drain_acks(inc);  // the hello ack may have landed before the callback
+  data_path_->set_writable_callback([this] { pump(); });
+  conn_->set_data_callback([this, inc = incarnation_] { drain_acks(inc); });
+  conn_->start();  // on the loop: registers at once, before any byte can arrive
 }
 
 void SupervisedTcpSender::tick() {
-  std::shared_ptr<TcpConnection> conn, old;
-  {
-    std::lock_guard lk(mu_);
-    if (shutdown_ || done_ || hard_failed_ || link_state_ == LinkState::kDisconnected) return;
-    const char* why = conn_->closed()                                          ? "connection closed"
-                      : now_ns() - last_inbound_ns_ > config_.peer_timeout_ns ? "peer timeout"
-                                                                              : nullptr;
-    if (why) old = link_dead_locked(why);
-    else conn = conn_;
-  }
-  detach_connection(old);  // no-op on a healthy link
-  if (!conn) return;
-  // A heartbeat takes the pump's turn, so it can never land inside a frame
-  // that pump() is still writing (a torn write is prefix-then-close). When
-  // a pump is running, the link is busy and this probe is skipped.
-  if (pumping_.exchange(true, std::memory_order_acquire)) return;
-  // Best effort; a dead link is caught by the timeout.
-  conn->try_send(encode_signal_frame(FrameHeader::kFlagHeartbeat, edge_.link_id, {}));
-  pumping_.store(false, std::memory_order_release);
-  pump();  // frames enqueued while the heartbeat held the turn
+  if (shutdown_ || done_ || hard_failed_ || link_state_ == LinkState::kDisconnected) return;
+  if (conn_->closed()) return link_dead("connection closed");
+  if (now_ns() - last_inbound_ns_ > config_.peer_timeout_ns) return link_dead("peer timeout");
+  // Best effort; a dead link is caught by the timeout. The pump runs on
+  // this thread too and queues only whole frames, so the heartbeat cannot
+  // land inside one.
+  conn_->try_send(encode_signal_frame(FrameHeader::kFlagHeartbeat, edge_.link_id, {}));
 }
 
 void SupervisedTcpSender::pump() {
-  if (pumping_.exchange(true, std::memory_order_acquire)) return;
+  if (in_pump_ || shutdown_ || link_state_ != LinkState::kStreaming) return;
+  in_pump_ = true;
+  // Own refs: a send's callbacks may drop the link and release these.
+  const std::shared_ptr<TcpConnection> conn = conn_;
+  const std::shared_ptr<ChannelSender> data_path = data_path_;
+  const uint64_t inc = incarnation_;
   for (;;) {
-    std::shared_ptr<ChannelSender> path;
-    FrameBufRef frame;
-    uint64_t idx = 0, inc = 0;
-    bool have_work = false;
+    RetainedFrame next;
     {
       std::lock_guard lk(mu_);
-      if (!shutdown_ && link_state_ == LinkState::kStreaming && conn_ &&
-          sent_through_ < total_enqueued_) {
-        idx = sent_through_ + 1;
-        size_t pos = static_cast<size_t>(idx - 1 - trimmed_);
-        if (pos < retained_.size()) {
-          const RetainedFrame& f = retained_[pos];
-          frame = f.frame;  // extra ref: survives a concurrent ack trim
-          path = f.control ? std::static_pointer_cast<ChannelSender>(conn_) : data_path_;
-          inc = incarnation_;
-          have_work = true;
-        }
-      }
-    }
-    if (!have_work) {
-      pumping_.store(false, std::memory_order_release);
-      // Re-check: work (or the hello) may have arrived while exiting.
-      {
-        std::lock_guard lk(mu_);
-        if (shutdown_ || link_state_ != LinkState::kStreaming || sent_through_ >= total_enqueued_)
-          return;
-      }
-      if (pumping_.exchange(true, std::memory_order_acquire)) return;
-      continue;
+      if (sent_through_ >= total_enqueued_) break;
+      next = retained_[static_cast<size_t>(sent_through_ - trimmed_)];
     }
     // The connection pins the same buffer in its out queue — a
     // retransmission after reconnect sends these exact bytes again, no copy
-    // at any hop.
-    SendStatus st = path->try_send(frame);
+    // at any hop. It only queues: the frames of this pass leave together.
+    SendStatus st = next.control ? conn->try_send(next.frame) : data_path->try_send(next.frame);
+    if (inc != incarnation_) break;  // the link dropped inside the send
     if (st == SendStatus::kOk) {
-      std::lock_guard lk(mu_);
-      if (inc == incarnation_ && sent_through_ < idx) sent_through_ = idx;
+      ++sent_through_;
       continue;
     }
-    if (st == SendStatus::kClosed) {
-      std::shared_ptr<TcpConnection> old;
-      {
-        std::lock_guard lk(mu_);
-        if (inc == incarnation_) old = link_dead_locked("send failed");
-      }
-      detach_connection(old);
-    }
-    // kBlocked: the writable callback will re-enter pump().
-    pumping_.store(false, std::memory_order_release);
-    return;
+    if (st == SendStatus::kClosed) link_dead("send failed");
+    break;  // kBlocked: the writable callback pumps again
   }
+  in_pump_ = false;
 }
 
 void SupervisedTcpSender::drain_acks(uint64_t incarnation) {
-  std::shared_ptr<TcpConnection> conn;
-  {
-    std::lock_guard lk(mu_);
-    if (incarnation != incarnation_ || !conn_) return;
-    conn = conn_;
-  }
+  if (incarnation != incarnation_) return;
+  const std::shared_ptr<TcpConnection> conn = conn_;  // an ack may drop the link
   while (auto frame = conn->try_receive_buf()) {
+    last_inbound_ns_ = now_ns();
     std::optional<DecodedFrame> f = decode_whole_frame(frame->contents());
-    {
-      std::lock_guard lk(mu_);
-      if (incarnation != incarnation_) return;
-      last_inbound_ns_ = now_ns();
-    }
-    if (!f) {
-      // The ack stream is corrupt: drop the link and start over.
-      std::shared_ptr<TcpConnection> old;
-      {
-        std::lock_guard lk(mu_);
-        if (incarnation == incarnation_) old = link_dead_locked("corrupt ack frame");
-      }
-      detach_connection(old);
-      return;
-    }
+    if (!f) return link_dead("corrupt ack frame");  // start over
     if ((f->header.flags & FrameHeader::kFlagAck) != 0 && f->payload.size() >= 8)
-      handle_ack(ByteReader(f->payload).read_u64(), incarnation);
+      handle_ack(ByteReader(f->payload).read_u64());
+    if (incarnation != incarnation_) return;
   }
   // Closing wakes this callback too (refused connect, reset): count it now.
-  if (conn->closed()) {
-    std::shared_ptr<TcpConnection> old;
-    {
-      std::lock_guard lk(mu_);
-      if (incarnation == incarnation_ && !done_) old = link_dead_locked("connection closed");
-    }
-    detach_connection(old);
-  }
+  if (conn->closed() && !done_) link_dead("connection closed");
 }
 
-void SupervisedTcpSender::handle_ack(uint64_t consumed, uint64_t incarnation) {
-  std::function<void()> fire_writable;
-  bool do_pump = false;
+void SupervisedTcpSender::handle_ack(uint64_t consumed) {
+  std::function<void()> wake;
   {
     std::lock_guard lk(mu_);
-    if (incarnation != incarnation_) return;
     if (consumed > total_enqueued_) consumed = total_enqueued_;
-    if (link_state_ == LinkState::kAwaitHello) {
-      // Hello: the receiver's authoritative consumed count tells us where
-      // to resume; everything beyond it is retransmitted.
-      link_state_ = LinkState::kStreaming;
-      sent_through_ = std::max(consumed, trimmed_);
-      attempts_ = 0;  // the link works end to end; reset the retry budget
-      do_pump = true;
-    }
     while (trimmed_ < consumed && !retained_.empty()) {
       retained_bytes_ -= retained_.front().frame.size();
       retained_.pop_front();  // releases the pin; the pool recycles the buffer
       ++trimmed_;
     }
-    if (sent_through_ < trimmed_) sent_through_ = trimmed_;
     if (blocked_ && retained_bytes_ <= channel_config_.low_watermark_bytes) {
       blocked_ = false;
-      fire_writable = writable_cb_;
+      wake = writable_cb_;
     }
     if (eof_enqueued_ && trimmed_ == total_enqueued_) done_ = true;
-    if (sent_through_ < total_enqueued_) do_pump = true;
   }
-  if (fire_writable) fire_writable();
-  if (do_pump) pump();
+  if (link_state_ == LinkState::kAwaitHello) {
+    // Hello: the receiver's authoritative consumed count tells us where
+    // to resume; everything beyond it is retransmitted.
+    link_state_ = LinkState::kStreaming;
+    sent_through_ = consumed;
+    attempts_ = 0;  // the link works end to end; reset the retry budget
+  }
+  if (sent_through_ < trimmed_) sent_through_ = trimmed_;
+  if (wake) wake();
+  pump();
 }
 
-std::shared_ptr<TcpConnection> SupervisedTcpSender::link_dead_locked(const char* why) {
-  if (link_state_ == LinkState::kDisconnected) return nullptr;
+void SupervisedTcpSender::link_dead(const char* why) {
+  if (link_state_ == LinkState::kDisconnected) return;
   NEPTUNE_LOG_INFO("supervised edge %s: link down (%s), will reconnect",
                    edge_.to_string().c_str(), why);
   if (link_state_ == LinkState::kAwaitHello) ++attempts_;  // never worked: burn budget
-  std::shared_ptr<TcpConnection> old = std::move(conn_);
-  data_path_.reset();
   ++incarnation_;
   link_state_ = LinkState::kDisconnected;
-  schedule_connect_locked();
-  return old;
+  data_path_.reset();
+  detach_connection(std::exchange(conn_, nullptr));
+  schedule_connect();
 }
 
 // --- SupervisedTcpReceiver ------------------------------------------------------
@@ -391,125 +317,104 @@ SupervisedTcpReceiver::SupervisedTcpReceiver(EventLoop* loop, const ChannelConfi
 }
 
 SupervisedTcpReceiver::~SupervisedTcpReceiver() {
-  std::shared_ptr<TcpConnection> conn;
-  {
-    std::lock_guard lk(mu_);
+  // Tasks run in order, so the barrier also waits out an ack or a drain
+  // already queued or running.
+  loop_->post([this] {
     shutdown_ = true;
-    conn = std::move(conn_);
+    loop_->cancel_timer(tick_timer_);
     rx_path_.reset();
-  }
-  loop_->cancel_timer(tick_timer_);
-  detach_connection(conn);
-  listener_.reset();
+    detach_connection(std::exchange(conn_, nullptr));
+    listener_.reset();  // on the loop: no accept can follow
+  });
   loop_barrier(loop_);
 }
 
 void SupervisedTcpReceiver::on_accept(int fd) {
-  auto conn = TcpConnection::create(loop_, fd, channel_config_);
-  conn->start();
-  std::shared_ptr<TcpConnection> old;
-  uint64_t inc;
+  if (shutdown_) {
+    ::close(fd);
+    return;
+  }
+  detach_connection(conn_);
+  conn_ = TcpConnection::create(loop_, fd, channel_config_);
+  rx_path_ = wrap_receiver(injector_, edge_, conn_, loop_);
   {
-    std::lock_guard lk(mu_);
-    if (shutdown_) {
-      conn->close();
-      return;
-    }
-    old = std::move(conn_);
-    conn_ = conn;
-    rx_path_ = wrap_receiver(injector_, edge_, conn, loop_);
     // Discard everything not yet consumed: the hello ack below reports the
     // consumed count, and the sender retransmits from exactly that point.
+    std::lock_guard lk(mu_);
     queue_.clear();
-    ++incarnation_;
-    inc = incarnation_;
-    last_inbound_ns_ = now_ns();
   }
-  detach_connection(old);
-  conn->set_data_callback([this, inc] { drain(inc); });
-  send_ack();  // hello: tell the sender where to resume
-  drain(inc);
+  ++incarnation_;
+  last_inbound_ns_ = now_ns();
+  conn_->set_data_callback([this, inc = incarnation_] { drain(inc); });
+  conn_->start();  // on the loop: registers at once, before any byte can arrive
+  send_ack();      // hello: tell the sender where to resume
 }
 
 void SupervisedTcpReceiver::drain(uint64_t incarnation) {
-  std::shared_ptr<ChannelReceiver> rx;
-  {
-    std::lock_guard lk(mu_);
-    if (incarnation != incarnation_ || shutdown_ || !rx_path_) return;
-    rx = rx_path_;
-  }
-  bool need_ack = false;
+  if (incarnation != incarnation_ || shutdown_) return;
+  const std::shared_ptr<ChannelReceiver> rx = rx_path_;
+  bool heartbeat = false;
   bool corrupt = false;
-  bool notify = false;
-  std::function<void()> data_cb;
+  std::function<void()> wake;
   while (!corrupt) {
     auto frame = rx->try_receive_buf();
     if (!frame) break;
+    last_inbound_ns_ = now_ns();
+    bytes_received_.fetch_add(frame->size(), std::memory_order_relaxed);
     // Every view is exactly one wire frame, CRC-checked here; a data frame
     // is queued as the same view (still pinning the transport's recv
     // chunk) — no copy, no re-encode.
     FrameDecodeStatus s = FrameDecodeStatus::kFrame;
     std::optional<DecodedFrame> f = decode_whole_frame(frame->contents(), &s);
-    std::lock_guard lk(mu_);
-    if (incarnation != incarnation_ || shutdown_) return;
-    last_inbound_ns_ = now_ns();
-    bytes_received_.fetch_add(frame->size(), std::memory_order_relaxed);
-    bool was_empty = queue_.empty();
     if (!f) {
       NEPTUNE_LOG_INFO("supervised edge %s: corrupt frame (status %d), dropping connection",
                        edge_.to_string().c_str(), static_cast<int>(s));
       if (corrupt_counter_) corrupt_counter_->fetch_add(1, std::memory_order_relaxed);
       corrupt = true;
     } else if ((f->header.flags & FrameHeader::kFlagHeartbeat) != 0) {
-      need_ack = true;
+      heartbeat = true;
     } else if ((f->header.flags & FrameHeader::kFlagAck) != 0) {
       // Not expected on this side; ignore.
-    } else if ((f->header.flags & FrameHeader::kFlagEof) != 0) {
-      queue_.push_back({FrameBufRef{}, /*eof=*/true});
     } else {
-      queue_.push_back({std::move(*frame), /*eof=*/false});
-    }
-    if (was_empty && !queue_.empty()) {
-      notify = true;
-      data_cb = data_cb_;
-    }
-  }
-  if (corrupt) {
-    // Drop the link: the sender reconnects and retransmits everything past
-    // our consumed mark, so the corrupted frame is re-delivered intact.
-    std::shared_ptr<TcpConnection> bad;
-    {
+      const bool eof = (f->header.flags & FrameHeader::kFlagEof) != 0;
       std::lock_guard lk(mu_);
-      if (incarnation == incarnation_) bad = conn_;
+      if (queue_.empty()) wake = data_cb_;
+      queue_.push_back({eof ? FrameBufRef{} : std::move(*frame), eof});
     }
-    detach_connection(bad);
   }
-  if (need_ack) send_ack();
-  if (notify && data_cb) data_cb();
+  // Drop the link on a corrupt frame: the sender reconnects and retransmits
+  // everything past our consumed mark, so the frame is re-delivered intact.
+  if (corrupt) detach_connection(conn_);
+  if (heartbeat) send_ack();
+  if (wake) wake();
 }
 
 std::optional<FrameBufRef> SupervisedTcpReceiver::try_receive_buf() {
   std::optional<FrameBufRef> out;
-  bool ack = false;
   {
     std::lock_guard lk(mu_);
+    if (queue_.empty()) return out;
     while (!queue_.empty()) {
       QueuedFrame& f = queue_.front();
+      ++consumed_;
       if (f.eof) {
-        ++consumed_;
         eof_consumed_ = true;
         queue_.pop_front();
-        ack = true;
         continue;
       }
       out = std::move(f.frame);
       queue_.pop_front();
-      ++consumed_;
-      ack = true;
       break;
     }
   }
-  if (ack) send_ack();
+  // Acks are cumulative: the loop sends consumed_ as of when the ack runs,
+  // so one pending ack covers every frame popped before it.
+  if (!ack_posted_.exchange(true)) {
+    loop_->post([this] {
+      ack_posted_.store(false);
+      send_ack();
+    });
+  }
   return out;
 }
 
@@ -524,32 +429,29 @@ bool SupervisedTcpReceiver::closed() const {
 }
 
 void SupervisedTcpReceiver::send_ack() {
-  std::shared_ptr<TcpConnection> conn;
+  if (!conn_ || shutdown_) return;
   uint64_t consumed;
   {
     std::lock_guard lk(mu_);
-    if (!conn_) return;
-    conn = conn_;
     consumed = consumed_;
   }
-  FrameBufRef frame = encode_signal_frame(FrameHeader::kFlagAck, edge_.link_id, consumed);
-  conn->try_send(frame);  // best effort; acks are cumulative
+  // Best effort; acks are cumulative.
+  conn_->try_send(encode_signal_frame(FrameHeader::kFlagAck, edge_.link_id, consumed));
 }
 
 void SupervisedTcpReceiver::tick() {
-  std::shared_ptr<TcpConnection> dead;
+  // A closed connection is awaiting the sender's reconnect.
+  if (shutdown_ || !conn_ || conn_->closed()) return;
   {
     std::lock_guard lk(mu_);
-    // A closed connection is awaiting the sender's reconnect.
-    if (shutdown_ || !conn_ || eof_consumed_ || conn_->closed()) return;
-    if (now_ns() - last_inbound_ns_ <= config_.peer_timeout_ns) return;
-    NEPTUNE_LOG_INFO("supervised edge %s: no inbound for %lld ms, dropping connection",
-                     edge_.to_string().c_str(),
-                     static_cast<long long>(config_.peer_timeout_ns / 1'000'000));
-    dead = conn_;
-    last_inbound_ns_ = now_ns();  // avoid re-firing every tick
+    if (eof_consumed_) return;
   }
-  detach_connection(dead);
+  if (now_ns() - last_inbound_ns_ <= config_.peer_timeout_ns) return;
+  NEPTUNE_LOG_INFO("supervised edge %s: no inbound for %lld ms, dropping connection",
+                   edge_.to_string().c_str(),
+                   static_cast<long long>(config_.peer_timeout_ns / 1'000'000));
+  last_inbound_ns_ = now_ns();  // avoid re-firing every tick
+  detach_connection(conn_);
 }
 
 }  // namespace neptune::fault

@@ -11,7 +11,7 @@
 //
 //   sender                                     receiver
 //     | -------- data frame 1..N ----------------> |  (CRC-checked, queued)
-//     | <------- ack(consumed=c) ----------------- |  sent as frames are
+//     | <------- ack(consumed=c) ----------------- |  sent after frames are
 //     |                                            |  *consumed* upstream
 //     | -------- heartbeat (every interval) -----> |
 //     | <------- ack(consumed=c) ----------------- |  heartbeat response
@@ -20,9 +20,11 @@
 // * The sender retains every unacked frame; the retention window doubles as
 //   the flow-control budget (capacity_bytes), so backpressure is preserved.
 // * Acks follow *consumption* (the runtime popping a frame), not receipt.
-//   On a healthy link acks keep flowing even under backpressure (heartbeat
-//   responses), so "no inbound for peer_timeout" unambiguously means the
-//   peer or the link is dead — backpressure and failure are distinguished.
+//   They are cumulative, so one ack covers every frame consumed before it
+//   leaves. On a healthy link acks keep flowing even under backpressure
+//   (heartbeat responses), so "no inbound for peer_timeout" unambiguously
+//   means the peer or the link is dead — backpressure and failure are
+//   distinguished.
 // * On reconnect the receiver discards its unconsumed queue and replies
 //   with a hello ack carrying its authoritative consumed count c; the
 //   sender trims retained frames <= c and retransmits everything > c.
@@ -36,6 +38,14 @@
 // * Supervision owns no thread: a periodic tick (heartbeat, liveness) and the
 //   sender's non-blocking connect are timers on the endpoint's IO loop. No hello
 //   within peer_timeout kills a connection, pending handshake or silent peer.
+//
+// Threads. Each endpoint, its TcpConnection and all link state belong to
+// the IO loop the endpoint is bound to. A worker thread touches only the
+// frame queue (`retained_` on the sender, `queue_` on the receiver) under
+// `mu_`, then posts one pump or one ack to the loop unless one is already
+// pending. One thread thus orders every link transition: a heartbeat can
+// never land inside a frame being written, and a stale incarnation's
+// callback never overlaps the current one.
 #pragma once
 
 #include <atomic>
@@ -89,9 +99,9 @@ class SupervisedTcpSender final : public ChannelSender {
                       EdgeFailureHandler on_failure);
   ~SupervisedTcpSender() override;
 
-  // ChannelSender. close() is the *graceful* path: it enqueues the EOF
-  // frame and keeps the machinery alive until the receiver acks it (or the
-  // sender is destroyed).
+  // ChannelSender, from any thread. close() is the *graceful* path: it
+  // enqueues the EOF frame and keeps the machinery alive until the receiver
+  // acks it (or the sender is destroyed).
   /// The pooled frame is pinned in the retention window and retransmitted
   /// from the same ref after a reconnect — never copied.
   SendStatus try_send(const FrameBufRef& frame) override;
@@ -113,15 +123,15 @@ class SupervisedTcpSender final : public ChannelSender {
     bool control = false;  ///< EOF: bypasses the fault decorator
   };
 
-  void connect();                                 // loop thread (connect timer)
-  void schedule_connect_locked();                 // arms the connect timer
-  void tick();                                    // loop thread: heartbeat, liveness
-  void pump();                                    // any thread; self-serializing
-  void drain_acks(uint64_t incarnation);          // loop thread
-  void handle_ack(uint64_t consumed, uint64_t incarnation);
-  /// Mark the current connection dead; returns it for the caller to detach
-  /// *after* releasing mu_ (closing can fire callbacks inline).
-  std::shared_ptr<TcpConnection> link_dead_locked(const char* why);
+  void post_pump();  // any thread: one pending pump at a time
+  // Loop thread only.
+  void schedule_connect();
+  void connect();
+  void tick();  // heartbeat, liveness
+  void pump();
+  void drain_acks(uint64_t incarnation);
+  void handle_ack(uint64_t consumed);
+  void link_dead(const char* why);  // detaches the connection, schedules a reconnect
 
   EventLoop* loop_;
   const uint16_t port_;
@@ -132,10 +142,21 @@ class SupervisedTcpSender final : public ChannelSender {
   std::atomic<uint64_t>* reconnect_counter_;
   EdgeFailureHandler on_failure_;
 
+  // Shared with worker threads, guarded by mu_. done_ and hard_failed_ are
+  // written only by the loop.
   mutable std::mutex mu_;
   std::deque<RetainedFrame> retained_;            // unacked frames, oldest first
   size_t retained_bytes_ = 0;
   uint64_t total_enqueued_ = 0;                   // frames ever appended (incl. EOF)
+  bool eof_enqueued_ = false;
+  bool done_ = false;                             // EOF acked
+  bool hard_failed_ = false;
+  bool blocked_ = false;
+  std::function<void()> writable_cb_;
+  std::atomic<bool> pump_posted_{false};
+  std::atomic<uint64_t> bytes_sent_{0};
+
+  // Loop thread only.
   uint64_t trimmed_ = 0;                          // frames acked + dropped from retained_
   uint64_t sent_through_ = 0;                     // frames transmitted on current conn
   LinkState link_state_ = LinkState::kDisconnected;
@@ -145,18 +166,11 @@ class SupervisedTcpSender final : public ChannelSender {
   bool had_connection_ = false;
   uint32_t attempts_ = 0;                         // consecutive failed connects
   int64_t last_inbound_ns_ = 0;
-  bool eof_enqueued_ = false;
-  bool done_ = false;                             // EOF acked
-  bool hard_failed_ = false;
   bool shutdown_ = false;                         // destructor ran
-  bool blocked_ = false;
-  std::function<void()> writable_cb_;
+  bool in_pump_ = false;                          // a send's callback re-entered pump()
   Xoshiro256 jitter_rng_;
   EventLoop::TimerId connect_timer_ = 0;          // pending connect, 0 = none
   EventLoop::TimerId tick_timer_ = 0;             // set once in the constructor
-
-  std::atomic<bool> pumping_{false};
-  std::atomic<uint64_t> bytes_sent_{0};
 };
 
 /// Receiving endpoint of a supervised TCP edge. Owns a persistent listener
@@ -177,7 +191,7 @@ class SupervisedTcpReceiver final : public ChannelReceiver {
   /// Port the sender must connect (and reconnect) to.
   uint16_t port() const { return listener_->port(); }
 
-  // ChannelReceiver
+  // ChannelReceiver, from any thread.
   /// Yields the validated frame as the same pooled view the transport
   /// carved from its recv chunk.
   std::optional<FrameBufRef> try_receive_buf() override;
@@ -195,10 +209,11 @@ class SupervisedTcpReceiver final : public ChannelReceiver {
     bool eof = false;
   };
 
-  void on_accept(int fd);                         // loop thread
-  void drain(uint64_t incarnation);               // loop thread
-  void send_ack();                                // any thread
-  void tick();                                    // loop thread (periodic)
+  // Loop thread only.
+  void on_accept(int fd);
+  void drain(uint64_t incarnation);
+  void send_ack();  // the consumed count as of now
+  void tick();
 
   EventLoop* loop_;
   const ChannelConfig channel_config_;
@@ -207,21 +222,23 @@ class SupervisedTcpReceiver final : public ChannelReceiver {
   FaultInjector* injector_;
   std::atomic<uint64_t>* corrupt_counter_;
 
+  // Shared with worker threads, guarded by mu_.
   mutable std::mutex mu_;
+  std::deque<QueuedFrame> queue_;                 // validated, unconsumed frames
+  uint64_t consumed_ = 0;                         // frames handed upstream (incl. EOF)
+  bool eof_consumed_ = false;
+  std::function<void()> data_cb_;
+  std::atomic<bool> ack_posted_{false};
+  std::atomic<uint64_t> bytes_received_{0};
+
+  // Loop thread only (the listener is created in the constructor).
   std::unique_ptr<TcpListener> listener_;
   std::shared_ptr<TcpConnection> conn_;
   std::shared_ptr<ChannelReceiver> rx_path_;      // conn_ or fault-wrapped conn_
   uint64_t incarnation_ = 0;
-  std::deque<QueuedFrame> queue_;                 // validated, unconsumed frames
-  uint64_t consumed_ = 0;                         // frames handed upstream (incl. EOF)
-  bool eof_consumed_ = false;
   bool shutdown_ = false;
   int64_t last_inbound_ns_ = 0;
-  std::function<void()> data_cb_;
-
   EventLoop::TimerId tick_timer_ = 0;             // set once in the constructor
-
-  std::atomic<uint64_t> bytes_received_{0};
 };
 
 }  // namespace neptune::fault

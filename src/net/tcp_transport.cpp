@@ -38,12 +38,24 @@ sockaddr_in loopback_addr(uint16_t port) {
   return addr;
 }
 
+/// Receive chunk size. Frames larger than this get a dedicated exact-size
+/// buffer, so the common case stays one recv per many small frames.
+constexpr size_t kRxChunkBytes = 256 * 1024;
+
 /// Pool for receive chunks, separate from FrameBufPool::global() so the
-/// large (kRxChunkBytes) socket-read buffers don't crowd the frame pool's
-/// free list. Leaky for the same reason as the global pool: views may be
-/// in flight on detached IO threads at exit.
+/// large socket-read buffers don't crowd the frame pool's free list. Leaky
+/// for the same reason as the global pool: views may be in flight on
+/// detached IO threads at exit.
 FrameBufPool& rx_chunk_pool() {
   static FrameBufPool* pool = new FrameBufPool(/*max_idle=*/64);
+  return *pool;
+}
+
+/// Source of the exact-size buffers of frames larger than a chunk. It keeps
+/// nothing idle, so such a buffer is freed when its last view drops instead
+/// of coming back, fully touched, as a later chunk.
+FrameBufPool& rx_oversize_pool() {
+  static FrameBufPool* pool = new FrameBufPool(/*max_idle=*/0);
   return *pool;
 }
 
@@ -71,10 +83,9 @@ TcpConnection::~TcpConnection() {
 
 void TcpConnection::start() {
   if (started_.exchange(true)) return;
-  auto self = shared_from_this();
-  loop_->post([self] {
+  loop_->post([self = shared_from_this()] {
     if (self->closed_.load()) return;
-    self->loop_->add_fd(self->fd_, EPOLLIN,
+    self->loop_->add_fd(self->fd_, self->interest(),
                         [self](uint32_t events) { self->handle_events(events); });
   });
 }
@@ -86,15 +97,14 @@ void TcpConnection::handle_events(uint32_t events) {
   }
   if (events & EPOLLIN) handle_readable();
   // Keep draining EPOLLOUT after close(): a graceful close flushes the
-  // remaining outbound queue before the fd is detached (detached_ is the
-  // loop-thread signal that the connection is truly gone).
+  // remaining outbound queue before the fd is detached.
   if (detached_) return;
   if (events & EPOLLOUT) handle_writable();
 }
 
-bool TcpConnection::rx_ensure_chunk(size_t min_room) {
+void TcpConnection::rx_ensure_chunk(size_t min_room) {
   size_t cap = rx_buf_ ? rx_buf_->size() : 0;
-  if (rx_buf_ && cap - rx_filled_ >= min_room && cap > rx_filled_) return true;
+  if (rx_buf_ && cap - rx_filled_ >= min_room && cap > rx_filled_) return;
 
   // Need a fresh chunk. Size it to hold the pending partial frame when its
   // header already names the extent (big frames get a dedicated exact-size
@@ -111,7 +121,7 @@ bool TcpConnection::rx_ensure_chunk(size_t min_room) {
   }
   if (want < pending + min_room) want = pending + min_room;
 
-  FrameBufRef fresh = rx_chunk_pool().acquire();
+  FrameBufRef fresh = (want > kRxChunkBytes ? rx_oversize_pool() : rx_chunk_pool()).acquire();
   fresh->buffer().resize(want);  // sized once; never reallocated after views exist
   if (pending > 0) {
     // Splice the partial tail forward — the only copy on the receive path,
@@ -125,7 +135,6 @@ bool TcpConnection::rx_ensure_chunk(size_t min_room) {
   rx_buf_ = std::move(fresh);
   rx_filled_ = pending;
   rx_carved_ = 0;
-  return true;
 }
 
 bool TcpConnection::rx_carve_frames(std::deque<FrameBufRef>& ready) {
@@ -146,19 +155,13 @@ bool TcpConnection::rx_carve_frames(std::deque<FrameBufRef>& ready) {
 
 bool TcpConnection::rx_deliver(size_t n) {
   rx_filled_ += n;
-  std::deque<FrameBufRef> ready;
-  const bool intact = rx_carve_frames(ready);
-  std::function<void()> data_cb;
-  if (!ready.empty()) {
-    std::lock_guard lk(in_mu_);
-    bool was_empty = in_q_.empty();
-    for (auto& r : ready) {
-      in_bytes_ += r.size();
-      in_q_.push_back(std::move(r));
-    }
-    if (was_empty) data_cb = data_cb_;
+  const size_t before = in_q_.size();
+  const bool intact = rx_carve_frames(in_q_);
+  for (size_t i = before; i < in_q_.size(); ++i) in_bytes_ += in_q_[i].size();
+  if (before == 0 && !in_q_.empty()) {
+    std::function<void()> cb = data_cb_;  // a copy: the callback may replace it
+    if (cb) cb();
   }
-  if (data_cb) data_cb();
   if (intact) return true;
   // The stream cannot be re-synchronized past a bad header. Frames carved
   // before it stay readable; supervised edges reconnect and retransmit.
@@ -169,27 +172,24 @@ bool TcpConnection::rx_deliver(size_t n) {
 
 void TcpConnection::handle_readable() {
   // Drain until EAGAIN or the inbound cap. recv() lands directly in the
-  // current pooled chunk; rx_deliver publishes the whole frames carved
-  // from the new bytes.
+  // current pooled chunk; rx_deliver queues the whole frames carved from
+  // the new bytes.
   for (;;) {
-    {
-      std::lock_guard lk(in_mu_);
-      if (in_bytes_ >= config_.capacity_bytes) {
-        // Inbound queue full: stop reading. This is the watermark that
-        // ultimately closes the peer's TCP window.
-        if (!reading_paused_) {
-          reading_paused_ = true;
-          update_interest();
-        }
-        return;
+    if (in_bytes_ >= config_.capacity_bytes) {
+      // Inbound queue full: stop reading. This is the watermark that
+      // ultimately closes the peer's TCP window.
+      if (!reading_paused_) {
+        reading_paused_ = true;
+        update_interest();
       }
+      return;
     }
     rx_ensure_chunk(/*min_room=*/1);
     size_t room = rx_buf_->size() - rx_filled_;
     ssize_t n = ::recv(fd_, rx_buf_->buffer().data() + rx_filled_, room, 0);
     if (n > 0) {
       bytes_received_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-      if (!rx_deliver(static_cast<size_t>(n))) return;
+      if (!rx_deliver(static_cast<size_t>(n)) || detached_) return;
       continue;
     }
     if (n == 0) {  // orderly shutdown by peer
@@ -204,17 +204,9 @@ void TcpConnection::handle_readable() {
 }
 
 void TcpConnection::handle_writable() {
-  // Loop thread only. Gather up to kMaxIov queued frames into one sendmsg:
-  // the iovec snapshot is taken under out_mu_, the lock is *dropped* for
-  // the syscall (concurrent try_send callers never wait on a kernel write),
-  // then retaken to retire completed entries. Safe because only this
-  // thread pops out_q_ (out_draining_ marks the window) and try_send only
-  // appends — deque push_back never invalidates references to existing
-  // elements, and the iovecs point into pinned FrameBuf heap memory.
-  std::function<void()> cb;
-  std::unique_lock lk(out_mu_);
-  if (out_draining_) return;
-  out_draining_ = true;
+  // Gather up to kMaxIov queued frames into one sendmsg. Everything queued
+  // since the last drain leaves together: try_send only queues and arms
+  // EPOLLOUT, so the frames of one pump (or one tick) share a syscall.
   auto& stats = TcpTransportStats::global();
   while (!out_q_.empty()) {
     struct iovec iov[kMaxIov];
@@ -226,19 +218,15 @@ void TcpConnection::handle_writable() {
       iov[iovcnt].iov_len = bytes.size() - off;
       ++iovcnt;
     }
-    lk.unlock();
     struct msghdr msg{};
     msg.msg_iov = iov;
     msg.msg_iovlen = static_cast<size_t>(iovcnt);
     stats.sendmsg_calls.fetch_add(1, std::memory_order_relaxed);
     stats.sendmsg_iovecs.fetch_add(static_cast<uint64_t>(iovcnt), std::memory_order_relaxed);
     ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    lk.lock();
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
-      out_draining_ = false;
-      lk.unlock();
       close_on_loop();
       return;
     }
@@ -259,110 +247,77 @@ void TcpConnection::handle_writable() {
       }
     }
   }
-  out_draining_ = false;
-  bool finish_close = closing_ && out_q_.empty();
-  bool want_out = !out_q_.empty() && !detached_;
-  if (want_out != epollout_armed_ && !detached_) {
-    epollout_armed_ = want_out;
+  const bool finish_close = closing_ && out_q_.empty();
+  if (out_q_.empty() == epollout_armed_) {
+    epollout_armed_ = !out_q_.empty();
     update_interest();
   }
   if (out_blocked_ && out_bytes_ <= config_.low_watermark_bytes) {
     out_blocked_ = false;
-    cb = writable_cb_;
+    std::function<void()> cb = writable_cb_;  // a copy: the callback may replace it
+    if (cb) cb();
   }
-  lk.unlock();
-  if (cb) cb();
   // Graceful close: the queue accepted before close() has fully reached the
   // kernel — now the fd can go.
   if (finish_close) detach_on_loop();
 }
 
-void TcpConnection::update_interest() {
-  // Caller holds the relevant lock; only interest bits are computed here.
+uint32_t TcpConnection::interest() const {
   uint32_t events = 0;
   if (!reading_paused_) events |= EPOLLIN;
   if (epollout_armed_) events |= EPOLLOUT;
-  loop_->mod_fd(fd_, events);
+  return events;
+}
+
+void TcpConnection::update_interest() {
+  if (!detached_) loop_->mod_fd(fd_, interest());
 }
 
 SendStatus TcpConnection::try_send(const FrameBufRef& frame) {
   if (!frame || frame.size() == 0) return SendStatus::kOk;
+  // A close() from another thread flips closed_ at once; a frame queued
+  // just before it still flushes, since the close runs after this call.
   if (closed_.load(std::memory_order_acquire)) return SendStatus::kClosed;
   size_t size = frame.size();
-  bool arm = false;
-  {
-    std::lock_guard lk(out_mu_);
-    // Re-check under the lock: close() flips closed_ synchronously from any
-    // thread, and bytes enqueued after that point would never be flushed.
-    if (closed_.load(std::memory_order_acquire)) return SendStatus::kClosed;
-    if (out_bytes_ + size > config_.capacity_bytes && out_bytes_ > 0) {
-      out_blocked_ = true;
-      return SendStatus::kBlocked;
-    }
-    out_q_.push_back(frame);  // pin our own ref
-    out_bytes_ += size;
-    TcpTransportStats::global().tx_frames.fetch_add(1, std::memory_order_relaxed);
-    // No arming needed while a drain is mid-flight: its post-syscall pass
-    // sees this entry and re-arms EPOLLOUT itself if the kernel blocked.
-    if (!epollout_armed_ && !out_draining_) {
-      epollout_armed_ = true;
-      arm = true;
-    }
+  if (out_bytes_ + size > config_.capacity_bytes && out_bytes_ > 0) {
+    out_blocked_ = true;
+    return SendStatus::kBlocked;
   }
-  if (arm) {
-    auto self = shared_from_this();
-    loop_->post([self] {
-      if (self->closed_.load()) return;
-      // Try an immediate flush; handle_writable re-arms EPOLLOUT if the
-      // kernel buffer filled before our queue drained.
-      {
-        std::lock_guard lk(self->out_mu_);
-        self->update_interest();
-      }
-      self->handle_writable();
-    });
+  out_q_.push_back(frame);  // pin our own ref
+  out_bytes_ += size;
+  TcpTransportStats::global().tx_frames.fetch_add(1, std::memory_order_relaxed);
+  if (!epollout_armed_) {
+    epollout_armed_ = true;
+    update_interest();
   }
   return SendStatus::kOk;
 }
 
 void TcpConnection::set_writable_callback(std::function<void()> cb) {
-  std::lock_guard lk(out_mu_);
   writable_cb_ = std::move(cb);
 }
 
 bool TcpConnection::writable(size_t bytes) const {
   if (closed_.load(std::memory_order_acquire)) return false;
-  std::lock_guard lk(out_mu_);
   return out_bytes_ == 0 || out_bytes_ + bytes <= config_.capacity_bytes;
 }
 
 void TcpConnection::close() {
-  // Flip closed_ *synchronously* so a try_send racing this close observes
+  // Flip closed_ *synchronously* so a send racing this close observes
   // kClosed instead of enqueueing bytes that would silently vanish with the
-  // socket. The fd itself
-  // is detached on the loop thread (detach_on_loop is idempotent, so a
-  // concurrent close_on_loop from an IO error is harmless) — but only after
-  // the outbound queue drains: bytes accepted with kOk before the close must
-  // reach the wire (the runtime's EOF frame rides behind the data tail).
+  // socket. The fd itself is detached on the loop thread (detach_on_loop is
+  // idempotent) — but only after the outbound queue drains: bytes accepted
+  // with kOk before the close must reach the wire (the runtime's EOF frame
+  // rides behind the data tail).
   closed_.store(true, std::memory_order_release);
-  auto self = shared_from_this();
-  loop_->post([self] {
+  loop_->post([self = shared_from_this()] {
     if (self->detached_) return;
-    bool pending;
-    {
-      std::lock_guard lk(self->out_mu_);
-      pending = !self->out_q_.empty() || self->out_draining_;
-      self->closing_ = pending;
-      if (pending && !self->epollout_armed_) {
-        self->epollout_armed_ = true;
-        self->update_interest();
-      }
-    }
-    if (pending) {
-      self->handle_writable();  // flush now; EPOLLOUT continues if it blocks
-    } else {
+    if (self->out_q_.empty()) {
       self->detach_on_loop();
+      return;
     }
+    self->closing_ = true;
+    self->handle_writable();  // flush now; EPOLLOUT continues if it blocks
   });
 }
 
@@ -376,60 +331,29 @@ void TcpConnection::detach_on_loop() {
   detached_ = true;
   loop_->del_fd(fd_);
   ::shutdown(fd_, SHUT_RDWR);
-  std::function<void()> cb;
-  std::function<void()> data_cb;
-  {
-    std::lock_guard lk(out_mu_);
-    cb = writable_cb_;  // wake blocked senders to observe kClosed
-  }
-  {
-    std::lock_guard lk(in_mu_);
-    data_cb = data_cb_;  // wake the receiver to observe end-of-stream
-  }
+  // Copies: a callback may replace either one.
+  std::function<void()> cb = writable_cb_;     // wake blocked senders to observe kClosed
+  std::function<void()> data_cb = data_cb_;    // wake the receiver to observe end-of-stream
   if (cb) cb();
   if (data_cb) data_cb();
 }
 
-void TcpConnection::set_data_callback(std::function<void()> cb) {
-  std::lock_guard lk(in_mu_);
-  data_cb_ = std::move(cb);
-}
+void TcpConnection::set_data_callback(std::function<void()> cb) { data_cb_ = std::move(cb); }
 
 std::optional<FrameBufRef> TcpConnection::try_receive_buf() {
-  std::unique_lock lk(in_mu_);
   if (in_q_.empty()) return std::nullopt;
   FrameBufRef view = std::move(in_q_.front());
   in_q_.pop_front();
   in_bytes_ -= view.size();
-  bool resume = reading_paused_ && in_bytes_ <= config_.low_watermark_bytes;
-  lk.unlock();
-  if (resume) maybe_resume_reading();
+  if (reading_paused_ && in_bytes_ <= config_.low_watermark_bytes) {
+    reading_paused_ = false;
+    update_interest();
+  }
   return view;
 }
 
-void TcpConnection::maybe_resume_reading() {
-  auto self = shared_from_this();
-  loop_->post([self] {
-    if (self->closed_.load()) return;
-    bool changed = false;
-    {
-      std::lock_guard lk(self->in_mu_);
-      if (self->reading_paused_ && self->in_bytes_ <= self->config_.low_watermark_bytes) {
-        self->reading_paused_ = false;
-        changed = true;
-      }
-    }
-    if (changed) {
-      std::lock_guard lk(self->out_mu_);
-      self->update_interest();
-    }
-  });
-}
-
 bool TcpConnection::closed() const {
-  if (!closed_.load(std::memory_order_acquire)) return false;
-  std::lock_guard lk(in_mu_);
-  return in_q_.empty();
+  return closed_.load(std::memory_order_acquire) && in_q_.empty();
 }
 
 TcpListener::TcpListener(EventLoop* loop, uint16_t port, AcceptCallback on_accept)

@@ -9,23 +9,28 @@
 //   grows past the budget -> try_send returns kBlocked -> upstream operator
 //   is descheduled.
 //
+// A connection belongs to the IO loop it is registered with: every method
+// except create(), start(), close() and the byte counters runs on that
+// loop's thread, so the connection needs no lock. Worker threads reach a
+// connection only through the supervised channel above it
+// (fault/supervised_channel.hpp), which posts its work to the same loop.
+//
 // Zero-copy data path (docs/INTERNALS.md §14):
 //   * Outbound: try_send(FrameBufRef) pins the pooled frame in the out
-//     queue; the drain gathers many queued frames' bytes into one
-//     sendmsg(iovec[]) syscall and releases each ref as its bytes complete.
-//   * Inbound: recv() lands directly in a large pooled chunk, which is
-//     carved into whole wire frames at the socket; consumers get one
-//     windowed FrameBufRef view per frame, so the bytes written by the
-//     kernel are the bytes the runtime parses. A corrupt frame header
-//     closes the connection (supervised edges then reconnect and
-//     retransmit).
+//     queue and arms EPOLLOUT; the drain gathers the frames queued since,
+//     up to kMaxIov, into one sendmsg(iovec[]) syscall and releases each
+//     ref as its bytes complete.
+//   * Inbound: recv() lands directly in a pooled chunk, which is carved
+//     into whole wire frames at the socket; consumers get one windowed
+//     FrameBufRef view per frame, so the bytes written by the kernel are
+//     the bytes the runtime parses. A corrupt frame header closes the
+//     connection (supervised edges then reconnect and retransmit).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 
 #include "net/channel.hpp"
 #include "net/event_loop.hpp"
@@ -53,21 +58,24 @@ class TcpConnection final : public ChannelSender,
                             public std::enable_shared_from_this<TcpConnection> {
  public:
   /// Takes ownership of a connected, non-blocking fd. Must be followed by
-  /// start() (from any thread) to register with the loop.
+  /// start() to register with the loop.
   static std::shared_ptr<TcpConnection> create(EventLoop* loop, int fd,
                                                const ChannelConfig& config = {});
   ~TcpConnection() override;
 
+  /// Registers the fd with the loop (posted; safe from any thread).
   void start();
 
-  // ChannelSender
+  // ChannelSender (loop thread, except close() and bytes_sent()).
   SendStatus try_send(const FrameBufRef& frame) override;
   void set_writable_callback(std::function<void()> cb) override;
   bool writable(size_t bytes) const override;
+  /// Safe from any thread: later sends see kClosed at once, and the frames
+  /// already accepted flush before the fd is detached.
   void close() override;
   uint64_t bytes_sent() const override { return bytes_sent_.load(std::memory_order_relaxed); }
 
-  // ChannelReceiver
+  // ChannelReceiver (loop thread, except bytes_received()).
   std::optional<FrameBufRef> try_receive_buf() override;
   void set_data_callback(std::function<void()> cb) override;
   bool closed() const override;
@@ -82,57 +90,47 @@ class TcpConnection final : public ChannelSender,
   /// (1024); 64 already amortizes the syscall across a full wakeup's worth
   /// of small frames while keeping the on-stack iovec array tiny.
   static constexpr int kMaxIov = 64;
-  /// Pooled receive chunk size. Frames larger than this get a dedicated
-  /// exact-size buffer, so the common case stays one recv per many small
-  /// frames.
-  static constexpr size_t kRxChunkBytes = 256 * 1024;
 
   TcpConnection(EventLoop* loop, int fd, const ChannelConfig& config);
 
-  void handle_events(uint32_t events);      // loop thread
-  void handle_readable();                   // loop thread
-  void handle_writable();                   // loop thread
-  bool rx_ensure_chunk(size_t min_room);    // loop thread
-  bool rx_deliver(size_t n);                // loop thread; false: corrupt, closed
-  bool rx_carve_frames(std::deque<FrameBufRef>& ready);  // loop thread
-  void update_interest();                   // loop thread
-  void close_on_loop();                     // loop thread
-  void detach_on_loop();                    // loop thread; idempotent teardown
-  void maybe_resume_reading();
+  void handle_events(uint32_t events);
+  void handle_readable();
+  void handle_writable();
+  void rx_ensure_chunk(size_t min_room);
+  bool rx_deliver(size_t n);  // false: corrupt header, connection closed
+  bool rx_carve_frames(std::deque<FrameBufRef>& ready);
+  uint32_t interest() const;
+  void update_interest();
+  void close_on_loop();
+  void detach_on_loop();  // idempotent teardown
 
   EventLoop* loop_;
   int fd_;
   const ChannelConfig config_;
   std::atomic<bool> started_{false};
+  std::atomic<bool> closed_{false};  // set by close() from any thread
 
-  // --- outbound (guarded by out_mu_) ---------------------------------------
-  mutable std::mutex out_mu_;
+  // Everything below is touched by the loop thread only.
   std::deque<FrameBufRef> out_q_;  // pinned frames, oldest first
-  size_t out_head_offset_ = 0;  // bytes of out_q_.front() already written
+  size_t out_head_offset_ = 0;     // bytes of out_q_.front() already written
   size_t out_bytes_ = 0;
-  bool out_blocked_ = false;      // a try_send was rejected since last drain
-  bool out_draining_ = false;     // a drain is mid-syscall with out_mu_ dropped
-  bool closing_ = false;          // close() waits for out_q_ to flush before detach
+  bool out_blocked_ = false;       // a try_send was rejected since last drain
+  bool closing_ = false;           // close() waits for out_q_ to flush before detach
   bool epollout_armed_ = false;
   std::function<void()> writable_cb_;
 
-  // --- inbound (guarded by in_mu_) -------------------------------------------
-  mutable std::mutex in_mu_;
   std::deque<FrameBufRef> in_q_;  // one wire frame per view
   size_t in_bytes_ = 0;
   bool reading_paused_ = false;
   std::function<void()> data_cb_;
 
-  // Receive staging (loop thread only). Consumers never touch these: they
-  // only see completed views queued into in_q_, whose byte ranges are fully
-  // written before publication (the in_mu_ hand-off orders the accesses)
-  // and never rewritten — recv() only appends past rx_filled_.
+  // Receive staging. Views queued into in_q_ cover fully written bytes that
+  // are never rewritten: recv() only appends past rx_filled_.
   FrameBufRef rx_buf_;    // current pooled chunk being filled
   size_t rx_filled_ = 0;  // bytes of rx_buf_ written by recv()
   size_t rx_carved_ = 0;  // bytes of rx_buf_ already delivered upstream
 
-  std::atomic<bool> closed_{false};
-  bool detached_ = false;  // loop thread only: fd removed from the loop
+  bool detached_ = false;  // fd removed from the loop
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> bytes_received_{0};
 };

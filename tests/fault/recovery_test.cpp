@@ -231,16 +231,15 @@ TEST(SupervisedTcp, SurvivesPartialWrites) {
 }
 
 TEST(SupervisedTcp, HeartbeatNeverLandsInsideATornFrame) {
-  // The torn connection lingers 50 ms between the frame prefix and the
-  // close while heartbeats are due every millisecond. Heartbeats leave only
-  // through the sender's pump, which is busy writing the torn frame, so no
-  // heartbeat bytes can follow the prefix and be carved into a phantom
-  // frame; the receiver sees a truncated tail, the link recovers, and every
-  // packet arrives once.
+  // Heartbeats are due every millisecond while frame 4 is torn: its prefix
+  // is queued and the connection closed. The heartbeat tick runs on the
+  // sender's loop, the same thread that writes the torn frame and closes
+  // the link, so no heartbeat bytes can follow the prefix and be carved
+  // into a phantom frame; the receiver sees a truncated tail, the link
+  // recovers, and every packet arrives once.
   auto injector = std::make_shared<FaultInjector>();
   injector->add_rule({.any_edge = true, .at_frame = 4,
-                      .action = {FaultKind::kPartialWrite, /*delay_ns=*/50'000'000,
-                                 /*byte_offset=*/10}});
+                      .action = {FaultKind::kPartialWrite, 0, /*byte_offset=*/10}});
   RuntimeOptions opt = tcp_with(injector);
   opt.supervisor.heartbeat_interval_ns = 1'000'000;
   Runtime rt(2, {.worker_threads = 1, .io_threads = 1}, opt);
@@ -479,6 +478,63 @@ TEST(SupervisedTcp, RetransmitsPinnedFramesAfterReconnect) {
   }
   loop.stop();
   loop_thread.join();
+}
+
+TEST(SupervisedTcp, AcksCoalesceWhileTheReceiverLoopIsBusy) {
+  // Acks are cumulative and leave from the receiver's loop, at most one
+  // pending: frames popped while the loop is held cost one ack frame, not
+  // one each. Heartbeats are off (a long interval), so the only frame the
+  // pair sends after the data is that ack.
+  EventLoop tx_loop, rx_loop;
+  std::thread tx_thread([&] { tx_loop.run(); });
+  std::thread rx_thread([&] { rx_loop.run(); });
+  fault::SupervisorConfig cfg;
+  cfg.heartbeat_interval_ns = 3'600'000'000'000;
+  cfg.peer_timeout_ns = 3'600'000'000'000;
+  {
+    fault::SupervisedTcpReceiver rx(&rx_loop, ChannelConfig{}, cfg, fault::EdgeId{}, nullptr,
+                                    nullptr);
+    fault::SupervisedTcpSender tx(&tx_loop, rx.port(), ChannelConfig{}, cfg, fault::EdgeId{},
+                                  nullptr, nullptr, {});
+    constexpr uint32_t kFrames = 16;
+    uint64_t wire_bytes = 0;
+    for (uint32_t i = 0; i < kFrames; ++i) {
+      std::vector<uint8_t> payload(64, static_cast<uint8_t>(i));
+      FrameHeader h;
+      h.link_id = i;
+      h.batch_count = 1;
+      h.raw_size = static_cast<uint32_t>(payload.size());
+      FrameBufRef frame = FrameBufPool::global().acquire();
+      encode_frame(h, payload, frame->buffer());
+      wire_bytes += frame.size();
+      ASSERT_EQ(tx.try_send(frame), SendStatus::kOk);
+    }
+    tx.close();  // the EOF frame: consuming it completes delivery
+    wire_bytes += encode_signal_frame(FrameHeader::kFlagEof, 0, {}).size();
+    ASSERT_TRUE(test_util::wait_until([&] { return rx.bytes_received() == wire_bytes; }, 5s));
+
+    test_util::Gate gate;
+    std::promise<void> holding;
+    rx_loop.post([&] {
+      holding.set_value();
+      gate.wait();
+    });
+    holding.get_future().wait();
+    const uint64_t tx_frames0 = TcpTransportStats::global().tx_frames.load();
+    uint32_t popped = 0;
+    while (!rx.closed()) {
+      if (rx.try_receive_buf()) ++popped;
+    }
+    EXPECT_EQ(popped, kFrames);
+    gate.open();
+
+    EXPECT_TRUE(test_util::wait_until([&] { return tx.delivery_complete(); }, 5s));
+    EXPECT_EQ(TcpTransportStats::global().tx_frames.load() - tx_frames0, 1u);
+  }
+  tx_loop.stop();
+  rx_loop.stop();
+  tx_thread.join();
+  rx_thread.join();
 }
 
 // --- RecoveryCoordinator: automatic checkpoint + restore --------------------

@@ -7,7 +7,10 @@
 #include <atomic>
 #include <future>
 #include <thread>
+#include <tuple>
 
+#include "../support/gate.hpp"
+#include "../support/on_loop.hpp"
 #include "../support/poll.hpp"
 #include "common/rng.hpp"
 #include "net/frame.hpp"
@@ -16,8 +19,11 @@ namespace neptune {
 namespace {
 
 using namespace std::chrono_literals;
-using test_util::receive_within;
+using test_util::wait_until;
 
+/// Two connected TcpConnections on one loop. A connection belongs to its
+/// loop, so every call on one goes through on_loop(); the test thread only
+/// waits.
 struct TcpFixture : ::testing::Test {
   void SetUp() override {
     loop_thread = std::thread([this] { loop.run(); });
@@ -28,24 +34,34 @@ struct TcpFixture : ::testing::Test {
       conn->start();
       accepted_promise->set_value(conn);
     });
-    // Listener registration is posted to the loop; give it a beat.
-    std::this_thread::sleep_for(20ms);
+    on_loop([] {});  // the listener's registration was posted before this barrier
     int fd = tcp_connect_blocking(listener->port());
     ASSERT_GE(fd, 0);
     client = TcpConnection::create(&loop, fd);
     client->start();
     ASSERT_EQ(accepted_future.wait_for(2s), std::future_status::ready);
     server = accepted_future.get();
+    on_loop([this] {
+      client->set_writable_callback([this] { client_writable.fetch_add(1); });
+    });
   }
 
   void TearDown() override {
     if (client) client->close();
     if (server) server->close();
-    std::this_thread::sleep_for(20ms);
     listener.reset();
-    std::this_thread::sleep_for(20ms);
+    on_loop([] {});  // the closes and the listener's teardown have run
     loop.stop();
     loop_thread.join();
+  }
+
+  template <typename Fn>
+  std::invoke_result_t<Fn&> on_loop(Fn&& fn) {
+    return test_util::run_on(loop, std::forward<Fn>(fn));
+  }
+
+  SendStatus send(const std::shared_ptr<TcpConnection>& conn, const FrameBufRef& frame) {
+    return on_loop([&] { return conn->try_send(frame); });
   }
 
   /// One wire frame whose payload is `payload_bytes` bytes derived from
@@ -77,20 +93,44 @@ struct TcpFixture : ::testing::Test {
       ASSERT_EQ(f->payload[i], static_cast<uint8_t>(seq * 131 + i)) << "byte " << i;
   }
 
-  /// The next frame from `rx`, checked against make_frame(seq, payload_bytes).
-  static void expect_next_frame(ChannelReceiver& rx, uint32_t seq, size_t payload_bytes) {
-    auto view = receive_within(rx, 5s);
+  /// The next frame from `conn`; nullopt once it is closed and drained, or
+  /// after 5 s.
+  std::optional<FrameBufRef> next_frame(const std::shared_ptr<TcpConnection>& conn) {
+    std::optional<FrameBufRef> view;
+    wait_until(
+        [&] {
+          return on_loop([&] {
+            view = conn->try_receive_buf();
+            return view.has_value() || conn->closed();
+          });
+        },
+        5s);
+    return view;
+  }
+
+  /// The next frame from `conn`, checked against make_frame(seq, payload_bytes).
+  void expect_next_frame(const std::shared_ptr<TcpConnection>& conn, uint32_t seq,
+                         size_t payload_bytes) {
+    auto view = next_frame(conn);
     ASSERT_TRUE(view.has_value()) << "timed out waiting for frame " << seq;
     expect_frame(*view, seq, payload_bytes);
   }
 
-  /// try_send with kBlocked retry (the receiving side drains concurrently).
+  /// A client send and the writable-callback count it saw, read together
+  /// on the loop.
+  std::pair<SendStatus, uint64_t> send_and_count(const FrameBufRef& frame) {
+    return on_loop([&] { return std::pair{client->try_send(frame), client_writable.load()}; });
+  }
+
+  /// Client try_send with kBlocked retry: a blocked send waits for the next
+  /// writable callback (the receiving side drains concurrently).
   void send_pinned(const FrameBufRef& frame) {
     for (;;) {
-      SendStatus s = client->try_send(frame);
+      auto [s, seen] = send_and_count(frame);
       if (s == SendStatus::kOk) return;
       ASSERT_EQ(s, SendStatus::kBlocked);
-      std::this_thread::sleep_for(1ms);
+      ASSERT_TRUE(wait_until([&, seen = seen] { return client_writable.load() != seen; }, 5s))
+          << "no writable callback after kBlocked";
     }
   }
 
@@ -100,18 +140,19 @@ struct TcpFixture : ::testing::Test {
   std::shared_ptr<TcpConnection> client;
   std::shared_ptr<TcpConnection> server;
   std::future<std::shared_ptr<TcpConnection>> accepted_future;
+  std::atomic<uint64_t> client_writable{0};  // writable callbacks fired on the client
 };
 
 TEST_F(TcpFixture, RoundTripSmallMessage) {
-  ASSERT_EQ(client->try_send(make_frame(1, 5)), SendStatus::kOk);
-  expect_next_frame(*server, 1, 5);
+  ASSERT_EQ(send(client, make_frame(1, 5)), SendStatus::kOk);
+  expect_next_frame(server, 1, 5);
 }
 
 TEST_F(TcpFixture, BidirectionalTraffic) {
-  ASSERT_EQ(client->try_send(make_frame(10, 2)), SendStatus::kOk);
-  ASSERT_EQ(server->try_send(make_frame(20, 3)), SendStatus::kOk);
-  expect_next_frame(*server, 10, 2);
-  expect_next_frame(*client, 20, 3);
+  ASSERT_EQ(send(client, make_frame(10, 2)), SendStatus::kOk);
+  ASSERT_EQ(send(server, make_frame(20, 3)), SendStatus::kOk);
+  expect_next_frame(server, 10, 2);
+  expect_next_frame(client, 20, 3);
 }
 
 TEST_F(TcpFixture, LargeTransferIsLossless) {
@@ -121,15 +162,11 @@ TEST_F(TcpFixture, LargeTransferIsLossless) {
   std::vector<uint8_t> big(2 << 20);
   for (auto& x : big) x = static_cast<uint8_t>(rng.next_u64());
   constexpr size_t kChunk = 64 * 1024;
-  // Shared, not a local: the connection keeps the callback past this body
-  // and fires it once more when TearDown closes it.
-  auto writable = std::make_shared<std::atomic<bool>>(true);
-  client->set_writable_callback([writable] { writable->store(true); });
 
   std::vector<uint8_t> got;
   std::thread reader_thread([&] {
     while (got.size() < big.size()) {
-      auto view = receive_within(*server, 2s);
+      auto view = next_frame(server);
       if (!view) break;
       auto f = decode_whole_frame(view->contents());
       if (!f) break;
@@ -137,19 +174,9 @@ TEST_F(TcpFixture, LargeTransferIsLossless) {
     }
   });
 
-  size_t sent = 0;
-  while (sent < big.size()) {
+  for (size_t sent = 0; sent < big.size() && !HasFatalFailure(); sent += kChunk) {
     size_t chunk = std::min(big.size() - sent, kChunk);
-    auto s = client->try_send(frame_with(static_cast<uint32_t>(sent / kChunk),
-                                         std::span(big.data() + sent, chunk)));
-    if (s == SendStatus::kOk) {
-      sent += chunk;
-    } else if (s == SendStatus::kBlocked) {
-      writable->store(false);
-      while (!writable->load() && !client->writable(chunk)) std::this_thread::yield();
-    } else {
-      FAIL() << "connection closed mid-send";
-    }
+    send_pinned(frame_with(static_cast<uint32_t>(sent / kChunk), std::span(big.data() + sent, chunk)));
   }
   reader_thread.join();
   EXPECT_EQ(got, big);
@@ -161,74 +188,92 @@ TEST_F(TcpFixture, SenderBlocksWhenReceiverStopsDraining) {
   // (kernel buffers + inbound cap fill).
   FrameBufRef frame = make_frame(7, 256 * 1024);
   SendStatus s = SendStatus::kOk;
-  int sends = 0;
-  while (sends < 1024) {
-    s = client->try_send(frame);
+  uint64_t seen = 0;
+  for (int sends = 0; sends < 1024; ++sends) {
+    std::tie(s, seen) = send_and_count(frame);
     if (s != SendStatus::kOk) break;
-    ++sends;
   }
   EXPECT_EQ(s, SendStatus::kBlocked);
 
-  // Draining the receiver eventually restores writability.
-  auto writable = std::make_shared<std::atomic<bool>>(false);
-  client->set_writable_callback([writable] { writable->store(true); });
-  while (auto f = server->try_receive_buf()) {
-  }
-  for (int i = 0; i < 400 && !writable->load(); ++i) {
-    std::this_thread::sleep_for(5ms);
-    while (auto f = server->try_receive_buf()) {
-    }
-  }
-  EXPECT_TRUE(writable->load());
+  // Draining the receiver restores writability: the writable callback fires.
+  EXPECT_TRUE(wait_until(
+      [&] {
+        on_loop([&] {
+          while (server->try_receive_buf()) {
+          }
+        });
+        return client_writable.load() != seen;
+      },
+      2s));
 }
 
 TEST_F(TcpFixture, CloseIsSynchronousAndIdempotent) {
   // Regression: close() used to defer the closed_ flip to the loop thread,
   // so a send racing a cross-thread close could still enqueue bytes into a
-  // dying connection. closed() must hold the moment close() returns, from
-  // any thread, and double-close must be harmless.
+  // dying connection. A close() from this thread must be seen by the loop
+  // before the loop runs the close's own teardown, and double-close must be
+  // harmless. The gate holds the loop so the check queues ahead of it.
+  test_util::Gate gate;
+  std::promise<std::pair<bool, SendStatus>> seen;
+  auto result = seen.get_future();
+  loop.post([&] {
+    gate.wait();
+    seen.set_value({client->closed(), client->try_send(make_frame(1, 3))});
+  });
   client->close();
-  EXPECT_TRUE(client->closed());
-  EXPECT_EQ(client->try_send(make_frame(1, 3)), SendStatus::kClosed);
+  gate.open();
+  auto [closed, status] = result.get();
+  EXPECT_TRUE(closed);
+  EXPECT_EQ(status, SendStatus::kClosed);
   client->close();  // idempotent
-  EXPECT_TRUE(client->closed());
+  EXPECT_TRUE(on_loop([&] { return client->closed(); }));
 }
 
 TEST_F(TcpFixture, ConcurrentSendAndCloseDoNotRace) {
-  // Hammer try_send from two threads while a third closes the connection;
-  // every sender must settle on kClosed promptly and nothing may crash or
-  // deadlock (run under -DNEPTUNE_SANITIZE to check the old race).
+  // Two threads keep the loop sending while this thread closes the
+  // connection; every sender must settle on kClosed promptly and nothing
+  // may crash or deadlock (run under -DNEPTUNE_SANITIZE to check the
+  // cross-thread close).
   std::atomic<int> settled{0};
+  std::atomic<int> bursts{0};
   auto hammer = [&] {
     FrameBufRef frame = make_frame(1, 4096);
-    for (int i = 0; i < 200'000; ++i) {
-      if (client->try_send(frame) == SendStatus::kClosed) break;
-      if ((i & 0xFF) == 0) std::this_thread::yield();
+    bool closed = false;
+    for (int i = 0; i < 2000 && !closed; ++i) {
+      closed = on_loop([&] {
+        for (int k = 0; k < 100; ++k)
+          if (client->try_send(frame) == SendStatus::kClosed) return true;
+        return false;
+      });
+      bursts.fetch_add(1);
     }
     settled.fetch_add(1);
   };
   std::thread t1(hammer), t2(hammer);
-  std::this_thread::sleep_for(5ms);
+  EXPECT_TRUE(wait_until([&] { return bursts.load() >= 4; }, 5s));
   client->close();
   t1.join();
   t2.join();
   EXPECT_EQ(settled.load(), 2);
-  EXPECT_TRUE(client->closed());
-  EXPECT_EQ(client->try_send(make_frame(9, 1)), SendStatus::kClosed);
+  EXPECT_TRUE(on_loop([&] { return client->closed(); }));
+  EXPECT_EQ(send(client, make_frame(9, 1)), SendStatus::kClosed);
 }
 
 TEST_F(TcpFixture, PeerCloseObservedAsEndOfStream) {
-  ASSERT_EQ(client->try_send(make_frame(42, 1)), SendStatus::kOk);
-  expect_next_frame(*server, 42, 1);
+  ASSERT_EQ(send(client, make_frame(42, 1)), SendStatus::kOk);
+  expect_next_frame(server, 42, 1);
   client->close();
   // Server eventually reports closed-and-drained; sends fail.
-  for (int i = 0; i < 400 && !server->closed(); ++i) {
-    std::this_thread::sleep_for(5ms);
-    while (server->try_receive_buf()) {
-    }
-  }
-  EXPECT_TRUE(server->closed());
-  EXPECT_EQ(server->try_send(make_frame(42, 1)), SendStatus::kClosed);
+  EXPECT_TRUE(wait_until(
+      [&] {
+        return on_loop([&] {
+          while (server->try_receive_buf()) {
+          }
+          return server->closed();
+        });
+      },
+      2s));
+  EXPECT_EQ(send(server, make_frame(42, 1)), SendStatus::kClosed);
 }
 
 TEST_F(TcpFixture, FramesSurviveTcpChunking) {
@@ -236,7 +281,7 @@ TEST_F(TcpFixture, FramesSurviveTcpChunking) {
   // receiver's recv() calls split the stream, every frame comes back whole.
   constexpr uint32_t kFrames = 200;
   for (uint32_t i = 0; i < kFrames; ++i) send_pinned(make_frame(i, 100 + i));
-  for (uint32_t i = 0; i < kFrames; ++i) expect_next_frame(*server, i, 100 + i);
+  for (uint32_t i = 0; i < kFrames; ++i) expect_next_frame(server, i, 100 + i);
 }
 
 TEST(TcpStandalone, ConnectToClosedPortFails) {
@@ -256,7 +301,7 @@ TEST_F(FramedTcpFixture, FramedRxDeliversWholeCarvedFrames) {
   // byte-exact.
   constexpr uint32_t kFrames = 300;
   for (uint32_t i = 0; i < kFrames; ++i) send_pinned(make_frame(i, 1 + i));
-  for (uint32_t i = 0; i < kFrames; ++i) expect_next_frame(*server, i, 1 + i);
+  for (uint32_t i = 0; i < kFrames; ++i) expect_next_frame(server, i, 1 + i);
 }
 
 TEST_F(FramedTcpFixture, PinnedFrameSendSkipsTheStagingCopy) {
@@ -265,7 +310,7 @@ TEST_F(FramedTcpFixture, PinnedFrameSendSkipsTheStagingCopy) {
 
   constexpr uint32_t kFrames = 100;
   for (uint32_t i = 0; i < kFrames; ++i) send_pinned(make_frame(i, 64));
-  for (uint32_t i = 0; i < kFrames; ++i) expect_next_frame(*server, i, 64);
+  for (uint32_t i = 0; i < kFrames; ++i) expect_next_frame(server, i, 64);
 
   // Each pinned frame entered the out queue as itself: one queued entry per
   // frame, no staging buffer in between.
@@ -287,7 +332,7 @@ TEST_F(FramedTcpFixture, PartialWritesMidIovecPreserveByteStream) {
   constexpr uint32_t kFrames = 2000;
   constexpr size_t kPayload = 1000;
   constexpr uint32_t kBigSeq = 1000;             // one oversized frame mid-stream
-  constexpr size_t kBigPayload = 300 * 1024;     // > kRxChunkBytes
+  constexpr size_t kBigPayload = 300 * 1024;     // > the 256 KB receive chunk
 
   const uint64_t rx_copies0 = TcpTransportStats::global().rx_copies.load();
 
@@ -297,7 +342,7 @@ TEST_F(FramedTcpFixture, PartialWritesMidIovecPreserveByteStream) {
   });
 
   for (uint32_t i = 0; i < kFrames; ++i) {
-    expect_next_frame(*server, i, i == kBigSeq ? kBigPayload : kPayload);
+    expect_next_frame(server, i, i == kBigSeq ? kBigPayload : kPayload);
     if ((i & 0x3F) == 0) std::this_thread::sleep_for(1ms);  // keep the window tight
   }
   sender.join();
@@ -305,6 +350,32 @@ TEST_F(FramedTcpFixture, PartialWritesMidIovecPreserveByteStream) {
   // 2 MB through 256 KB chunks: some frames straddled chunk boundaries and
   // were spliced forward — the counter must have seen them.
   EXPECT_GT(TcpTransportStats::global().rx_copies.load(), rx_copies0);
+}
+
+TEST_F(FramedTcpFixture, OversizedFrameBufferIsNotReusedAsAChunk) {
+  // A frame larger than the 256 KB receive chunk gets its own exact-size
+  // buffer. Once its view drops, that buffer must be freed, not pooled: a
+  // later chunk would pin its full size behind small frames.
+  constexpr size_t kChunkBytes = 256 * 1024;
+  constexpr size_t kBigPayload = 300 * 1024;
+  send_pinned(make_frame(0, kBigPayload));
+  {
+    auto big = next_frame(server);
+    ASSERT_TRUE(big.has_value());
+    expect_frame(*big, 0, kBigPayload);
+    EXPECT_GT(big->get()->buffer().capacity(), kChunkBytes);
+  }  // the oversized buffer's last view drops here
+
+  // About 600 KB of small frames: enough to fill the current chunk and the
+  // next one, so at least one chunk is taken from the pool after the drop.
+  constexpr uint32_t kSmall = 600;
+  for (uint32_t i = 1; i <= kSmall; ++i) send_pinned(make_frame(i, 1000));
+  for (uint32_t i = 1; i <= kSmall; ++i) {
+    auto view = next_frame(server);
+    ASSERT_TRUE(view.has_value()) << "timed out waiting for frame " << i;
+    expect_frame(*view, i, 1000);
+    ASSERT_LE(view->get()->buffer().capacity(), kChunkBytes) << "frame " << i;
+  }
 }
 
 TEST_F(FramedTcpFixture, CorruptHeaderClosesTheConnection) {
@@ -317,12 +388,17 @@ TEST_F(FramedTcpFixture, CorruptHeaderClosesTheConnection) {
   for (int i = 0; i < 64; ++i) garbage->buffer().write_u8(0xFF);
   send_pinned(garbage);
 
-  expect_next_frame(*server, 1, 16);
-  for (int i = 0; i < 400 && !server->closed(); ++i) {
-    EXPECT_FALSE(server->try_receive_buf().has_value()) << "garbage was delivered";
-    std::this_thread::sleep_for(5ms);
-  }
-  EXPECT_TRUE(server->closed());
+  expect_next_frame(server, 1, 16);
+  bool delivered = false;
+  EXPECT_TRUE(wait_until(
+      [&] {
+        return on_loop([&] {
+          if (server->try_receive_buf()) delivered = true;
+          return server->closed();
+        });
+      },
+      2s));
+  EXPECT_FALSE(delivered) << "garbage was delivered";
 }
 
 }  // namespace
